@@ -1,6 +1,8 @@
 """Elliptic-curve subset-sum generator, equidistribution diagnostics, and
 window-pair combinatorics."""
 
+from types import ModuleType as _ModuleType
+
 from .combinat import (
     BadPairCount,
     TransferMatrix,
@@ -52,7 +54,6 @@ from .experiments import (
 )
 from .expsum import (
     ComplexSum,
-    MultiIndex,
     additive_character,
     avg_square_sum_over_weights,
     curve_x_char_sum,
@@ -81,4 +82,5 @@ from .gf2 import (
     windows_distinct,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -112,11 +112,14 @@ def _cmd_lfsr_info(args) -> int:
 
 
 def _read_point_rows(path: str) -> np.ndarray:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"point input is not UTF-8 text: {exc}") from exc
     rows = []
     header: list[str] | None = None
     for record in csv.reader(line for line in text.splitlines() if line and not line.startswith("#")):
@@ -131,6 +134,8 @@ def _read_point_rows(path: str) -> np.ndarray:
                 raise ValidationError(f"non-numeric row in point input: {record!r}")
     if not rows:
         raise ValidationError("point input is empty")
+    if len({len(row) for row in rows}) != 1:
+        raise ValidationError("point input rows have differing column counts")
     arr = np.asarray(rows, dtype=float)
     if header and header[0] == "n":
         arr = arr[:, 1:]
@@ -212,6 +217,8 @@ def _cmd_expsum_check(args) -> int:
     p = params.p
     if args.all_a:
         a_values = range(1, p)
+    elif args.samples < 1:
+        raise ValidationError("--samples must be >= 1")
     else:
         rng = np.random.default_rng(args.seed)
         a_values = sorted(set(int(a) for a in rng.integers(1, p, size=args.samples)))
@@ -226,7 +233,10 @@ def _cmd_expsum_check(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:
+            raise ValidationError(f"experiment config is not valid JSON: {exc}") from exc
     try:
         params = curve.validate_curve(raw["curve"]["p"], raw["curve"]["a"], raw["curve"]["b"])
         config = experiments.ExperimentConfig(
@@ -241,7 +251,9 @@ def _cmd_experiment(args) -> int:
         )
     except KeyError as exc:
         raise ValidationError(f"experiment config is missing field {exc}")
-    rows = experiments.discrepancy_sweep(config, max_workers=args.threads)
+    except TypeError as exc:
+        raise ValidationError(f"experiment config has a field of the wrong type: {exc}") from exc
+    rows = experiments.discrepancy_sweep(config)
     _emit_csv(
         ["N", "mean", "median", "q90", "thm_bound", "elma_bound"],
         [
@@ -324,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="average-case discrepancy sweep from a JSON config")
     exp.add_argument("--config", required=True)
     exp.add_argument("--seed", type=int, help="override the config seed")
-    exp.add_argument("--threads", type=int, default=1, help="worker cap for the sample map")
     exp.add_argument("--output")
     exp.set_defaults(func=_cmd_experiment)
 

@@ -345,15 +345,3 @@ def bad_count_bracket(r: int, s: int) -> tuple[int, int]:
         raise ValidationError("need r >= s >= 1")
     counts = [walk_count(transfer_matrix(s, h), r - s) for h in range(1, s + 1)]
     return max(counts), 2 * sum(counts)
-
-
-def growth_constant_estimate(s: int, r_min: int = 8, r_max: int = 12) -> float:
-    """Empirical prefactor c_s in f_s(r) ~ c_s beta_s^r, fitted on exact counts.
-
-    Reported as a diagnostic only; nothing downstream asserts its value.
-    """
-    if r_min < s or r_min > r_max:
-        raise ValidationError("need s <= r_min <= r_max")
-    b = beta(s)
-    ratios = [brute_force_bad_count(r, s).f / b**r for r in range(r_min, r_max + 1)]
-    return float(np.mean(ratios))

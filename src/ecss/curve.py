@@ -163,7 +163,8 @@ def enumerate_points(curve: CurveParams) -> list[CurvePoint]:
         for y in ys[starts[rhs] : starts[rhs + 1]]:
             points.append(CurvePoint(x, int(y)))
     order = len(points)
-    assert (order - p - 1) ** 2 <= 4 * p, "Hasse inequality violated"
+    if (order - p - 1) ** 2 > 4 * p:
+        raise ValidationError(f"Hasse inequality violated: #E = {order} for p = {p}")
     return points
 
 
@@ -178,8 +179,8 @@ def all_curve_orders(p: int) -> np.ndarray:
         raise ValidationError(f"p = {p} must be a prime above 3")
     if p >= MAX_ENUMERATION_P:
         raise ScaleGuardError(f"curve-order sweep capped at p < 2^20, got {p}")
+    nsol = _square_root_table(p)[0]
     x = np.arange(p, dtype=np.int64)
-    nsol = np.bincount((x * x) % p, minlength=p)
     b_arr = np.arange(p, dtype=np.int64)
     orders = np.empty((p, p), dtype=np.int64)
     x3 = (x * x * x) % p

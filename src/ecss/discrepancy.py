@@ -36,122 +36,95 @@ def _as_rows(points) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValidationError("points must form a nonempty (N, s) array")
+    if not np.isfinite(arr).all():
+        raise ValidationError("coordinates must be finite")
     if arr.min() < 0.0 or arr.max() >= 1.0:
         raise ValidationError("coordinates must lie in [0, 1)")
     return arr
 
 
-def _scan_excess(counts: np.ndarray, vals: np.ndarray, w: float, n_total: int) -> float:
-    """max over i <= j of (#points in closed [vals[i], vals[j]])/N - w (vals[j] - vals[i])."""
-    prefix = np.cumsum(counts)
-    below = prefix - counts  # points at candidates strictly left of i
-    left = np.maximum.accumulate(w * vals - below / n_total)
-    return float(np.max(prefix / n_total - w * vals + left))
+def exact_fits_guard(n: int, s: int) -> bool:
+    """True iff an exact multi-dimensional scan of N points in dimension s is within budget."""
+    return n ** (2 * s) <= MAX_EXACT_MULTI_WORK
 
 
-def _scan_deficit(counts: np.ndarray, vals: np.ndarray, w: float, n_total: int) -> float:
-    """max over i < j of w (vals[j] - vals[i]) - (#points in open (vals[i], vals[j]))/N."""
-    if len(vals) < 2:
-        return 0.0
-    prefix = np.cumsum(counts)  # points at candidates <= k
-    f = prefix / n_total - w * vals  # left endpoint: points at it are excluded
-    g = w * vals - np.concatenate([[0.0], prefix[:-1]]) / n_total
-    left = np.maximum.accumulate(f[:-1])
-    return float(np.max(g[1:] + left))
+def _scan_last_axis(counts: np.ndarray, vals: np.ndarray, widths: np.ndarray, n_total: int,
+                    closed: bool) -> float:
+    """Best box along the last axis, one row of counts per fixed set of leading sides.
+
+    Row k holds the per-candidate counts of the slab with leading volume
+    widths[k].  Closed boxes give the excess max_{i <= j} count/N - volume,
+    open boxes the deficit max_{i < j} volume - count/N.
+    """
+    prefix = np.cumsum(counts, axis=-1)  # points at candidates <= j
+    wv = widths[:, None] * vals
+    if closed:
+        below = prefix - counts  # points at candidates strictly left of i
+        left = np.maximum.accumulate(wv - below / n_total, axis=-1)
+        return float(np.max(prefix / n_total - wv + left))
+    # the open box (vals[i], vals[j]) holds prefix[j-1] - prefix[i] points
+    left = np.maximum.accumulate(prefix[:, :-1] / n_total - wv[:, :-1], axis=-1)
+    return float(np.max(wv[:, 1:] - prefix[:, :-1] / n_total + left))
+
+
+def _sweep(counts: np.ndarray, cands: list, width: float, n_total: int, closed: bool) -> float:
+    """Best closed (or open) box over the candidate grid of counts, scaled by width.
+
+    Recurses over the leading axis on prefix sums: the closed slab between
+    candidates i <= j holds cum[j+1] - cum[i] points, the open one between
+    i < j holds cum[j] - cum[i+1].  At the second-to-last axis every j for a
+    fixed i is scanned at once.
+    """
+    if counts.ndim == 1:
+        return _scan_last_axis(counts[None, :], cands[0], np.array([width]), n_total, closed)
+    xs = cands[0]
+    cum = np.concatenate([np.zeros((1,) + counts.shape[1:]), np.cumsum(counts, axis=0)])
+    shift = int(closed)  # a closed slab also holds the points at both end candidates
+    best = 0.0
+    for i in range(len(xs) - 1 + shift):
+        first = i + 1 - shift  # smallest admissible j
+        slabs = cum[first + shift : len(xs) + shift] - cum[first]
+        widths = width * (xs[first:] - xs[i])
+        if counts.ndim == 2:
+            best = max(best, _scan_last_axis(slabs, cands[1], widths, n_total, closed))
+        else:
+            for slab, w in zip(slabs, widths):
+                best = max(best, _sweep(slab, cands[1:], w, n_total, closed))
+    return best
+
+
+def _exact_extreme(rows: np.ndarray) -> float:
+    """Exact sup over half-open boxes [a, b) of |count/N - volume|, any number of axes.
+
+    Per-axis box candidates are the point coordinates plus 0 and 1.  Face
+    inclusion is resolved by evaluating the closed-box limit for the excess
+    and the open-box limit for the deficit; their max over the candidate
+    family equals the true sup over half-open boxes.
+    """
+    cands = []
+    idx = []
+    for col in rows.T:
+        c, where = np.unique(np.concatenate([col, [0.0, 1.0]]), return_inverse=True)
+        cands.append(c)
+        idx.append(where[:-2])  # the appended 0 and 1 hold no point
+    tally = np.zeros([len(c) for c in cands])
+    np.add.at(tally, tuple(idx), 1.0)
+    n_total = rows.shape[0]
+    return max(_sweep(tally, cands, 1.0, n_total, closed) for closed in (True, False))
 
 
 def exact_extreme_1d(points) -> DiscrepancyReport:
-    """Exact sup over intervals [a, b) of |count/N - (b - a)|.
-
-    Scans the sorted coordinates once for the excess case (interval closed at
-    both candidate endpoints in the limit) and once for the deficit case
-    (open at both, with 0 and 1 as extra candidates); the sup over half-open
-    intervals equals the max over this finite family.
-    """
+    """Exact sup over intervals [a, b) of |count/N - (b - a)|, by one O(N log N) scan."""
     start = time.perf_counter()
     rows = _as_rows(points)
     if rows.shape[1] != 1:
         raise ValidationError("one-dimensional routine got multi-column points")
-    pts = rows[:, 0]
-    n_total = len(pts)
-    vals, counts = np.unique(pts, return_counts=True)
-    excess = _scan_excess(counts, vals, 1.0, n_total)
-
-    deficit_vals = np.unique(np.concatenate([vals, [0.0, 1.0]]))
-    deficit_counts = np.zeros(len(deficit_vals))
-    deficit_counts[np.searchsorted(deficit_vals, vals)] = counts
-    deficit = _scan_deficit(deficit_counts, deficit_vals, 1.0, n_total)
-
-    value = max(excess, deficit)
-    return DiscrepancyReport(n_total, 1, value, EXACT, time.perf_counter() - start)
-
-
-def _axis_candidates(rows: np.ndarray):
-    cands = []
-    idx = []
-    for axis in range(rows.shape[1]):
-        c = np.unique(np.concatenate([rows[:, axis], [0.0, 1.0]]))
-        cands.append(c)
-        idx.append(np.searchsorted(c, rows[:, axis]))
-    return cands, idx
-
-
-def _extreme_2d(rows: np.ndarray, n_total: int) -> float:
-    (xs, ys), (xi, yi) = _axis_candidates(rows)
-    tally = np.zeros((len(xs), len(ys)))
-    np.add.at(tally, (xi, yi), 1.0)
-    cum = np.cumsum(tally, axis=0)
-    zero = np.zeros(len(ys))
-    best = 0.0
-    for i in range(len(xs)):
-        closed_lo = cum[i - 1] if i else zero
-        for j in range(i, len(xs)):
-            w = xs[j] - xs[i]
-            closed = cum[j] - closed_lo
-            best = max(best, _scan_excess(closed, ys, w, n_total))
-            if j > i:
-                open_ = cum[j - 1] - cum[i] if j - i >= 2 else zero
-                best = max(best, _scan_deficit(open_, ys, w, n_total))
-    return best
-
-
-def _extreme_3d(rows: np.ndarray, n_total: int) -> float:
-    (xs, ys, zs), (xi, yi, zi) = _axis_candidates(rows)
-    tally = np.zeros((len(xs), len(ys), len(zs)))
-    np.add.at(tally, (xi, yi, zi), 1.0)
-    cum = np.cumsum(np.cumsum(tally, axis=0), axis=1)
-    padded = np.zeros((len(xs) + 1, len(ys) + 1, len(zs)))
-    padded[1:, 1:, :] = cum
-    best = 0.0
-    for i0 in range(len(xs)):
-        for j0 in range(i0, len(xs)):
-            wx = xs[j0] - xs[i0]
-            for i1 in range(len(ys)):
-                for j1 in range(i1, len(ys)):
-                    w = wx * (ys[j1] - ys[i1])
-                    closed = (
-                        padded[j0 + 1, j1 + 1]
-                        - padded[i0, j1 + 1]
-                        - padded[j0 + 1, i1]
-                        + padded[i0, i1]
-                    )
-                    best = max(best, _scan_excess(closed, zs, w, n_total))
-                    if j0 > i0 and j1 > i1:
-                        open_ = (
-                            padded[j0, j1] - padded[i0 + 1, j1] - padded[j0, i1 + 1] + padded[i0 + 1, i1 + 1]
-                        )
-                        best = max(best, _scan_deficit(open_, zs, w, n_total))
-    return best
+    value = _exact_extreme(rows)
+    return DiscrepancyReport(rows.shape[0], 1, value, EXACT, time.perf_counter() - start)
 
 
 def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
-    """Exact extreme discrepancy in dimension 2 or 3.
-
-    Per-axis box candidates are the point coordinates plus 0 and 1; face
-    inclusion is resolved by evaluating the closed-box and open-box limits,
-    whose max over the candidate family equals the true sup over half-open
-    boxes.  Guarded by N^(2s) <= 1e8.
-    """
+    """Exact extreme discrepancy in dimension 2 or 3; guarded by N^(2s) <= 1e8."""
     start = time.perf_counter()
     if s not in (2, 3):
         raise ValidationError("exact multi-dimensional discrepancy supports s in {2, 3}")
@@ -159,9 +132,9 @@ def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
     if rows.shape[1] != s:
         raise ValidationError(f"points have {rows.shape[1]} columns, expected {s}")
     n_total = rows.shape[0]
-    if n_total ** (2 * s) > MAX_EXACT_MULTI_WORK:
+    if not exact_fits_guard(n_total, s):
         raise ScaleGuardError(f"N^(2s) = {n_total ** (2 * s)} exceeds {MAX_EXACT_MULTI_WORK}")
-    value = _extreme_2d(rows, n_total) if s == 2 else _extreme_3d(rows, n_total)
+    value = _exact_extreme(rows)
     return DiscrepancyReport(n_total, s, value, EXACT, time.perf_counter() - start)
 
 
@@ -211,8 +184,8 @@ class BoundInputs:
     def __post_init__(self):
         if not 1 <= self.n <= self.tau:
             raise ValidationError("need 1 <= N <= tau")
-        if self.delta <= 0:
-            raise ValidationError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValidationError("delta must be positive and finite")
         if self.r < 1:
             raise ValidationError("r must be >= 1")
         if not is_prime(self.p):

@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import CurveParams, WeightVector, enumerate_points
 from .discrepancy import (
-    MAX_EXACT_MULTI_WORK,
     BoundInputs,
     discrepancy_bound_1d,
     discrepancy_bound_multi,
     elmahassni_bound,
     exact_extreme_1d,
     exact_extreme_multi,
+    exact_fits_guard,
     mc_box_lower_bound,
 )
 from .errors import ValidationError
@@ -48,8 +47,8 @@ class ExperimentConfig:
             raise ValidationError("s must be >= 1")
         if self.samples < 1:
             raise ValidationError("sample count must be >= 1")
-        if self.delta <= 0:
-            raise ValidationError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValidationError("delta must be positive and finite")
         if not poly_is_irreducible(self.poly):
             raise ValidationError("characteristic polynomial must be irreducible")
         init = self.init if self.init else (1,) + (0,) * (self.r - 1)
@@ -121,7 +120,7 @@ def _sample_discrepancies(config: ExperimentConfig, weights: WeightVector, mc_se
             report = exact_extreme_1d(outputs[:n])
         else:
             window = s_tuples(outputs[: n + config.s - 1], config.s)
-            if n ** (2 * config.s) <= MAX_EXACT_MULTI_WORK:
+            if exact_fits_guard(n, config.s):
                 report = exact_extreme_multi(window, config.s)
             else:
                 report = mc_box_lower_bound(window, DEFAULT_MC_TRIALS, mc_seed)
@@ -130,20 +129,11 @@ def _sample_discrepancies(config: ExperimentConfig, weights: WeightVector, mc_se
     return values, methods
 
 
-def discrepancy_sweep(config: ExperimentConfig, max_workers: int = 1) -> list[SweepRow]:
-    """Run the harness: sample weight vectors, compute D(N) per sample, aggregate.
-
-    Results are gathered by sample index, so the rows do not depend on the
-    worker count.
-    """
+def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
+    """Run the harness: sample weight vectors, compute D(N) per sample, aggregate."""
     weights = sample_weight_vectors(config.curve, config.r, config.samples, config.seed)
     mc_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence((config.seed, 1)).spawn(config.samples)]
-    jobs = list(zip(weights, mc_seeds))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda job: _sample_discrepancies(config, *job), jobs))
-    else:
-        results = [_sample_discrepancies(config, w, ms) for w, ms in jobs]
+    results = [_sample_discrepancies(config, w, ms) for w, ms in zip(weights, mc_seeds)]
 
     matrix = np.asarray([values for values, _ in results])  # (samples, grid)
     rows = []

@@ -9,33 +9,13 @@ from itertools import product
 
 import numpy as np
 
-from .curve import CurveParams, CurvePoint, INFINITY, add, enumerate_points, is_on_curve, is_prime, negate, x_coord
+from .curve import (CurveParams, CurvePoint, INFINITY, _square_root_table, add, enumerate_points, is_on_curve,
+                    is_prime, negate, x_coord)
 from .errors import ScaleGuardError, ValidationError
 from .generator import GeneratorConfig, PointSet, WeightVector, ec_subset_sum_stream
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WEIGHT_WORK = 10**6  # (#E)^r * N
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Integer frequency vector with its sup norm and Koksma-Szusz weight."""
-
-    a: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-
-    @property
-    def sup_norm(self) -> int:
-        return max(abs(v) for v in self.a)
-
-    @property
-    def weight(self) -> int:
-        w = 1
-        for v in self.a:
-            w *= max(abs(v), 1)
-        return w
 
 
 @dataclass(frozen=True)
@@ -139,8 +119,8 @@ def max_char_ratio_all_curves(p: int) -> float:
         raise ValidationError(f"p = {p} must be a prime above 3")
     if p > 2000:
         raise ScaleGuardError("whole-curve character sweep capped at p <= 2000")
+    nsol = _square_root_table(p)[0].astype(np.float64)
     x = np.arange(p, dtype=np.int64)
-    nsol = np.bincount((x * x) % p, minlength=p).astype(np.float64)
     b_arr = np.arange(p, dtype=np.int64)
     x3 = (x * x * x) % p
     best = 0.0
@@ -204,7 +184,7 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
     p = curve.p
     total = 0.0
     for combo in product(points, repeat=r):
-        config = GeneratorConfig(source=source.clone(), weights=WeightVector(combo), curve=curve)
+        config = GeneratorConfig(source=source, weights=WeightVector(combo), curve=curve)
         xs = np.asarray([x_coord(v) for v in ec_subset_sum_stream(config, count)], dtype=np.int64)
         value = _accumulate(np.exp(2j * np.pi * ((a % p) * xs % p) / p)).value
         total += abs(value) ** 2

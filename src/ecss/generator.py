@@ -8,7 +8,7 @@ import numpy as np
 
 from .curve import CurveParams, CurvePoint, INFINITY, WeightVector, add, validate_weights, x_coord
 from .errors import ValidationError
-from .gf2 import BitSequenceSource, LfsrSource
+from .gf2 import BitSequenceSource, LfsrSource, packed_windows
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,8 @@ class GeneratorConfig:
     source: BitSequenceSource
     weights: WeightVector | ResidueWeights
     curve: CurveParams | None = None
-    start_index: int = 1
 
     def __post_init__(self):
-        if self.start_index < 1:
-            raise ValidationError("start index must be >= 1")
         if isinstance(self.weights, WeightVector):
             if self.curve is None:
                 raise ValidationError("curve weights need curve parameters")
@@ -54,21 +51,6 @@ class GeneratorConfig:
     @property
     def r(self) -> int:
         return len(self.weights)
-
-
-def _window_stream(config: GeneratorConfig, count: int) -> list[int]:
-    """Packed windows (u(n), ..., u(n+r-1)) for n = start..start+count-1, one register pass."""
-    r = config.r
-    first = config.start_index
-    stream = config.source.bits(first + count + r - 2)
-    w = 0
-    for t in range(r):
-        w |= stream[first - 1 + t] << t
-    windows = [w]
-    for n in range(first + 1, first + count):
-        w = (w >> 1) | (stream[n + r - 2] << (r - 1))
-        windows.append(w)
-    return windows
 
 
 def subset_sum_residue(config: GeneratorConfig, ns) -> list[int]:
@@ -106,18 +88,14 @@ def ec_subset_sum(config: GeneratorConfig, n: int) -> CurvePoint:
     """Point output at index n: the group sum of the weights selected by the window."""
     if not isinstance(config.weights, WeightVector):
         raise ValidationError("curve generator needs a WeightVector")
-    if n < config.start_index:
-        raise ValidationError(f"index must be >= {config.start_index}")
-    r = config.r
-    stream = config.source.bits(n + r - 1)
-    window = 0
-    for t in range(r):
-        window |= stream[n - 1 + t] << t
+    if n < 1:
+        raise ValidationError("indices start at 1")
+    window = next(packed_windows(config.source.bits(n + config.r - 1), config.r, start=n - 1))
     return _sum_window(window, config.weights, config.curve)
 
 
 def ec_subset_sum_stream(config: GeneratorConfig, count: int) -> list[CurvePoint]:
-    """Point outputs for n = start..start+count-1 in a single register pass.
+    """Point outputs for n = 1..count in a single register pass.
 
     Each output still costs O(r) group additions: the sliding window reweights
     every term, so there is no cheaper incremental update.
@@ -128,14 +106,12 @@ def ec_subset_sum_stream(config: GeneratorConfig, count: int) -> list[CurvePoint
         raise ValidationError("count must be >= 0")
     if count == 0:
         return []
-    return [
-        _sum_window(w, config.weights, config.curve)
-        for w in _window_stream(config, count)
-    ]
+    stream = config.source.bits(count + config.r - 1)
+    return [_sum_window(w, config.weights, config.curve) for w in packed_windows(stream, config.r)]
 
 
 def output_normalized(config: GeneratorConfig, count: int) -> list[float]:
-    """Normalised x-coordinates x(V(n))/p for n = start..start+count-1; values in [0, 1)."""
+    """Normalised x-coordinates x(V(n))/p for n = 1..count; values in [0, 1)."""
     p = config.curve.p
     return [x_coord(point) / p for point in ec_subset_sum_stream(config, count)]
 
@@ -155,6 +131,8 @@ class PointSet:
             raise ValidationError("point set must be nonempty")
         if self.s < 1:
             raise ValidationError("dimension must be >= 1")
+        if not np.isfinite(rows).all():
+            raise ValidationError("coordinates must be finite")
         if rows.size and (rows.min() < 0.0 or rows.max() >= 1.0):
             raise ValidationError("coordinates must lie in [0, 1)")
         object.__setattr__(self, "rows", rows)

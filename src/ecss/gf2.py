@@ -40,7 +40,11 @@ class BinaryPoly:
 
     @classmethod
     def from_hex(cls, text: str) -> "BinaryPoly":
-        return cls(int(text, 16))
+        try:
+            mask = int(text, 16)
+        except ValueError as exc:
+            raise ValidationError(f"polynomial must be a hex mask, got {text!r}") from exc
+        return cls(mask)
 
     def to_hex(self) -> str:
         return hex(self.mask)
@@ -117,10 +121,6 @@ class BitSequenceSource(ABC):
     def bits(self, count: int) -> list[int]:
         """Return [u(1), ..., u(count)]."""
 
-    @abstractmethod
-    def clone(self):
-        """Independent copy; safe to hand to another thread."""
-
 
 def _pack_window(bits) -> tuple[int, int]:
     packed = 0
@@ -138,8 +138,7 @@ class LfsrSource(BitSequenceSource):
 
     The register window holds (u(n), ..., u(n+r-1)); stepping applies
     u(n+r) = sum_{i<r} c_i u(n+i) over GF(2), where c_i is the coefficient
-    of X^i.  ``bits`` always replays from u(1); ``advance`` moves the live
-    window for streaming use.
+    of X^i.  ``bits`` always replays from u(1).
     """
 
     def __init__(self, poly: BinaryPoly, init):
@@ -150,8 +149,6 @@ class LfsrSource(BitSequenceSource):
             )
         self.poly = poly
         self._init = packed
-        self._state = packed
-        self._origin = 1
         # The state map is invertible exactly when the constant term is 1;
         # the all-zero register is the fixed point either way.
         self.purely_periodic = poly.constant_term == 1 or packed == 0
@@ -160,30 +157,6 @@ class LfsrSource(BitSequenceSource):
     @property
     def order(self) -> int:
         return self.poly.degree
-
-    @property
-    def origin(self) -> int:
-        """Index n of the first bit in the live window."""
-        return self._origin
-
-    @property
-    def state(self) -> tuple[int, ...]:
-        r = self.poly.degree
-        return tuple((self._state >> i) & 1 for i in range(r))
-
-    def window_int(self) -> int:
-        """Live window packed LSB-first: bit i = u(origin + i)."""
-        return self._state
-
-    def advance(self, steps: int = 1) -> None:
-        r = self.poly.degree
-        taps = self.poly.recurrence_taps
-        state = self._state
-        for _ in range(steps):
-            new = (state & taps).bit_count() & 1
-            state = (state >> 1) | (new << (r - 1))
-        self._state = state
-        self._origin += steps
 
     def bits(self, count: int) -> list[int]:
         r = self.poly.degree
@@ -195,16 +168,6 @@ class LfsrSource(BitSequenceSource):
             new = (state & taps).bit_count() & 1
             state = (state >> 1) | (new << (r - 1))
         return out
-
-    def clone(self) -> "LfsrSource":
-        dup = LfsrSource.__new__(LfsrSource)
-        dup.poly = self.poly
-        dup._init = self._init
-        dup._state = self._state
-        dup._origin = self._origin
-        dup.purely_periodic = self.purely_periodic
-        dup.period = self.period
-        return dup
 
 
 class PeriodicSource(BitSequenceSource):
@@ -224,8 +187,19 @@ class PeriodicSource(BitSequenceSource):
         m = len(self.pattern)
         return [self.pattern[n % m] for n in range(count)]
 
-    def clone(self) -> "PeriodicSource":
-        return PeriodicSource(self.pattern)
+
+def packed_windows(stream, r: int, start: int = 0):
+    """Yield the windows stream[k:k+r] packed LSB-first (bit t = stream[k+t]), k = start, ...
+
+    Stops at the last full window; each step shifts in one new bit.
+    """
+    w = 0
+    for t in range(r):
+        w |= stream[start + t] << t
+    yield w
+    for k in range(start + r, len(stream)):
+        w = (w >> 1) | (stream[k] << (r - 1))
+        yield w
 
 
 def generate_bits(src: BitSequenceSource, count: int) -> list[int]:
@@ -271,13 +245,8 @@ def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
     """True iff the windows (u(n+1), ..., u(n+r)), n = 1..tau, are pairwise distinct."""
     if r < 1 or tau < 1:
         raise ValidationError("window length and tau must be >= 1")
-    stream = src.bits(tau + r)
-    w = 0
-    for t in range(r):
-        w |= stream[1 + t] << t
-    seen = {w}
-    for n in range(2, tau + 1):
-        w = (w >> 1) | (stream[n + r - 1] << (r - 1))
+    seen = set()
+    for w in packed_windows(src.bits(tau + r), r, start=1):
         if w in seen:
             return False
         seen.add(w)

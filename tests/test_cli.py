@@ -141,6 +141,29 @@ class TestGenAndDisc:
         code, _, _ = run_cli(capsys, "disc", "--input", "/nonexistent/points.csv")
         assert code == 4
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_disc_non_finite_is_validation_error(self, capsys, tmp_path, bad):
+        points_file = tmp_path / "points.csv"
+        points_file.write_text(f"0.1\n0.5\n{bad}\n")
+        code, out, _ = run_cli(capsys, "disc", "--input", str(points_file))
+        assert code == 2 and out == ""
+
+    def test_disc_non_utf8_is_validation_error(self, capsys, tmp_path):
+        points_file = tmp_path / "points.csv"
+        points_file.write_bytes(b"\xff\xfe0.1\n")
+        code, _, _ = run_cli(capsys, "disc", "--input", str(points_file))
+        assert code == 2
+
+    def test_disc_ragged_rows_is_validation_error(self, capsys, tmp_path):
+        points_file = tmp_path / "points.csv"
+        points_file.write_text("0.1,0.2\n0.3\n")
+        code, _, _ = run_cli(capsys, "disc", "--input", str(points_file))
+        assert code == 2
+
+    def test_bad_poly_hex_is_validation_error(self, capsys):
+        code, _, err = run_cli(capsys, "gen", "--curve", "5,1,1", "--poly", "zz", "--n", "3")
+        assert code == 2 and "hex" in err
+
 
 class TestCurveAndLfsrInfo:
     def test_curve_info(self, capsys):
@@ -168,6 +191,12 @@ class TestBounds:
         assert payload["bound_multi"] is not None
         assert abs(payload["gamma"] - 0.97673) < 1e-5
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_validation_error(self, capsys, delta):
+        code, out, _ = run_cli(capsys, "bounds", "--n", "1", "--p", "5", "--r", "1", "--tau", "1",
+                               "--delta", delta)
+        assert code == 2 and out == ""
+
     def test_invalid_inputs(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--n", "0", "--p", "5", "--r", "1", "--tau", "3")
         assert code == 2
@@ -190,6 +219,12 @@ class TestExpsumCheck:
         )
         _, rows = parse_csv(out)
         assert code == 0 and 1 <= len(rows) <= 5
+
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_is_validation_error(self, capsys, samples):
+        code, out, _ = run_cli(capsys, "expsum-check", "--curve", "5,1,1", "--samples", samples)
+        assert code == 2 and out == ""
 
 
 class TestExperiment:
@@ -225,6 +260,13 @@ class TestExperiment:
     def test_missing_field_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}}))
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2
+
+    @pytest.mark.parametrize("text", ['{"curve": ', '{"curve": 5, "poly_hex": "0x25"}'])
+    def test_malformed_config_is_validation_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         code, _, _ = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
 

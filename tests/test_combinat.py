@@ -12,7 +12,6 @@ from ecss.combinat import (
     beta,
     brute_force_bad_count,
     brute_force_bad_wrt_first,
-    growth_constant_estimate,
     is_s_good,
     spectral_radius,
     transfer_matrix,
@@ -258,10 +257,6 @@ class TestDominantPatterns:
                 lower, upper = bad_count_bracket(r, s)
                 f = brute_force_bad_count(r, s).f
                 assert lower <= f <= upper
-
-    def test_growth_constant_is_positive_and_modest(self):
-        c2 = growth_constant_estimate(2, 8, 11)
-        assert 0.0 < c2 < 100.0
 
 
 class TestBadPairCountType:

@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecss.discrepancy import (
     EXACT,
@@ -98,6 +100,13 @@ class TestExactExtreme1d:
         with pytest.raises(ValidationError):
             exact_extreme_1d([-0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            exact_extreme_1d([0.5, bad])
+        with pytest.raises(ValidationError):
+            mc_box_lower_bound([[0.5, bad]], 10, seed=0)
+
 
 class TestExactExtremeMulti:
     def test_repeated_point_2d(self):
@@ -153,6 +162,45 @@ class TestExactExtremeMulti:
         multi = exact_extreme_multi(PointSet(s=2, rows=rows), 2).value
         for axis in range(2):
             assert multi >= exact_extreme_1d(rows[:, axis]).value - 1e-12
+
+    @pytest.mark.parametrize(
+        "s, n, seed, tied, expected",
+        [
+            (2, 100, 20, False, 0.13158764484435337),
+            (2, 100, 20, True, 0.28750000000000003),
+            (3, 21, 21, False, 0.37351198632470833),
+            (3, 21, 21, True, 0.43452380952380953),
+        ],
+    )
+    def test_guard_edge_pins(self, s, n, seed, tied, expected):
+        # Reference values from the earlier separate 2-D and 3-D scans, at the
+        # largest N the N^(2s) guard admits, where the brute-force oracles are too slow.
+        rows = np.random.default_rng(seed).random((n, s))
+        if tied:
+            rows = (np.round(rows * 8) / 8) % 1.0
+        value = exact_extreme_multi(PointSet(s=s, rows=rows), s).value
+        assert abs(value - expected) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda s: st.tuples(
+                st.lists(
+                    st.lists(st.integers(0, 15), min_size=s, max_size=s),
+                    min_size=1,
+                    max_size=12,
+                ),
+                st.randoms(use_true_random=False),
+            )
+        )
+    )
+    def test_invariant_under_row_permutation(self, case):
+        grid, rnd = case
+        rows = np.asarray(grid, dtype=float) / 16  # coarse grid forces ties
+        s = rows.shape[1]
+        shuffled = rows[rnd.sample(range(len(rows)), len(rows))]
+        exact = exact_extreme_1d if s == 1 else (lambda pts: exact_extreme_multi(pts, s))
+        assert exact(shuffled).value == exact(rows).value
 
     def test_guard(self):
         rng = np.random.default_rng(5)

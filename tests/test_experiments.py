@@ -105,10 +105,6 @@ class TestDiscrepancySweep:
             assert row.thm_bound == discrepancy_bound_1d(inputs)
             assert row.elma_bound == elmahassni_bound(inputs)
 
-    def test_deterministic_across_workers(self):
-        config = small_config(samples=8)
-        assert discrepancy_sweep(config, max_workers=1) == discrepancy_sweep(config, max_workers=3)
-
     def test_multidimensional_exact(self):
         config = small_config(s=2, n_grid=(8, 16))
         rows = discrepancy_sweep(config)

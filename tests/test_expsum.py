@@ -8,7 +8,6 @@ from ecss.curve import CurvePoint, INFINITY, add, enumerate_points, is_prime, ne
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.expsum import (
     ComplexSum,
-    MultiIndex,
     additive_character,
     avg_square_sum_over_weights,
     curve_char_sums_all,
@@ -243,11 +242,6 @@ class TestAvgSquareSum:
 
 
 class TestDomainTypes:
-    def test_multi_index(self):
-        idx = MultiIndex((0, -3, 2))
-        assert idx.sup_norm == 3
-        assert idx.weight == 6
-
     def test_complex_sum_invariant(self):
         ComplexSum(1 + 1j, 2)
         with pytest.raises(ValidationError):

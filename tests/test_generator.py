@@ -185,6 +185,9 @@ class TestSTuples:
             PointSet(s=1, rows=np.empty((0, 1)))
         with pytest.raises(ValidationError):
             PointSet(s=2, rows=[[0.1, 0.2, 0.3]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                PointSet(s=2, rows=[[0.1, bad]])
 
     def test_generic_source_works(self):
         # arbitrary pattern source with distinct windows feeds the generator too
