@@ -59,6 +59,8 @@ def _default_init(degree: int) -> tuple[int, ...]:
 
 
 def _cmd_gen(args) -> int:
+    if args.n < 1:
+        raise ValidationError("--n must be >= 1")
     params = curve.parse_curve(args.curve)
     poly = gf2.BinaryPoly.from_hex(args.poly)
     init = _parse_bits(args.init) if args.init else _default_init(poly.degree)

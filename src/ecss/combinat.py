@@ -292,8 +292,8 @@ def spectral_radius(matrix, tolerance: float = 1e-9, max_iterations: int = 10**5
     tolerance.  If the iteration cap is hit (reducible or periodic
     structure), falls back to the growth rate of total walk counts.
     """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValidationError("tolerance must be positive and finite")
     matvec, dim = _matvec_factory(matrix)
     x = np.ones(dim)
     x /= np.linalg.norm(x)

@@ -21,7 +21,7 @@ from .discrepancy import (
 )
 from .errors import ValidationError
 from .gf2 import BinaryPoly, LfsrSource, poly_is_irreducible, sequence_period, windows_distinct
-from .generator import GeneratorConfig, output_normalized, s_tuples
+from .generator import LANE_BUDGET, _lane_sums, _point_arrays, s_tuples
 
 DEFAULT_MC_TRIALS = 4000
 
@@ -107,12 +107,8 @@ def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> 
     return out
 
 
-def _sample_discrepancies(config: ExperimentConfig, weights: WeightVector, mc_seed: int):
-    """D values for one weight vector at every N in the grid, plus the method used."""
-    source = LfsrSource(config.poly, config.init)
-    gen = GeneratorConfig(source=source, weights=weights, curve=config.curve)
-    top_n = config.n_grid[-1]
-    outputs = output_normalized(gen, top_n + config.s - 1)
+def _sample_discrepancies(config: ExperimentConfig, outputs: np.ndarray, mc_seed: int):
+    """D values for one sample's normalised outputs at every N in the grid, plus the method used."""
     values = []
     methods = []
     for n in config.n_grid:
@@ -130,10 +126,24 @@ def _sample_discrepancies(config: ExperimentConfig, weights: WeightVector, mc_se
 
 
 def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
-    """Run the harness: sample weight vectors, compute D(N) per sample, aggregate."""
+    """Run the harness: sample weight vectors, compute D(N) per sample, aggregate.
+
+    Every sample shares one register, so the bits are generated once and the
+    samples' outputs are computed in blocks of lanes; each block's D values
+    are taken before the next block is summed.
+    """
     weights = sample_weight_vectors(config.curve, config.r, config.samples, config.seed)
     mc_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence((config.seed, 1)).spawn(config.samples)]
-    results = [_sample_discrepancies(config, w, ms) for w, ms in zip(weights, mc_seeds)]
+    count = config.n_grid[-1] + config.s - 1
+    bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
+    wx, wy, winf = _point_arrays(weights)
+    block = max(1, LANE_BUDGET // count)
+    results = []
+    for start in range(0, config.samples, block):
+        part = slice(start, start + block)
+        x = _lane_sums(bits, wx[part], wy[part], winf[part], config.curve)[0]
+        for outputs, mc_seed in zip(x / config.curve.p, mc_seeds[part]):
+            results.append(_sample_discrepancies(config, outputs, mc_seed))
 
     matrix = np.asarray([values for values, _ in results])  # (samples, grid)
     rows = []

@@ -5,14 +5,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .curve import (CurveParams, CurvePoint, INFINITY, _square_root_table, add, enumerate_points, is_on_curve,
                     is_prime, negate, x_coord)
 from .errors import ScaleGuardError, ValidationError
-from .generator import GeneratorConfig, PointSet, WeightVector, ec_subset_sum_stream
+from .generator import LANE_BUDGET, GeneratorConfig, PointSet, WeightVector, _lane_sums, _point_arrays
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WEIGHT_WORK = 10**6  # (#E)^r * N
@@ -178,14 +177,23 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
     if r < 1 or count < 1:
         raise ValidationError("need r >= 1 and N >= 1")
     points = enumerate_points(curve)
-    work = len(points) ** r * count
+    order = len(points)
+    vectors = order**r
+    work = vectors * count
     if work > MAX_AVG_WEIGHT_WORK:
         raise ScaleGuardError(f"(#E)^r * N = {work} exceeds {MAX_AVG_WEIGHT_WORK}")
+    GeneratorConfig(source=source, weights=WeightVector((INFINITY,) * r), curve=curve)  # validates the source
     p = curve.p
+    bits = source.bits(count + r - 1)
+    px, py, pinf = (arr[0] for arr in _point_arrays([points]))
+    # Summed in itertools.product(points, repeat=r) order, where vector k picks points k // place % #E.
+    place = order ** np.arange(r - 1, -1, -1)
+    block = max(1, LANE_BUDGET // count)
     total = 0.0
-    for combo in product(points, repeat=r):
-        config = GeneratorConfig(source=source, weights=WeightVector(combo), curve=curve)
-        xs = np.asarray([x_coord(v) for v in ec_subset_sum_stream(config, count)], dtype=np.int64)
-        value = _accumulate(np.exp(2j * np.pi * ((a % p) * xs % p) / p)).value
-        total += abs(value) ** 2
-    return total / len(points) ** r
+    for start in range(0, vectors, block):
+        picks = np.arange(start, min(start + block, vectors))[:, None] // place % order
+        xs = _lane_sums(bits, px[picks], py[picks], pinf[picks], curve)[0]
+        sums = np.exp(2j * np.pi * ((a % p) * xs % p) / p).sum(axis=1)
+        for value in sums.tolist():
+            total += abs(ComplexSum(value, count).value) ** 2
+    return total / vectors

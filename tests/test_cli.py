@@ -35,6 +35,11 @@ class TestBeta:
         assert abs(payload["alpha"] - 3.87298) <= 1e-5
         assert payload["dominant_h"] == [1, 2]
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_validation_error(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "beta", "--s", "2", "--tolerance", tolerance)
+        assert code == 2 and out == "" and "tolerance" in err
+
 
 class TestBadpairs:
     def test_known_count(self, capsys):
@@ -136,6 +141,11 @@ class TestGenAndDisc:
     def test_validation_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--curve", "6,1,1", "--poly", "0x7", "--n", "3")
         assert code == 2 and "prime" in err
+
+    def test_gen_zero_count_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--curve", "5,1,1", "--poly", "0x7",
+                                 "--weights", "0,1;2,1", "--n", "0")
+        assert code == 2 and out == "" and "--n" in err
 
     def test_io_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "disc", "--input", "/nonexistent/points.csv")

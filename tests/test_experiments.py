@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecss.curve import enumerate_points, validate_curve
+from ecss.curve import INFINITY, add, enumerate_points, validate_curve, x_coord
 from ecss.errors import ValidationError
 from ecss.experiments import (
     ExperimentConfig,
@@ -10,8 +10,10 @@ from ecss.experiments import (
     sample_weight_vectors,
     slope_fit,
 )
-from ecss.discrepancy import BoundInputs, discrepancy_bound_1d, elmahassni_bound
-from ecss.gf2 import BinaryPoly
+from ecss.discrepancy import (BoundInputs, discrepancy_bound_1d, elmahassni_bound, exact_extreme_1d,
+                              exact_extreme_multi)
+from ecss.generator import LANE_BUDGET, s_tuples
+from ecss.gf2 import BinaryPoly, LfsrSource
 
 F101 = validate_curve(101, 1, 1)
 POLY5 = BinaryPoly(0b100101)  # X^5 + X^2 + 1, primitive
@@ -114,6 +116,38 @@ class TestDiscrepancySweep:
         rows = discrepancy_sweep(small_config(samples=30))
         for row in rows:
             assert row.q90 >= row.mean or abs(row.q90 - row.mean) < 1e-12
+
+    @pytest.mark.parametrize("overrides", [
+        dict(curve=validate_curve(1009, 1, 1), poly=BinaryPoly(0x409), r=10, n_grid=(64, 256, 1023),
+             samples=40),
+        dict(s=2, n_grid=(10, 30), samples=530),
+    ])
+    def test_rows_equal_scalar_recomputation(self, overrides):
+        config = small_config(**overrides)
+        count = config.n_grid[-1] + config.s - 1
+        assert config.samples > LANE_BUDGET // count  # the sweep runs at least two lane blocks
+        bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
+        matrix = []
+        for weights in sample_weight_vectors(config.curve, config.r, config.samples, config.seed):
+            outputs = []
+            for n in range(count):
+                acc = INFINITY
+                for j, point in enumerate(weights):
+                    if bits[n + j]:
+                        acc = add(acc, point, config.curve)
+                outputs.append(x_coord(acc) / config.curve.p)
+            if config.s == 1:
+                matrix.append([exact_extreme_1d(outputs[:n]).value for n in config.n_grid])
+            else:
+                tuples = [s_tuples(outputs[: n + config.s - 1], config.s) for n in config.n_grid]
+                matrix.append([exact_extreme_multi(points, config.s).value for points in tuples])
+        matrix = np.asarray(matrix)
+        rows = discrepancy_sweep(config)
+        assert [row.n for row in rows] == list(config.n_grid)
+        for row, d in zip(rows, matrix.T):
+            assert row.method == "exact"
+            assert (row.mean, row.median, row.q90) == (float(d.mean()), float(np.median(d)),
+                                                       float(np.quantile(d, 0.9)))
 
 
 class TestSlopeFit:

@@ -17,7 +17,7 @@ from ecss.expsum import (
     max_char_ratio_all_curves,
     orthogonality_sum,
 )
-from ecss.generator import PointSet
+from ecss.generator import LANE_BUDGET, PointSet
 from ecss.gf2 import BinaryPoly, LfsrSource
 
 F5 = validate_curve(5, 1, 1)
@@ -235,6 +235,29 @@ class TestAvgSquareSum:
         value = avg_square_sum_over_weights(F5, 2, 1, 3, self.source())
         assert abs(value - expected) < 1e-9
         assert value <= 3 + 9 / math.sqrt(5) + 1e-9  # diagonal plus off-diagonal shape
+
+    def test_lane_blocks_cover_every_weight_vector_once(self):
+        from itertools import product
+
+        source = LfsrSource(BinaryPoly(0x13), (1, 0, 0, 1))
+        points = enumerate_points(F5)
+        assert len(points) ** 4 > LANE_BUDGET // 3  # 6561 weight vectors take two lane blocks
+        bits = source.bits(6)
+        total = 0.0
+        for combo in product(points, repeat=4):
+            inner = 0j
+            for n in range(3):
+                acc = INFINITY
+                for j in range(4):
+                    if bits[n + j]:
+                        acc = add(acc, combo[j], F5)
+                inner += cmath.exp(2j * math.pi * 2 * x_coord(acc) / 5)
+            total += abs(inner) ** 2
+        assert abs(avg_square_sum_over_weights(F5, 4, 2, 3, source) - total / len(points) ** 4) < 1e-9
+
+    def test_register_order_must_match_r(self):
+        with pytest.raises(ValidationError):
+            avg_square_sum_over_weights(F5, 3, 1, 3, self.source())
 
     def test_guard(self):
         with pytest.raises(ScaleGuardError):

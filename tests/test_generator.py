@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecss.curve import CurvePoint, INFINITY, WeightVector, add, enumerate_points, validate_curve, x_coord
+from ecss.curve import (CurvePoint, INFINITY, WeightVector, add, enumerate_points, negate, validate_curve,
+                        x_coord)
 from ecss.errors import ValidationError
 from ecss.generator import (
     GeneratorConfig,
     PointSet,
     ResidueWeights,
+    _lane_sums,
+    _point_arrays,
     ec_subset_sum,
     ec_subset_sum_stream,
     output_normalized,
@@ -35,6 +40,75 @@ def naive_point_sum(source, weights, curve, n):
         if bits[n - 1 + j]:
             acc = add(acc, point, curve)
     return acc
+
+
+def scalar_fold(bits, weights, curve):
+    """Outputs of one weight vector over every window of bits, by scalar group additions."""
+    out = []
+    for n in range(len(bits) - len(weights) + 1):
+        acc = INFINITY
+        for j, point in enumerate(weights):
+            if bits[n + j]:
+                acc = add(acc, point, curve)
+        out.append(acc)
+    return out
+
+
+# (13, 2, 0) and (7, 0, 1) have the 2-torsion points (0, 0) and (6, 0).
+KERNEL_CURVES = [validate_curve(13, 2, 0), validate_curve(7, 0, 1), F5, validate_curve(11, 1, 6)]
+KERNEL_POINTS = {curve: enumerate_points(curve) for curve in KERNEL_CURVES}
+
+
+@st.composite
+def kernel_cases(draw):
+    """A curve, a few weight vectors with identities, repeats and inverse pairs, and a bit string."""
+    curve = draw(st.sampled_from(KERNEL_CURVES))
+    points = KERNEL_POINTS[curve]
+    r = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = []
+        for j in range(r):
+            kinds = ["point", "identity", "repeat", "inverse"] if j else ["point", "identity"]
+            kind = draw(st.sampled_from(kinds))
+            if kind == "point":
+                weights.append(draw(st.sampled_from(points)))
+            elif kind == "identity":
+                weights.append(INFINITY)
+            else:
+                earlier = weights[draw(st.integers(0, j - 1))]
+                weights.append(earlier if kind == "repeat" else negate(earlier, curve))
+        vectors.append(weights)
+    length = draw(st.integers(0, 24)) + r - 1
+    bits = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    return curve, vectors, bits
+
+
+class TestLaneKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_matches_scalar_fold(self, case):
+        curve, vectors, bits = case
+        x, y, inf = _lane_sums(bits, *_point_arrays(vectors), curve)
+        for lane, weights in enumerate(vectors):
+            got = [INFINITY if i else CurvePoint(a, b)
+                   for a, b, i in zip(x[lane].tolist(), y[lane].tolist(), inf[lane].tolist())]
+            assert got == scalar_fold(bits, weights, curve)
+
+    def test_products_stay_in_int64_at_largest_field(self):
+        p = (1 << 31) - 1  # the largest prime below MAX_FIELD; p = 3 mod 4
+        curve = validate_curve(p, p - 3, 7)
+        points = []
+        for x in (p - 1, p - 3, p - 4, p - 5):
+            rhs = (x**3 + curve.a * x + curve.b) % p
+            y = pow(rhs, (p + 1) // 4, p)
+            assert y * y % p == rhs
+            points.append(CurvePoint(x, max(y, p - y)))
+        p0, p1, p2, p3 = points
+        weights = WeightVector((p0, p1, p0, negate(p1, curve), p2, p2, negate(p0, curve), p3))
+        source = LfsrSource(BinaryPoly(0x11D), (1,) + (0,) * 7)  # primitive: every nonzero window
+        config = GeneratorConfig(source=source, weights=weights, curve=curve)
+        assert ec_subset_sum_stream(config, 255) == scalar_fold(source.bits(262), weights, curve)
 
 
 class TestResidueGenerator:
