@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import combinat, curve, discrepancy, experiments, expsum, gf2, generator
-from .errors import ScaleGuardError, ValidationError
+from .errors import ScaleGuardError, ValidationError, validate_seed
 
 VERSION = 1
 
@@ -35,13 +35,17 @@ def _emit_json(payload: dict, path: str | None) -> None:
     _write_text(json.dumps(payload) + "\n", path)
 
 
-def _emit_csv(header: list[str], rows, path: str | None) -> None:
+def _csv_head(header: list[str]) -> str:
     buf = io.StringIO()
     buf.write(f"# version={VERSION}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(buf.getvalue(), path)
+    csv.writer(buf).writerow(header)
+    return buf.getvalue()
+
+
+def _emit_csv(header: list[str], rows, path: str | None) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write_text(_csv_head(header) + buf.getvalue(), path)
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -200,12 +204,13 @@ def _cmd_badpairs(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    radii = combinat.pattern_radii(args.s, args.tolerance)
     _emit_json(
         {
             "s": args.s,
-            "beta": combinat.beta(args.s, args.tolerance),
+            "beta": max(radii),
             "alpha": combinat.alpha(args.s),
-            "dominant_h": list(combinat.which_h_dominates(args.s, args.tolerance)),
+            "dominant_h": list(combinat.dominant_patterns(radii)),
         },
         args.output,
     )
@@ -222,14 +227,16 @@ def _cmd_expsum_check(args) -> int:
     elif args.samples < 1:
         raise ValidationError("--samples must be >= 1")
     else:
+        validate_seed(args.seed)
         rng = np.random.default_rng(args.seed)
         a_values = sorted(set(int(a) for a in rng.integers(1, p, size=args.samples)))
     sums = expsum.curve_char_sums_all(params, shift, points)
-    rows = []
-    for a in a_values:
-        magnitude = abs(sums[a])
-        rows.append([p, a, f"{magnitude:.12g}", f"{math.sqrt(p):.12g}", f"{magnitude / math.sqrt(p):.12g}"])
-    _emit_csv(["p", "a", "abs_sum", "sqrt_p", "ratio"], rows, args.output)
+    # abs() of a Python complex: np.abs rounds some moduli differently in the last place.
+    magnitudes = [abs(z) for z in sums[a_values].tolist()]
+    sqrt_p = math.sqrt(p)
+    row = f"{p},%d,%.12g,{sqrt_p:.12g},%.12g\r\n"  # the csv.writer layout, constants rendered once
+    body = "".join([row % (a, m, m / sqrt_p) for a, m in zip(a_values, magnitudes)])
+    _write_text(_csv_head(["p", "a", "abs_sum", "sqrt_p", "ratio"]) + body, args.output)
     return EXIT_OK
 
 

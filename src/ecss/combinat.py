@@ -12,7 +12,7 @@ alpha_s = (4^s - 1)^(1/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,10 @@ from .errors import ScaleGuardError, ValidationError
 
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
 MAX_SPAN = 8  # transfer matrix dimension 4^s - 1 <= 65535
-_CHUNK = 2048
+# Rayleigh-quotient stagnation cannot resolve differences much below float
+# epsilon; a smaller tolerance would run every iteration and then fall back.
+MIN_TOLERANCE = 1e-13
+_BLOCK = 1 << 17  # pair-matrix entries per block; small blocks keep the temporaries in cache
 
 
 def alpha(s: int) -> float:
@@ -117,8 +120,9 @@ def brute_force_bad_wrt_first(r: int, s: int, h: int) -> int:
     zero, basis = _occurrence_masks(r, s)
     eh = basis[h - 1]
     total = 0
-    for lo in range(0, 1 << r, _CHUNK):
-        block = eh[lo : lo + _CHUNK, None] & zero[None, :]
+    rows = max(1, _BLOCK >> r)
+    for lo in range(0, 1 << r, rows):
+        block = eh[lo : lo + rows, None] & zero[None, :]
         total += int(np.count_nonzero(block == 0))
     return total
 
@@ -138,21 +142,28 @@ def brute_force_bad_count(r: int, s: int) -> BadPairCount:
 
     The pair predicate is evaluated for every (x, y), vectorised in blocks of
     x; there is no combinatorial shortcut here, which is what makes this the
-    oracle for the walk-counting route.
+    oracle for the walk-counting route.  The per-h counts of
+    brute_force_bad_wrt_first come from the same blocks.
     """
     _check_brute_force_guard(r, s)
     zero, basis = _occurrence_masks(r, s)
     size = 1 << r
     good_total = 0
-    for lo in range(0, size, _CHUNK):
-        zx = zero[lo : lo + _CHUNK, None]
-        good = np.ones((zx.shape[0], size), dtype=bool)
-        for eh in basis:
-            good &= (eh[lo : lo + _CHUNK, None] & zero[None, :]) != 0
-            good &= (zx & eh[None, :]) != 0
+    hit_totals = [0] * s  # pairs where x shows e_h against y's 0_s somewhere
+    rows = max(1, _BLOCK >> r)
+    for lo in range(0, size, rows):
+        zx = zero[lo : lo + rows, None]
+        for k, eh in enumerate(basis):
+            hit = (eh[lo : lo + rows, None] & zero[None, :]) != 0
+            hit_totals[k] += int(np.count_nonzero(hit))
+            hit &= (zx & eh[None, :]) != 0  # both orientations of (e_h, 0_s)
+            if k == 0:
+                good = hit
+            else:
+                good &= hit
         good_total += int(np.count_nonzero(good))
     f = size * size - good_total
-    per_h = tuple(brute_force_bad_wrt_first(r, s, h) for h in range(1, s + 1))
+    per_h = tuple(size * size - hits for hits in hit_totals)
     return BadPairCount(r=r, s=s, f=f, per_h=per_h)
 
 
@@ -165,63 +176,66 @@ class TransferMatrix:
     are 0/1.  Walks of length r - s are in bijection with length-r vector
     pairs avoiding the forbidden window pair, which is exactly the
     bad-with-respect-to-x count.
+
+    gather is the (dim, 4) successor table: row i lists the successors of
+    state i in increasing order, padded with dim where the forbidden state
+    was cut.  It is read-only.
     """
 
     s: int
     h: int
-    successors: tuple[tuple[int, ...], ...]
+    gather: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.successors)
+        return len(self.gather)
+
+    @property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        dim = self.dim
+        return tuple(tuple(j for j in row if j != dim) for row in self.gather.tolist())
 
     def dense(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i, succ in enumerate(self.successors):
-            for j in succ:
-                mat[i, j] += 1
-        return mat
+        mat = np.zeros((self.dim, self.dim + 1), dtype=np.int64)
+        mat[np.arange(self.dim)[:, None], self.gather] = 1  # a row's successors are distinct
+        return mat[:, :-1]
 
 
 def transfer_matrix(s: int, h: int) -> TransferMatrix:
-    """Adjacency structure of the pair-of-windows shift graph minus (e_h, 0_s)."""
+    """Adjacency structure of the pair-of-windows shift graph minus (e_h, 0_s).
+
+    State (v, w) packs to v << s | w.  Reading one fresh bit per stream
+    shifts both windows down, so the successors are
+    base + {0, top, top << s, top << s | top} with base = (v >> 1) << s | w >> 1
+    and top = 1 << (s - 1): already in increasing order.  States above the
+    forbidden one shift down by one index, and the forbidden one becomes the
+    pad slot dim, which sorting moves to the end of its row.
+    """
     if s < 1:
         raise ValidationError("s must be >= 1")
     if s > MAX_SPAN:
         raise ScaleGuardError(f"span capped at {MAX_SPAN} (dimension 4^s - 1)")
-    pattern = WindowPattern(s, h)
-    size = 1 << s
-    forbidden = (pattern.basis_window << s) | 0
+    forbidden = WindowPattern(s, h).basis_window << s  # (e_h, 0_s)
+    dim = 4**s - 1
     top = 1 << (s - 1)
-
-    def index(state: int) -> int:
-        return state - (1 if state > forbidden else 0)
-
-    successors = []
-    for state in range(size * size):
-        if state == forbidden:
-            continue
-        v, w = state >> s, state & (size - 1)
-        out = []
-        for bx in (0, 1):
-            nv = (v >> 1) | (bx * top)
-            for by in (0, 1):
-                nw = (w >> 1) | (by * top)
-                nstate = (nv << s) | nw
-                if nstate != forbidden:
-                    out.append(index(nstate))
-        successors.append(tuple(sorted(out)))
-    return TransferMatrix(s=s, h=h, successors=tuple(successors))
+    states = np.delete(np.arange(dim + 1, dtype=np.int64), forbidden)
+    base = ((states >> s) >> 1 << s) | ((states & ((1 << s) - 1)) >> 1)
+    nxt = base[:, None] + np.array([0, top, top << s, (top << s) | top], dtype=np.int64)
+    index = np.where(nxt == forbidden, dim, nxt - (nxt > forbidden))
+    index.sort(axis=1)
+    index.flags.writeable = False
+    return TransferMatrix(s=s, h=h, gather=index)
 
 
 def walk_count(matrix: TransferMatrix, steps: int) -> int:
     """Total walks of the given length over all start states, in exact integers."""
     if steps < 0:
         raise ValidationError("steps must be >= 0")
-    counts = [1] * matrix.dim
+    ext = np.ones(matrix.dim + 1, dtype=object)  # Python ints: counts outgrow int64
+    ext[-1] = 0  # the pad slot
     for _ in range(steps):
-        counts = [sum(counts[j] for j in succ) for succ in matrix.successors]
-    return sum(counts)
+        ext[:-1] = ext[matrix.gather].sum(axis=1)
+    return int(ext[:-1].sum())
 
 
 @dataclass(frozen=True)
@@ -237,12 +251,8 @@ class SpectralRadiusEstimate:
 
 
 def _successor_gather(matrix: TransferMatrix):
-    """Padded successor index array for vectorised matvec (pad slot holds 0)."""
-    dim = matrix.dim
-    pad = np.full((dim, 4), dim, dtype=np.int64)
-    for i, succ in enumerate(matrix.successors):
-        pad[i, : len(succ)] = succ
-    return pad
+    """The (dim, 4) padded successor table for the vectorised matvec; the pad slot dim holds 0."""
+    return matrix.gather
 
 
 def _matvec_factory(matrix):
@@ -289,11 +299,12 @@ def spectral_radius(matrix, tolerance: float = 1e-9, max_iterations: int = 10**5
     """Dominant eigenvalue by power iteration from the all-ones vector.
 
     Stops when successive Rayleigh quotients differ by less than the
-    tolerance.  If the iteration cap is hit (reducible or periodic
-    structure), falls back to the growth rate of total walk counts.
+    tolerance, which must lie in [MIN_TOLERANCE, inf).  If the iteration cap
+    is hit (reducible or periodic structure), falls back to the growth rate
+    of total walk counts.
     """
-    if not 0 < tolerance < math.inf:
-        raise ValidationError("tolerance must be positive and finite")
+    if not MIN_TOLERANCE <= tolerance < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= {MIN_TOLERANCE}, got {tolerance}")
     matvec, dim = _matvec_factory(matrix)
     x = np.ones(dim)
     x /= np.linalg.norm(x)
@@ -313,25 +324,32 @@ def spectral_radius(matrix, tolerance: float = 1e-9, max_iterations: int = 10**5
     return SpectralRadiusEstimate(value, float("nan"), max_iterations, "walk-ratio")
 
 
+def pattern_radii(s: int, tolerance: float = 1e-9) -> tuple[float, ...]:
+    """Dominant eigenvalue of the transfer matrix of each forbidden pattern, h = 1..s."""
+    if s < 1:
+        raise ValidationError("s must be >= 1")
+    return tuple(spectral_radius(transfer_matrix(s, h), tolerance).value for h in range(1, s + 1))
+
+
 def beta(s: int, tolerance: float = 1e-9) -> float:
     """Observed growth base of the bad-pair count: the largest dominant
     eigenvalue over the s forbidden patterns."""
-    if s < 1:
-        raise ValidationError("s must be >= 1")
-    if s > MAX_SPAN:
-        raise ScaleGuardError(f"span capped at {MAX_SPAN}")
-    return max(spectral_radius(transfer_matrix(s, h), tolerance).value for h in range(1, s + 1))
+    return max(pattern_radii(s, tolerance))
 
 
-def which_h_dominates(s: int, tolerance: float = 1e-9, tie_gap: float = 1e-6) -> tuple[int, ...]:
-    """Basis indices h whose transfer matrix attains the maximal growth rate.
+def dominant_patterns(radii, tie_gap: float = 1e-6) -> tuple[int, ...]:
+    """Basis indices h (1-based) whose radius in pattern_radii order is within tie_gap of the top.
 
     By the bit-reversal isomorphism the result is invariant under
     h <-> s + 1 - h, so ties across that reflection are expected.
     """
-    radii = {h: spectral_radius(transfer_matrix(s, h), tolerance).value for h in range(1, s + 1)}
-    top = max(radii.values())
-    return tuple(h for h, rho in sorted(radii.items()) if rho >= top - tie_gap)
+    top = max(radii)
+    return tuple(h for h, rho in enumerate(radii, 1) if rho >= top - tie_gap)
+
+
+def which_h_dominates(s: int, tolerance: float = 1e-9, tie_gap: float = 1e-6) -> tuple[int, ...]:
+    """Basis indices h whose transfer matrix attains the maximal growth rate."""
+    return dominant_patterns(pattern_radii(s, tolerance), tie_gap)
 
 
 def bad_count_bracket(r: int, s: int) -> tuple[int, int]:

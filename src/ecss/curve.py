@@ -145,6 +145,24 @@ def _square_root_table(p: int):
     return nsol, ys[order], starts
 
 
+def _affine_points(curve: CurveParams) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every affine point as int64 arrays, in (x, y) order.
+
+    Each x is repeated once per root of y^2 = x^3 + ax + b, and the roots
+    are gathered from the quadratic-residue table in increasing order.
+    """
+    p = curve.p
+    if p >= MAX_ENUMERATION_P:
+        raise ScaleGuardError(f"point enumeration capped at p < 2^20, got {p}")
+    nsol, ys, starts = _square_root_table(p)
+    x = np.arange(p, dtype=np.int64)
+    rhs = (x * x % p * x + curve.a * x + curve.b) % p
+    counts = nsol[rhs]
+    # Point k is root k - first of its x's bucket, where first is the bucket's first point index.
+    shift = np.repeat(starts[rhs] - (np.cumsum(counts) - counts), counts)
+    return np.repeat(x, counts), ys[np.arange(len(shift)) + shift]
+
+
 def enumerate_points(curve: CurveParams) -> list[CurvePoint]:
     """All points of the curve: the identity first, then affine points by (x, y).
 
@@ -152,17 +170,10 @@ def enumerate_points(curve: CurveParams) -> list[CurvePoint]:
     order is the length of the returned list; the Hasse inequality is checked
     before returning.
     """
-    p = curve.p
-    if p >= MAX_ENUMERATION_P:
-        raise ScaleGuardError(f"point enumeration capped at p < 2^20, got {p}")
-    _, ys, starts = _square_root_table(p)
-    points = [INFINITY]
-    a, b = curve.a, curve.b
-    for x in range(p):
-        rhs = (x * x * x + a * x + b) % p
-        for y in ys[starts[rhs] : starts[rhs + 1]]:
-            points.append(CurvePoint(x, int(y)))
+    xs, ys = _affine_points(curve)
+    points = [INFINITY, *map(CurvePoint, xs.tolist(), ys.tolist())]
     order = len(points)
+    p = curve.p
     if (order - p - 1) ** 2 > 4 * p:
         raise ValidationError(f"Hasse inequality violated: #E = {order} for p = {p}")
     return points

@@ -10,7 +10,7 @@ import numpy as np
 
 from .combinat import alpha
 from .curve import is_prime
-from .errors import ScaleGuardError, ValidationError
+from .errors import ScaleGuardError, ValidationError, validate_seed
 from .generator import PointSet
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
@@ -148,6 +148,7 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
     start = time.perf_counter()
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    validate_seed(seed)
     rows = _as_rows(points)
     n_total, s = rows.shape
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from .discrepancy import (
     exact_fits_guard,
     mc_box_lower_bound,
 )
-from .errors import ValidationError
+from .errors import ValidationError, validate_seed
 from .gf2 import BinaryPoly, LfsrSource, poly_is_irreducible, sequence_period, windows_distinct
 from .generator import LANE_BUDGET, _lane_sums, _point_arrays, s_tuples
 
@@ -49,6 +49,7 @@ class ExperimentConfig:
             raise ValidationError("sample count must be >= 1")
         if not 0 < self.delta < math.inf:
             raise ValidationError("delta must be positive and finite")
+        validate_seed(self.seed)
         if not poly_is_irreducible(self.poly):
             raise ValidationError("characteristic polynomial must be irreducible")
         init = self.init if self.init else (1,) + (0,) * (self.r - 1)
@@ -97,6 +98,7 @@ def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> 
         raise ValidationError("r must be >= 1")
     if count < 0:
         raise ValidationError("count must be >= 0")
+    validate_seed(seed)
     points = enumerate_points(curve)
     streams = np.random.SeedSequence(seed).spawn(count)
     out = []

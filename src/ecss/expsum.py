@@ -11,7 +11,8 @@ import numpy as np
 from .curve import (CurveParams, CurvePoint, INFINITY, _square_root_table, add, enumerate_points, is_on_curve,
                     is_prime, negate, x_coord)
 from .errors import ScaleGuardError, ValidationError
-from .generator import LANE_BUDGET, GeneratorConfig, PointSet, WeightVector, _lane_sums, _point_arrays
+from .generator import (LANE_BUDGET, GeneratorConfig, PointSet, WeightVector, _lane_sums, _mod, _point_arrays,
+                        _pow_mod)
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WEIGHT_WORK = 10**6  # (#E)^r * N
@@ -91,19 +92,29 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
 def curve_char_sums_all(curve: CurveParams, c: CurvePoint = INFINITY, points=None) -> np.ndarray:
     """All sums S(a), a = 0..p-1, at once via an x-coordinate histogram and FFT.
 
-    Agrees with curve_x_char_sum entry by entry (cross-checked in tests);
-    meant for whole-curve sweeps.
+    x(c + P) is computed for every point at once on int64 arrays: the chord
+    slope (y_P - y_c)/(x_P - x_c), or the tangent slope (3x_c^2 + a)/(2y_c)
+    at P = c, with one vectorised Fermat inversion.  P = -c is dropped and an
+    identity entry maps to x(c).  Agrees with curve_x_char_sum entry by entry
+    (cross-checked in tests); meant for whole-curve sweeps.
     """
     p = curve.p
     if not is_on_curve(c, curve):
         raise ValidationError("shift point must lie on the curve")
     if points is None:
         points = enumerate_points(curve)
-    minus_c = negate(c, curve)
-    hist = np.zeros(p, dtype=np.float64)
-    for point in points:
-        if point != minus_c:
-            hist[x_coord(add(c, point, curve))] += 1.0
+    px, py, pinf = (arr[0] for arr in _point_arrays([points]))
+    if c.is_infinity:
+        xs = px[~pinf]
+    else:
+        same_x = ~pinf & (px == c.x)
+        keep = ~(same_x & (py == (-c.y) % p))  # drops P = -c
+        px, py, pinf, tangent = px[keep], py[keep], pinf[keep], same_x[keep]  # what is left at x_c is c
+        num = _mod(np.where(tangent, (3 * c.x * c.x + curve.a) % p, py - c.y), p)
+        den = _mod(np.where(tangent, 2 * c.y, px - c.x), p)
+        slope = _mod(num * _pow_mod(den, p - 2, p), p)
+        xs = np.where(pinf, c.x, _mod(slope * slope - c.x - px, p))
+    hist = np.bincount(xs, minlength=p).astype(np.float64)
     # S(a) = sum_v hist[v] exp(+2 pi i a v / p) = p * ifft(hist)[a]
     return p * np.fft.ifft(hist)
 

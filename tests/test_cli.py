@@ -1,13 +1,16 @@
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ecss.cli import main
-from ecss.curve import CurvePoint, WeightVector, validate_curve
+from ecss.curve import CurvePoint, WeightVector, enumerate_points, validate_curve
 from ecss.discrepancy import exact_extreme_1d
 from ecss.experiments import ExperimentConfig, discrepancy_sweep
+from ecss.expsum import curve_char_sums_all
 from ecss.generator import GeneratorConfig, output_normalized
 from ecss.gf2 import BinaryPoly, LfsrSource
 
@@ -38,6 +41,11 @@ class TestBeta:
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_validation_error(self, capsys, tolerance):
         code, out, err = run_cli(capsys, "beta", "--s", "2", "--tolerance", tolerance)
+        assert code == 2 and out == "" and "tolerance" in err
+
+    @pytest.mark.parametrize("tolerance", ["1e-300", "1e-14"])
+    def test_tolerance_below_floor_is_validation_error(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "beta", "--s", "8", "--tolerance", tolerance)
         assert code == 2 and out == "" and "tolerance" in err
 
 
@@ -170,6 +178,18 @@ class TestGenAndDisc:
         code, _, _ = run_cli(capsys, "disc", "--input", str(points_file))
         assert code == 2
 
+    def test_gen_negative_seed_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--curve", "13,2,3", "--poly", "0xb", "--n", "5",
+                                 "--seed", "-1")
+        assert code == 2 and out == "" and "seed" in err
+
+    def test_disc_mc_negative_seed_is_validation_error(self, capsys, tmp_path):
+        points_file = tmp_path / "pts.csv"
+        points_file.write_text("0.1,0.2\n0.3,0.8\n")
+        code, out, err = run_cli(capsys, "disc", "--input", str(points_file), "--method", "mc",
+                                 "--seed", "-1")
+        assert code == 2 and out == "" and "seed" in err
+
     def test_bad_poly_hex_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--curve", "5,1,1", "--poly", "zz", "--n", "3")
         assert code == 2 and "hex" in err
@@ -236,8 +256,53 @@ class TestExpsumCheck:
         code, out, _ = run_cli(capsys, "expsum-check", "--curve", "5,1,1", "--samples", samples)
         assert code == 2 and out == ""
 
+    def test_negative_seed_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "expsum-check", "--curve", "101,1,1", "--samples", "5",
+                                 "--seed", "-1")
+        assert code == 2 and out == "" and "seed" in err
+
+    @staticmethod
+    def csv_writer_rendering(p, a_values, sums):
+        buf = io.StringIO()
+        buf.write("# version=1\n")
+        writer = csv.writer(buf)
+        writer.writerow(["p", "a", "abs_sum", "sqrt_p", "ratio"])
+        for a in a_values:
+            magnitude = abs(complex(sums[a]))
+            writer.writerow([p, a, f"{magnitude:.12g}", f"{math.sqrt(p):.12g}",
+                             f"{magnitude / math.sqrt(p):.12g}"])
+        return buf.getvalue()
+
+    def test_all_a_output_is_the_csv_writer_rendering(self, capsys):
+        curve = validate_curve(101, 1, 1)
+        c = enumerate_points(curve)[5]
+        code, out, _ = run_cli(capsys, "expsum-check", "--curve", "101,1,1", "--all-a",
+                               "--c", f"{c.x},{c.y}")
+        assert code == 0
+        assert out == self.csv_writer_rendering(101, range(1, 101), curve_char_sums_all(curve, c))
+        assert out.count("\r\n") == 101  # csv.writer's row terminator, header included
+
+    def test_abs_sum_is_the_modulus_of_a_python_complex(self, capsys):
+        # At p = 10007, a = 9540 the modulus np.abs returns prints differently in the 12th digit.
+        curve = validate_curve(10007, 1, 1)
+        code, out, _ = run_cli(capsys, "expsum-check", "--curve", "10007,1,1", "--all-a")
+        assert code == 0
+        assert out == self.csv_writer_rendering(10007, range(1, 10007), curve_char_sums_all(curve))
+
+    def test_sampled_output_is_the_csv_writer_rendering(self, capsys):
+        curve = validate_curve(101, 1, 1)
+        code, out, _ = run_cli(capsys, "expsum-check", "--curve", "101,1,1", "--samples", "8",
+                               "--seed", "3")
+        assert code == 0
+        rng = np.random.default_rng(3)
+        a_values = sorted(set(int(a) for a in rng.integers(1, 101, size=8)))
+        assert out == self.csv_writer_rendering(101, a_values, curve_char_sums_all(curve))
+
 
 class TestExperiment:
+    CONFIG = {"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": 1,
+              "n_grid": [4, 8], "samples": 2, "delta": 1.0, "seed": 1}
+
     def test_runs_config_and_matches_library(self, capsys, tmp_path):
         config = {
             "curve": {"p": 101, "a": 1, "b": 1},
@@ -272,6 +337,19 @@ class TestExperiment:
         path.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}}))
         code, _, _ = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
+
+    def test_negative_seed_flag_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CONFIG))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path), "--seed", "-1")
+        assert code == 2 and out == "" and "seed" in err
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, "7"])
+    def test_bad_config_seed_is_validation_error(self, capsys, tmp_path, seed):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "seed": seed}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2 and out == "" and "seed" in err
 
     @pytest.mark.parametrize("text", ['{"curve": ', '{"curve": 5, "poly_hex": "0x25"}'])
     def test_malformed_config_is_validation_error(self, capsys, tmp_path, text):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ecss import combinat
 from ecss.combinat import (
+    MIN_TOLERANCE,
     BadPairCount,
     WindowPattern,
     alpha,
@@ -12,7 +14,9 @@ from ecss.combinat import (
     beta,
     brute_force_bad_count,
     brute_force_bad_wrt_first,
+    dominant_patterns,
     is_s_good,
+    pattern_radii,
     spectral_radius,
     transfer_matrix,
     walk_count,
@@ -26,6 +30,33 @@ BETA_TABLE = {2: 3.73205, 3: 3.93947, 4: 3.98444, 5: 3.99615, 6: 3.99903}
 
 def int_bits(value, r):
     return tuple((value >> i) & 1 for i in range(r))
+
+
+def scalar_successors(s, h):
+    """The state-by-state successor loop that transfer_matrix replaced, kept as its oracle."""
+    pattern = WindowPattern(s, h)
+    size = 1 << s
+    forbidden = (pattern.basis_window << s) | 0
+    top = 1 << (s - 1)
+
+    def index(state):
+        return state - (1 if state > forbidden else 0)
+
+    successors = []
+    for state in range(size * size):
+        if state == forbidden:
+            continue
+        v, w = state >> s, state & (size - 1)
+        out = []
+        for bx in (0, 1):
+            nv = (v >> 1) | (bx * top)
+            for by in (0, 1):
+                nw = (w >> 1) | (by * top)
+                nstate = (nv << s) | nw
+                if nstate != forbidden:
+                    out.append(index(nstate))
+        successors.append(tuple(sorted(out)))
+    return tuple(successors)
 
 
 class TestAlpha:
@@ -123,6 +154,29 @@ class TestBruteForceCounts:
             f_values = [brute_force_bad_count(r, s).f for s in (1, 2, 3)]
             assert f_values[0] <= f_values[1] <= f_values[2]
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_per_h_equals_wrt_first(self, s):
+        for r in range(s, 9):
+            tally = brute_force_bad_count(r, s)
+            assert tally.per_h == tuple(brute_force_bad_wrt_first(r, s, h) for h in range(1, s + 1))
+
+    def test_f_equals_predicate_count_over_all_pairs(self):
+        for r in range(1, 6):
+            for s in range(1, min(r, 3) + 1):
+                expected = sum(
+                    not is_s_good(int_bits(x, r), int_bits(y, r), s)
+                    for x in range(1 << r)
+                    for y in range(1 << r)
+                )
+                assert brute_force_bad_count(r, s).f == expected
+
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch):
+        whole = [brute_force_bad_count(8, s) for s in (1, 2, 3)]
+        wrt_first = brute_force_bad_wrt_first(8, 3, 2)
+        monkeypatch.setattr(combinat, "_BLOCK", 1 << 10)  # 4 rows of x per block, 64 blocks
+        assert [brute_force_bad_count(8, s) for s in (1, 2, 3)] == whole
+        assert brute_force_bad_wrt_first(8, 3, 2) == wrt_first
+
     def test_f_at_most_total(self):
         for r, s in [(5, 1), (6, 2), (6, 3)]:
             assert brute_force_bad_count(r, s).f <= 4**r
@@ -168,6 +222,27 @@ class TestTransferMatrix:
             assert all(len(succ) <= 4 for succ in tm.successors)
             assert tm.dense().max() <= 1
 
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_matches_scalar_loop(self, s):
+        for h in range(1, s + 1):
+            assert transfer_matrix(s, h).successors == scalar_successors(s, h)
+
+    def test_successor_gather_contract(self):
+        for s, h in [(1, 1), (2, 2), (3, 1), (4, 3)]:
+            tm = transfer_matrix(s, h)
+            pad = combinat._successor_gather(tm)
+            assert pad.shape == (tm.dim, 4) and pad.dtype == np.int64
+            assert (np.diff(pad, axis=1) >= 0).all()
+            assert ((pad >= 0) & (pad <= tm.dim)).all()
+            expected = np.full((tm.dim, 4), tm.dim)
+            for i, succ in enumerate(scalar_successors(s, h)):
+                expected[i, : len(succ)] = succ
+            assert np.array_equal(pad, expected)
+
+    def test_gather_is_read_only(self):
+        with pytest.raises(ValueError):
+            transfer_matrix(2, 1).gather[0, 0] = 0
+
     def test_guard(self):
         with pytest.raises(ScaleGuardError):
             transfer_matrix(9, 1)
@@ -193,6 +268,9 @@ class TestWalkCount:
             tm = transfer_matrix(s, h)
             for r in range(s, 13):
                 assert walk_count(tm, r - s) == brute_force_bad_wrt_first(r, s, h)
+
+    def test_counts_are_exact_beyond_int64(self):
+        assert walk_count(transfer_matrix(1, 1), 60) == 3**61
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValidationError):
@@ -224,6 +302,17 @@ class TestSpectralRadius:
         with pytest.raises(ValidationError):
             spectral_radius(-np.ones((3, 3)), 1e-9)
 
+    @pytest.mark.parametrize("tolerance", [1e-300, 1e-15, MIN_TOLERANCE / 2])
+    def test_tolerance_below_floor_rejected(self, tolerance):
+        with pytest.raises(ValidationError):
+            spectral_radius(transfer_matrix(2, 1), tolerance)
+
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_floor_tolerance_converges(self, s):
+        for h in range(1, s + 1):
+            est = spectral_radius(transfer_matrix(s, h), MIN_TOLERANCE)
+            assert est.converged and est.iterations < 100
+
 
 class TestBeta:
     @pytest.mark.parametrize("s,expected", sorted(BETA_TABLE.items()))
@@ -233,6 +322,14 @@ class TestBeta:
     def test_below_alpha(self):
         for s in range(2, 7):
             assert beta(s) < alpha(s) < 4.0
+
+    def test_is_the_largest_pattern_radius(self):
+        for s in (1, 3, 5):
+            radii = pattern_radii(s)
+            assert len(radii) == s
+            assert beta(s) == max(radii)
+            assert radii == tuple(spectral_radius(transfer_matrix(s, h), 1e-9).value
+                                  for h in range(1, s + 1))
 
     def test_walk_counts_grow_like_beta(self):
         # growth of the exact per-pattern counts approaches the dominant eigenvalue
@@ -250,6 +347,12 @@ class TestDominantPatterns:
     def test_middle_patterns_dominate(self):
         assert which_h_dominates(2) == (1, 2)
         assert which_h_dominates(3) == (2,)
+
+    def test_dominant_patterns_reads_radii(self):
+        assert dominant_patterns((3.0, 4.0, 4.0 - 1e-7, 2.0)) == (2, 3)
+        assert dominant_patterns((3.0, 4.0, 4.0 - 1e-5)) == (2,)
+        for s in (2, 4):
+            assert dominant_patterns(pattern_radii(s)) == which_h_dominates(s)
 
     def test_bracket_contains_exact_count(self):
         for s in (1, 2, 3):

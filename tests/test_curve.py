@@ -149,6 +149,15 @@ class TestEnumeratePoints:
             assert (order - p - 1) ** 2 <= 4 * p
             done += 1
 
+    @pytest.mark.parametrize("params", [(5, 1, 1), (7, 0, 1), (13, 2, 0), (11, 1, 6), (17, 0, 3),
+                                        (31, 4, 2), (101, 1, 1)])
+    def test_matches_double_loop(self, params):
+        curve = validate_curve(*params)
+        p, a, b = params
+        expected = [INFINITY] + [CurvePoint(x, y) for x in range(p) for y in range(p)
+                                 if (y * y - x**3 - a * x - b) % p == 0]
+        assert enumerate_points(curve) == expected
+
     def test_scale_guard(self):
         with pytest.raises(ScaleGuardError):
             enumerate_points(validate_curve(1_048_583, 1, 1))  # prime above 2^20

@@ -236,6 +236,11 @@ class TestMcLowerBound:
         with pytest.raises(ValidationError):
             mc_box_lower_bound([[0.5]], 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            mc_box_lower_bound([[0.5]], 10, seed=seed)
+
     def test_approaches_exact_on_easy_set(self):
         rows = [[0.3, 0.7]] * 5
         mc = mc_box_lower_bound(rows, 4000, seed=11).value

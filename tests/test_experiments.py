@@ -46,6 +46,14 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError):
             small_config(n_grid=(4, 64))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            small_config(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert small_config(seed=np.int64(5)).seed == 5
+
     def test_r_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             small_config(r=4)
@@ -62,6 +70,11 @@ class TestExperimentConfig:
 class TestSampleWeightVectors:
     def test_empty(self):
         assert sample_weight_vectors(F101, 3, 0, 1) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, False])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_weight_vectors(F101, 4, 2, seed)
 
     def test_reproducible(self):
         a = sample_weight_vectors(F101, 4, 6, 42)

@@ -136,6 +136,32 @@ class TestCurveCharSum:
                     direct = curve_x_char_sum(curve, int(a), c, points)
                     assert abs(sums[int(a)] - direct) < 1e-9
 
+    @pytest.mark.parametrize("params,shift", [
+        ((13, 2, 0), None),  # identity
+        ((13, 2, 0), (1, 4)),  # generic point
+        ((13, 2, 0), (0, 0)),  # 2-torsion: c = -c
+        ((7, 0, 1), (6, 0)),  # 2-torsion
+        ((7, 0, 1), (0, 1)),  # a point of order 3
+        ((101, 1, 1), (0, 1)),
+    ])
+    def test_fft_sweep_equals_scalar_sum_for_every_a(self, params, shift):
+        curve = validate_curve(*params)
+        c = INFINITY if shift is None else CurvePoint(*shift)
+        points = enumerate_points(curve)
+        sums = curve_char_sums_all(curve, c, points)
+        assert np.array_equal(sums, curve_char_sums_all(curve, c))
+        # S(0) counts the summed points: every point but -c
+        assert abs(sums[0] - (len(points) - 1)) < 1e-9
+        for a in range(1, curve.p):
+            assert abs(sums[a] - curve_x_char_sum(curve, a, c, points)) < 1e-9
+
+    def test_fft_sweep_maps_an_identity_entry_to_x_of_c(self):
+        curve = validate_curve(13, 2, 0)
+        c = CurvePoint(1, 4)
+        only_identity = curve_char_sums_all(curve, c, [INFINITY])
+        expected = np.exp(2j * np.pi * np.arange(13) * c.x / 13)
+        assert np.allclose(only_identity, expected, atol=1e-12)
+
     def test_random_curve_sample_ratio(self):
         rng = np.random.default_rng(6)
         primes = [p for p in range(100, 1000) if is_prime(p)]
