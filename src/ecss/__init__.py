@@ -17,7 +17,6 @@ from .combinat import (
     spectral_radius,
     transfer_matrix,
     walk_count,
-    which_h_dominates,
 )
 from .curve import (
     INFINITY,

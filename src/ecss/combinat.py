@@ -21,8 +21,10 @@ from .errors import ScaleGuardError, ValidationError
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
 MAX_SPAN = 8  # transfer matrix dimension 4^s - 1 <= 65535
 # Rayleigh-quotient stagnation cannot resolve differences much below float
-# epsilon; a smaller tolerance would run every iteration and then fall back.
+# epsilon; a smaller tolerance would run every iteration.
 MIN_TOLERANCE = 1e-13
+MAX_POWER_ITERATIONS = 1000
+TIE_GAP = 1e-6  # radii this close to the top count as dominant
 _BLOCK = 1 << 17  # pair-matrix entries per block; small blocks keep the temporaries in cache
 
 
@@ -190,16 +192,6 @@ class TransferMatrix:
     def dim(self) -> int:
         return len(self.gather)
 
-    @property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        dim = self.dim
-        return tuple(tuple(j for j in row if j != dim) for row in self.gather.tolist())
-
-    def dense(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim + 1), dtype=np.int64)
-        mat[np.arange(self.dim)[:, None], self.gather] = 1  # a row's successors are distinct
-        return mat[:, :-1]
-
 
 def transfer_matrix(s: int, h: int) -> TransferMatrix:
     """Adjacency structure of the pair-of-windows shift graph minus (e_h, 0_s).
@@ -243,11 +235,7 @@ class SpectralRadiusEstimate:
     value: float
     residual: float
     iterations: int
-    method: str  # "power-iteration" or "walk-ratio"
-
-    @property
-    def converged(self) -> bool:
-        return self.method == "power-iteration"
+    method: str = "power-iteration"
 
 
 def _successor_gather(matrix: TransferMatrix):
@@ -255,73 +243,30 @@ def _successor_gather(matrix: TransferMatrix):
     return matrix.gather
 
 
-def _matvec_factory(matrix):
-    if isinstance(matrix, TransferMatrix):
-        pad = _successor_gather(matrix)
-        dim = matrix.dim
-
-        def matvec(x):
-            ext = np.concatenate([x, [0.0]])
-            return ext[pad].sum(axis=1)
-
-        return matvec, dim
-    dense = np.asarray(matrix, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValidationError("matrix must be square")
-    if dense.min() < 0:
-        raise ValidationError("matrix must be nonnegative")
-    return (lambda x: dense @ x), dense.shape[0]
-
-
-def _walk_ratio_estimate(matvec, dim: int, burn: int = 64, window: int = 64):
-    """Growth rate of total walk counts, robust to periodic spectra.
-
-    Tracks log sum(M^k 1) with periodic renormalisation and averages the
-    growth over a window, which smooths eigenvalue-modulus ties.
-    """
-    x = np.ones(dim)
-    logs = 0.0
-    log_at_burn = None
-    for k in range(burn + window):
-        if k == burn:
-            log_at_burn = logs + math.log(x.sum())
-        x = matvec(x)
-        total = x.sum()
-        if total == 0:
-            return 0.0
-        logs += math.log(total)
-        x = x / total
-    log_end = logs + math.log(x.sum())
-    return math.exp((log_end - log_at_burn) / window)
-
-
-def spectral_radius(matrix, tolerance: float = 1e-9, max_iterations: int = 10**5) -> SpectralRadiusEstimate:
+def spectral_radius(matrix: TransferMatrix, tolerance: float = 1e-9) -> SpectralRadiusEstimate:
     """Dominant eigenvalue by power iteration from the all-ones vector.
 
-    Stops when successive Rayleigh quotients differ by less than the
-    tolerance, which must lie in [MIN_TOLERANCE, inf).  If the iteration cap
-    is hit (reducible or periodic structure), falls back to the growth rate
-    of total walk counts.
+    Each step gathers the four successor entries of every state, with 0 in
+    the pad slot.  Stops when successive Rayleigh quotients differ by less
+    than the tolerance, which must lie in [MIN_TOLERANCE, inf); every
+    pattern for s <= MAX_SPAN stops within 20 steps at MIN_TOLERANCE.  Not
+    stopping within MAX_POWER_ITERATIONS raises ScaleGuardError.
     """
     if not MIN_TOLERANCE <= tolerance < math.inf:
         raise ValidationError(f"tolerance must be finite and >= {MIN_TOLERANCE}, got {tolerance}")
-    matvec, dim = _matvec_factory(matrix)
-    x = np.ones(dim)
+    pad = _successor_gather(matrix)
+    x = np.ones(matrix.dim)
     x /= np.linalg.norm(x)
-    prev = None
-    for iteration in range(1, max_iterations + 1):
-        y = matvec(x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return SpectralRadiusEstimate(0.0, 0.0, iteration, "power-iteration")
-        rayleigh = float(x @ y)
-        x = y / norm
+    prev = rayleigh = None
+    for iteration in range(MAX_POWER_ITERATIONS + 1):  # iteration = Rayleigh quotients taken so far
+        y = np.concatenate([x, [0.0]])[pad].sum(axis=1)
         if prev is not None and abs(rayleigh - prev) < tolerance:
-            residual = float(np.max(np.abs(matvec(x) - rayleigh * x)))
-            return SpectralRadiusEstimate(rayleigh, residual, iteration, "power-iteration")
-        prev = rayleigh
-    value = _walk_ratio_estimate(matvec, dim)
-    return SpectralRadiusEstimate(value, float("nan"), max_iterations, "walk-ratio")
+            residual = float(np.max(np.abs(y - rayleigh * x)))
+            return SpectralRadiusEstimate(rayleigh, residual, iteration)
+        prev, rayleigh = rayleigh, float(x @ y)
+        # every state keeps at least three successors, so y > 0 and its norm is nonzero
+        x = y / np.linalg.norm(y)
+    raise ScaleGuardError(f"power iteration did not settle to {tolerance} within {MAX_POWER_ITERATIONS} steps")
 
 
 def pattern_radii(s: int, tolerance: float = 1e-9) -> tuple[float, ...]:
@@ -337,19 +282,14 @@ def beta(s: int, tolerance: float = 1e-9) -> float:
     return max(pattern_radii(s, tolerance))
 
 
-def dominant_patterns(radii, tie_gap: float = 1e-6) -> tuple[int, ...]:
-    """Basis indices h (1-based) whose radius in pattern_radii order is within tie_gap of the top.
+def dominant_patterns(radii) -> tuple[int, ...]:
+    """Basis indices h (1-based) whose radius in pattern_radii order is within TIE_GAP of the top.
 
     By the bit-reversal isomorphism the result is invariant under
     h <-> s + 1 - h, so ties across that reflection are expected.
     """
     top = max(radii)
-    return tuple(h for h, rho in enumerate(radii, 1) if rho >= top - tie_gap)
-
-
-def which_h_dominates(s: int, tolerance: float = 1e-9, tie_gap: float = 1e-6) -> tuple[int, ...]:
-    """Basis indices h whose transfer matrix attains the maximal growth rate."""
-    return dominant_patterns(pattern_radii(s, tolerance), tie_gap)
+    return tuple(h for h, rho in enumerate(radii, 1) if rho >= top - TIE_GAP)
 
 
 def bad_count_bracket(r: int, s: int) -> tuple[int, int]:

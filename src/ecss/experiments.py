@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class ExperimentConfig:
     delta: float
     seed: int
     init: tuple[int, ...] = ()
+    tau: int = field(init=False)  # the register period, computed from poly and init
 
     def __post_init__(self):
         if self.r != self.poly.degree:
@@ -70,8 +71,6 @@ class ExperimentConfig:
                 "the average-case bounds assume r = O(sqrt(p))",
                 stacklevel=2,
             )
-
-    tau: int = 0  # filled in __post_init__
 
 
 @dataclass(frozen=True)

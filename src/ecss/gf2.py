@@ -109,13 +109,8 @@ def poly_is_irreducible(poly: BinaryPoly) -> bool:
 class BitSequenceSource(ABC):
     """Deterministic supplier of the bit stream u(1), u(2), ...
 
-    Repeated reads from index 1 return identical bits.  ``purely_periodic``
-    declares whether the stream repeats from the very first bit; ``period``
-    carries the period when it is known (None otherwise).
+    Repeated reads from index 1 return identical bits.
     """
-
-    purely_periodic: bool = True
-    period: int | None = None
 
     @abstractmethod
     def bits(self, count: int) -> list[int]:
@@ -149,10 +144,6 @@ class LfsrSource(BitSequenceSource):
             )
         self.poly = poly
         self._init = packed
-        # The state map is invertible exactly when the constant term is 1;
-        # the all-zero register is the fixed point either way.
-        self.purely_periodic = poly.constant_term == 1 or packed == 0
-        self.period = 1 if packed == 0 else None
 
     @property
     def order(self) -> int:
@@ -180,8 +171,6 @@ class PeriodicSource(BitSequenceSource):
         if any(b not in (0, 1) for b in pattern):
             raise ValidationError("pattern bits must be 0 or 1")
         self.pattern = pattern
-        self.purely_periodic = True
-        self.period = len(pattern)
 
     def bits(self, count: int) -> list[int]:
         m = len(self.pattern)

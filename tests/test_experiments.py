@@ -38,6 +38,10 @@ class TestExperimentConfig:
     def test_tau_computed(self):
         assert small_config().tau == 31
 
+    def test_tau_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            small_config(tau=5)
+
     def test_reducible_poly_rejected(self):
         with pytest.raises(ValidationError):
             small_config(poly=BinaryPoly(0b110101), r=5)  # (X+1)(X^4+X+1)
