@@ -75,7 +75,6 @@ from .gf2 import (
     BitSequenceSource,
     LfsrSource,
     PeriodicSource,
-    generate_bits,
     poly_is_irreducible,
     sequence_period,
     windows_distinct,

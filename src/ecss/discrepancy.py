@@ -14,6 +14,7 @@ from .errors import ScaleGuardError, ValidationError, validate_seed
 from .generator import PointSet
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
+EXACT_BLOCK_BUDGET = 2**14  # float64 elements (128 KiB) per block of batched slabs
 
 EXACT = "exact"
 MC_LOWER_BOUND = "monte-carlo-lower-bound"
@@ -34,7 +35,7 @@ def _as_rows(points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    if arr.ndim != 2 or 0 in arr.shape:
         raise ValidationError("points must form a nonempty (N, s) array")
     if not np.isfinite(arr).all():
         raise ValidationError("coordinates must be finite")
@@ -48,48 +49,52 @@ def exact_fits_guard(n: int, s: int) -> bool:
     return n ** (2 * s) <= MAX_EXACT_MULTI_WORK
 
 
-def _scan_last_axis(counts: np.ndarray, vals: np.ndarray, widths: np.ndarray, n_total: int,
-                    closed: bool) -> float:
+def _scan_last_axis(cum: np.ndarray, vals: np.ndarray, widths: np.ndarray, n_total: int, closed: bool) -> float:
     """Best box along the last axis, one row of counts per fixed set of leading sides.
 
-    Row k holds the per-candidate counts of the slab with leading volume
-    widths[k].  Closed boxes give the excess max_{i <= j} count/N - volume,
+    Row k holds cum[k, j] points at candidates < j of the slab with leading
+    volume widths[k].  Closed boxes give the excess max_{i <= j} count/N - volume,
     open boxes the deficit max_{i < j} volume - count/N.
     """
-    prefix = np.cumsum(counts, axis=-1)  # points at candidates <= j
+    share = cum / n_total
     wv = widths[:, None] * vals
-    if closed:
-        below = prefix - counts  # points at candidates strictly left of i
-        left = np.maximum.accumulate(wv - below / n_total, axis=-1)
-        return float(np.max(prefix / n_total - wv + left))
-    # the open box (vals[i], vals[j]) holds prefix[j-1] - prefix[i] points
-    left = np.maximum.accumulate(prefix[:, :-1] / n_total - wv[:, :-1], axis=-1)
-    return float(np.max(wv[:, 1:] - prefix[:, :-1] / n_total + left))
+    if closed:  # the closed box [vals[i], vals[j]] holds cum[j+1] - cum[i] points
+        left = np.maximum.accumulate(wv - share[:, :-1], axis=-1)
+        return float(np.max(share[:, 1:] - wv + left))
+    # the open box (vals[i], vals[j]) holds cum[j] - cum[i+1] points
+    left = np.maximum.accumulate(share[:, 1:-1] - wv[:, :-1], axis=-1)
+    return float(np.max(wv[:, 1:] - share[:, 1:-1] + left))
 
 
-def _sweep(counts: np.ndarray, cands: list, width: float, n_total: int, closed: bool) -> float:
-    """Best closed (or open) box over the candidate grid of counts, scaled by width.
+def _sweep(cum: np.ndarray, cands: list, widths: np.ndarray, n_total: int, closed: bool) -> float:
+    """Best closed (or open) box over a batch of cumulative count grids, grid k of width widths[k].
 
-    Recurses over the leading axis on prefix sums: the closed slab between
-    candidates i <= j holds cum[j+1] - cum[i] points, the open one between
-    i < j holds cum[j] - cum[i+1].  At the second-to-last axis every j for a
-    fixed i is scanned at once.
+    cum[k] counts, per axis, the points at candidates below each index, so
+    along the first axis the closed slab between candidates i <= j holds
+    cum[k, j+1] - cum[k, i] points and the open one between i < j holds
+    cum[k, j] - cum[k, i+1], still cumulative along the other axes.  Above the
+    second-to-last axis the slabs join the batch, EXACT_BLOCK_BUDGET elements (or
+    one slab) per block; the second-to-last axis is scanned one i at a time.
     """
-    if counts.ndim == 1:
-        return _scan_last_axis(counts[None, :], cands[0], np.array([width]), n_total, closed)
-    xs = cands[0]
-    cum = np.concatenate([np.zeros((1,) + counts.shape[1:]), np.cumsum(counts, axis=0)])
+    if cum.ndim == 2:
+        return _scan_last_axis(cum, cands[0], widths, n_total, closed)
+    xs, grid = cands[0], cum.shape[2:]
     shift = int(closed)  # a closed slab also holds the points at both end candidates
     best = 0.0
-    for i in range(len(xs) - 1 + shift):
-        first = i + 1 - shift  # smallest admissible j
-        slabs = cum[first + shift : len(xs) + shift] - cum[first]
-        widths = width * (xs[first:] - xs[i])
-        if counts.ndim == 2:
-            best = max(best, _scan_last_axis(slabs, cands[1], widths, n_total, closed))
-        else:
-            for slab, w in zip(slabs, widths):
-                best = max(best, _sweep(slab, cands[1:], w, n_total, closed))
+    if cum.ndim == 3:
+        for i in range(len(xs) - 1 + shift):
+            first = i + 1 - shift  # smallest admissible j
+            slabs = cum[:, first + shift : len(xs) + shift] - cum[:, first, None]
+            w = widths[:, None] * (xs[first:] - xs[i])
+            best = max(best, _scan_last_axis(slabs.reshape(-1, grid[0]), cands[1], w.ravel(), n_total, closed))
+        return best
+    lo, hi = np.triu_indices(len(xs), k=1 - shift)
+    step = max(1, EXACT_BLOCK_BUDGET // (len(cum) * math.prod(grid)))
+    for k in range(0, len(lo), step):
+        i, j = lo[k : k + step], hi[k : k + step]
+        slabs = cum[:, j + shift] - cum[:, i + 1 - shift]
+        w = widths[:, None] * (xs[j] - xs[i])
+        best = max(best, _sweep(slabs.reshape((-1,) + grid), cands[1:], w.ravel(), n_total, closed))
     return best
 
 
@@ -99,18 +104,21 @@ def _exact_extreme(rows: np.ndarray) -> float:
     Per-axis box candidates are the point coordinates plus 0 and 1.  Face
     inclusion is resolved by evaluating the closed-box limit for the excess
     and the open-box limit for the deficit; their max over the candidate
-    family equals the true sup over half-open boxes.
+    family equals the true sup over half-open boxes.  The tally is cumulated
+    along every axis once, and the slabs of every leading axis but the
+    second-to-last are scanned as one batch, in blocks of EXACT_BLOCK_BUDGET.
     """
     cands = []
     idx = []
     for col in rows.T:
         c, where = np.unique(np.concatenate([col, [0.0, 1.0]]), return_inverse=True)
         cands.append(c)
-        idx.append(where[:-2])  # the appended 0 and 1 hold no point
-    tally = np.zeros([len(c) for c in cands])
-    np.add.at(tally, tuple(idx), 1.0)
-    n_total = rows.shape[0]
-    return max(_sweep(tally, cands, 1.0, n_total, closed) for closed in (True, False))
+        idx.append(where[:-2] + 1)  # the appended 0 and 1 hold no point; index 0 is the zero pad
+    cum = np.zeros([len(c) + 1 for c in cands])
+    np.add.at(cum, tuple(idx), 1.0)
+    for axis in range(cum.ndim):
+        cum = np.cumsum(cum, axis=axis)
+    return max(_sweep(cum[None], cands, np.array([1.0]), rows.shape[0], closed) for closed in (True, False))
 
 
 def exact_extreme_1d(points) -> DiscrepancyReport:

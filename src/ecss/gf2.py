@@ -191,13 +191,6 @@ def packed_windows(stream, r: int, start: int = 0):
         yield w
 
 
-def generate_bits(src: BitSequenceSource, count: int) -> list[int]:
-    """Return u(1..count) from the source."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    return src.bits(count)
-
-
 def sequence_period(poly: BinaryPoly, init) -> int:
     """Smallest tau >= 1 with window(n + tau) = window(n) for every n.
 

@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecss.cli import main
 from ecss.curve import CurvePoint, WeightVector, enumerate_points, validate_curve
@@ -26,6 +30,47 @@ def parse_csv(text):
     reader = csv.reader(lines)
     header = next(reader)
     return header, list(reader)
+
+
+def run_cli_on_stdin(body, *argv):
+    """Run the CLI with `body` as standard input, outside pytest's per-test fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(body)), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_max=True).map(repr)
+_BAD_CELL = {
+    "non-finite": st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400"]),
+    "outside": st.one_of(st.floats(1.0, 1e300), st.floats(-1e300, -1e-300)).map(repr),
+}
+
+
+@st.composite
+def disc_bodies(draw):
+    """(kind, s, CSV body) for `ecss disc`: valid rows with s = 1..4, ragged rows,
+    a non-finite or out-of-range cell, an empty body, or N just over the exact guard."""
+    kind = draw(st.sampled_from(["valid", "ragged", "non-finite", "outside", "empty", "over-guard"]))
+    if kind == "empty":
+        return kind, 0, draw(st.sampled_from(["", "\n", "# a comment only\n", "n,c0\n"]))
+    if kind == "over-guard":
+        s = draw(st.integers(2, 3))
+        rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((101 if s == 2 else 22, s))
+        return kind, s, "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    s = draw(st.integers(1, 4))
+    widths = st.integers(1, 4) if kind == "ragged" else st.just(s)
+    rows = draw(st.lists(widths.flatmap(lambda w: st.lists(_UNIT, min_size=w, max_size=w)), min_size=1, max_size=6))
+    if kind in _BAD_CELL:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(_BAD_CELL[kind])
+    body = "".join(",".join(row) + "\n" for row in rows)
+    s = len(rows[0])  # ragged rows may happen to agree
+    if kind == "valid" and draw(st.booleans()):  # the header and index column `ecss gen` writes
+        header = ",".join(["n"] + [f"c{k}" for k in range(s)])
+        body = header + "\n" + "".join(f"{k},{line}" for k, line in enumerate(body.splitlines(True)))
+    return kind, s, body
 
 
 class TestBeta:
@@ -177,6 +222,43 @@ class TestGenAndDisc:
         points_file.write_text("0.1,0.2\n0.3\n")
         code, _, _ = run_cli(capsys, "disc", "--input", str(points_file))
         assert code == 2
+
+    def test_disc_four_columns_needs_mc(self, capsys, tmp_path):
+        points_file = tmp_path / "pts.csv"
+        points_file.write_text("0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")
+        code, out, err = run_cli(capsys, "disc", "--input", str(points_file))
+        assert code == 2 and out == "" and "--method mc" in err
+        code, out, _ = run_cli(capsys, "disc", "--input", str(points_file), "--method", "mc",
+                               "--trials", "50", "--seed", "1")
+        payload = json.loads(out)
+        assert code == 0 and payload["s"] == 4 and payload["method"] == "monte-carlo-lower-bound"
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_disc_index_column_only_is_validation_error(self, capsys, tmp_path, method):
+        points_file = tmp_path / "pts.csv"
+        points_file.write_text("n\n0.5\n0.25\n")
+        code, out, _ = run_cli(capsys, "disc", "--input", str(points_file), "--method", method)
+        assert code == 2 and out == ""
+
+    @settings(max_examples=120, deadline=None)
+    @given(disc_bodies(), st.sampled_from(["exact", "mc"]))
+    @example(("valid", 4, "0.5,0.5,0.5,0.5\n"), "exact")
+    @example(("over-guard", 2, "0.5,0.5\n" * 101), "exact")
+    def test_disc_exit_codes_on_any_body(self, case, method):
+        kind, s, body = case
+        code, out, err = run_cli_on_stdin(body, "disc", "--input", "-", "--method", method,
+                                          "--trials", "20", "--seed", "1")
+        assert code in (0, 2, 3), err
+        if code:
+            assert out == "" and err.startswith(("error:", "scale guard:"))
+        else:
+            assert json.loads(out)["s"] == s
+        if kind in ("non-finite", "outside", "empty"):
+            assert code == 2
+        elif kind == "valid":
+            assert code == (2 if method == "exact" and s == 4 else 0)
+        elif kind == "over-guard":
+            assert code == (3 if method == "exact" else 0)
 
     def test_gen_negative_seed_is_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--curve", "13,2,3", "--poly", "0xb", "--n", "5",

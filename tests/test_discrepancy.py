@@ -4,9 +4,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ecss import discrepancy
 from ecss.discrepancy import (
     EXACT,
     MC_LOWER_BOUND,
@@ -61,6 +62,75 @@ def _boxes(cands):
 
     per_axis = [list(combinations_with_replacement(c, 2)) for c in cands]
     return product(*per_axis)
+
+
+def _reference_scan_last_axis(counts, vals, widths, n_total, closed):
+    prefix = np.cumsum(counts, axis=-1)  # points at candidates <= j
+    wv = widths[:, None] * vals
+    if closed:
+        below = prefix - counts  # points at candidates strictly left of i
+        left = np.maximum.accumulate(wv - below / n_total, axis=-1)
+        return float(np.max(prefix / n_total - wv + left))
+    # the open box (vals[i], vals[j]) holds prefix[j-1] - prefix[i] points
+    left = np.maximum.accumulate(prefix[:, :-1] / n_total - wv[:, :-1], axis=-1)
+    return float(np.max(wv[:, 1:] - prefix[:, :-1] / n_total + left))
+
+
+def _reference_sweep(counts, cands, width, n_total, closed):
+    if counts.ndim == 1:
+        return _reference_scan_last_axis(counts[None, :], cands[0], np.array([width]), n_total, closed)
+    xs = cands[0]
+    cum = np.concatenate([np.zeros((1,) + counts.shape[1:]), np.cumsum(counts, axis=0)])
+    shift = int(closed)
+    best = 0.0
+    for i in range(len(xs) - 1 + shift):
+        first = i + 1 - shift
+        slabs = cum[first + shift : len(xs) + shift] - cum[first]
+        widths = width * (xs[first:] - xs[i])
+        if counts.ndim == 2:
+            best = max(best, _reference_scan_last_axis(slabs, cands[1], widths, n_total, closed))
+        else:
+            for slab, w in zip(slabs, widths):
+                best = max(best, _reference_sweep(slab, cands[1:], w, n_total, closed))
+    return best
+
+
+def reference_exact_extreme(rows):
+    """The recursive one-slab-at-a-time scan the batched kernel replaced; the
+    kernel keeps its float expressions, so the two must agree bit for bit."""
+    rows = np.asarray(rows, dtype=float)
+    cands, idx = [], []
+    for col in rows.T:
+        c, where = np.unique(np.concatenate([col, [0.0, 1.0]]), return_inverse=True)
+        cands.append(c)
+        idx.append(where[:-2])
+    tally = np.zeros([len(c) for c in cands])
+    np.add.at(tally, tuple(idx), 1.0)
+    return max(_reference_sweep(tally, cands, 1.0, rows.shape[0], closed) for closed in (True, False))
+
+
+def exact_value(rows):
+    rows = np.asarray(rows, dtype=float)
+    s = rows.shape[1]
+    return (exact_extreme_1d(rows) if s == 1 else exact_extreme_multi(rows, s)).value
+
+
+@st.composite
+def point_sets(draw):
+    """Uniform sets, or sets on a coarse 1/16 grid for ties, with some rows repeated."""
+    s = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coord = st.integers(0, 15).map(lambda k: k / 16)
+    else:
+        coord = st.floats(0.0, 1.0, exclude_max=True)
+    rows = draw(st.lists(st.lists(coord, min_size=s, max_size=s), min_size=1, max_size=(40, 14, 7)[s - 1]))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+    return np.array(rows + [rows[k] for k in repeats])
+
+
+def guard_edge_rows(s, n, seed, tied):
+    rows = np.random.default_rng(seed).random((n, s))
+    return (np.round(rows * 8) / 8) % 1.0 if tied else rows
 
 
 class TestExactExtreme1d:
@@ -119,25 +189,21 @@ class TestExactExtremeMulti:
         # dense corner-grid oracle with side limits; the lattice contains the coords
         grid = np.linspace(0.0, 1.0, 201)
         pts = np.asarray(rows)
-        m = len(grid)
-        upper = np.triu(np.ones((m, m), dtype=bool))  # d >= c
-        y_len = np.where(upper, grid[None, :] - grid[:, None], np.nan)
-        # per point: which (c, d) pairs capture it, closed and open
-        y_closed = (grid[:, None] <= pts[:, 1][:, None, None]) & (pts[:, 1][:, None, None] <= grid[None, :])
-        y_open = (grid[:, None] < pts[:, 1][:, None, None]) & (pts[:, 1][:, None, None] < grid[None, :])
+        c, d = np.triu_indices(len(grid))  # every y-side pair with d >= c
+        y = pts[:, 1][:, None]
+        # per point: which (c, d) pairs capture it, closed and open; last row: the y-length
+        y_closed = np.vstack([(grid[c] <= y) & (y <= grid[d]), grid[d] - grid[c]])
+        y_open = np.vstack([(grid[c] < y) & (y < grid[d]), grid[d] - grid[c]])
         best = 0.0
         for i, a in enumerate(grid):
-            for b in grid[i:]:
-                in_x_closed = (pts[:, 0] >= a) & (pts[:, 0] <= b)
-                in_x_open = (pts[:, 0] > a) & (pts[:, 0] < b)
-                closed = np.tensordot(in_x_closed.astype(float), y_closed, axes=1)
-                open_ = np.tensordot(in_x_open.astype(float), y_open, axes=1)
-                vol = (b - a) * y_len
-                best = max(
-                    best,
-                    float(np.nanmax(closed / 4 - vol)),
-                    float(np.nanmax(vol - open_ / 4)),
-                )
+            b = grid[i:, None]  # every upper x-side b >= a at once
+            in_x_closed = (pts[:, 0] >= a) & (pts[:, 0] <= b)
+            in_x_open = (pts[:, 0] > a) & (pts[:, 0] < b)
+            # one product per side limit: count/4 - volume, and volume - count/4
+            excess = np.hstack([in_x_closed / 4, a - b]) @ y_closed
+            best = max(best, float(excess.max()))
+            deficit = np.hstack([in_x_open / -4, b - a]) @ y_open
+            best = max(best, float(deficit.max()))
         assert abs(value - best) < 1e-12
 
     def test_matches_bruteforce_oracle_2d(self):
@@ -201,6 +267,29 @@ class TestExactExtremeMulti:
         shuffled = rows[rnd.sample(range(len(rows)), len(rows))]
         exact = exact_extreme_1d if s == 1 else (lambda pts: exact_extreme_multi(pts, s))
         assert exact(shuffled).value == exact(rows).value
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets())
+    @example(np.array([[0.5]]))
+    @example(np.array([[0.25, 0.75]] * 3))
+    @example(np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.5, 0.0, 0.9375]]))
+    def test_bit_identical_to_reference_scan(self, rows):
+        assert exact_value(rows) == reference_exact_extreme(rows)
+
+    @pytest.mark.parametrize("s, n", [(1, 1023), (2, 100), (3, 21)])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bit_identical_to_reference_scan_at_guard_edge(self, s, n, tied):
+        rows = guard_edge_rows(s, n, 20 + s, tied)
+        assert exact_value(rows) == reference_exact_extreme(rows)
+
+    @pytest.mark.parametrize("s, n", [(2, 100), (3, 21)])
+    def test_block_budget_does_not_change_the_value(self, monkeypatch, s, n):
+        rows = guard_edge_rows(s, n, 30 + s, tied=False)
+        values = {}
+        for budget in (1, discrepancy.EXACT_BLOCK_BUDGET, 2**30):  # one slab per block, default, one block
+            monkeypatch.setattr(discrepancy, "EXACT_BLOCK_BUDGET", budget)
+            values[budget] = exact_value(rows)
+        assert len(set(values.values())) == 1, values
 
     def test_guard(self):
         rng = np.random.default_rng(5)

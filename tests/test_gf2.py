@@ -5,7 +5,6 @@ from ecss.gf2 import (
     BinaryPoly,
     LfsrSource,
     PeriodicSource,
-    generate_bits,
     poly_is_irreducible,
     sequence_period,
     windows_distinct,
@@ -65,20 +64,15 @@ class TestIrreducibility:
 class TestGenerateBits:
     def test_worked_trace(self):
         src = LfsrSource(BinaryPoly(0b111), (1, 0))
-        assert generate_bits(src, 6) == [1, 0, 1, 1, 0, 1]
+        assert src.bits(6) == [1, 0, 1, 1, 0, 1]
 
     def test_zero_state_is_fixed(self):
         src = LfsrSource(BinaryPoly(0b1011), (0, 0, 0))
-        assert generate_bits(src, 7) == [0] * 7
+        assert src.bits(7) == [0] * 7
 
     def test_constant_recurrence(self):
         src = LfsrSource(BinaryPoly(0b11), (1,))
-        assert generate_bits(src, 3) == [1, 1, 1]
-
-    def test_count_validated(self):
-        src = LfsrSource(BinaryPoly(0b111), (1, 0))
-        with pytest.raises(ValidationError):
-            generate_bits(src, 0)
+        assert src.bits(3) == [1, 1, 1]
 
     def test_reads_are_repeatable(self):
         src = LfsrSource(BinaryPoly(0b1011), (1, 0, 1))
