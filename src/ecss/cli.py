@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -58,16 +59,12 @@ def _parse_weights(text: str) -> tuple[curve.CurvePoint, ...]:
     return tuple(curve.parse_point(part) for part in text.split(";") if part.strip())
 
 
-def _default_init(degree: int) -> tuple[int, ...]:
-    return (1,) + (0,) * (degree - 1)
-
-
 def _cmd_gen(args) -> int:
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
     params = curve.parse_curve(args.curve)
     poly = gf2.BinaryPoly.from_hex(args.poly)
-    init = _parse_bits(args.init) if args.init else _default_init(poly.degree)
+    init = _parse_bits(args.init) if args.init else gf2.default_init(poly.degree)
     source = gf2.LfsrSource(poly, init)
     if args.weights:
         weights = curve.WeightVector(_parse_weights(args.weights))
@@ -99,7 +96,7 @@ def _cmd_curve_info(args) -> int:
 
 def _cmd_lfsr_info(args) -> int:
     poly = gf2.BinaryPoly.from_hex(args.poly)
-    init = _parse_bits(args.init) if args.init else _default_init(poly.degree)
+    init = _parse_bits(args.init) if args.init else gf2.default_init(poly.degree)
     irreducible = gf2.poly_is_irreducible(poly)
     period = gf2.sequence_period(poly, init)
     source = gf2.LfsrSource(poly, init)
@@ -145,6 +142,8 @@ def _read_point_rows(path: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
     if header and header[0] == "n":
         arr = arr[:, 1:]
+    if arr.shape[1] == 0:
+        raise ValidationError("point input has no coordinate columns besides the n index")
     return arr
 
 
@@ -168,12 +167,7 @@ def _cmd_bounds(args) -> int:
     inputs = discrepancy.BoundInputs(n=args.n, p=args.p, r=args.r, tau=args.tau,
                                      delta=args.delta, s=args.s)
     payload = {
-        "n": args.n,
-        "p": args.p,
-        "r": args.r,
-        "tau": args.tau,
-        "delta": args.delta,
-        "s": args.s,
+        **dataclasses.asdict(inputs),  # n, p, r, tau, delta, s
         "bound_1d": discrepancy.discrepancy_bound_1d(inputs),
         "elmahassni": discrepancy.elmahassni_bound(inputs),
         "bound_multi": discrepancy.discrepancy_bound_multi(inputs) if args.s and args.s >= 2 else None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScaleGuardError, ValidationError
+from .errors import ScaleGuardError, ValidationError, finite_float
 
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
 MAX_SPAN = 8  # transfer matrix dimension 4^s - 1 <= 65535
@@ -28,6 +28,7 @@ TIE_GAP = 1e-6  # radii this close to the top count as dominant
 _BLOCK = 1 << 17  # pair-matrix entries per block; small blocks keep the temporaries in cache
 
 
+@finite_float
 def alpha(s: int) -> float:
     """Growth base (4^s - 1)^(1/s) of the explicit bad-pair upper bound."""
     if s < 1:
@@ -35,6 +36,7 @@ def alpha(s: int) -> float:
     return (4.0**s - 1.0) ** (1.0 / s)
 
 
+@finite_float
 def bad_pair_upper_bound(r: int, s: int) -> float:
     """Explicit upper bound 2s 4^(s-1) alpha_s^r on the number of s-bad pairs."""
     if s < 1 or r < s:

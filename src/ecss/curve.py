@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleGuardError, ValidationError
+from .errors import ScaleGuardError, ValidationError, validate_int
 
 MAX_FIELD = 1 << 31  # modular products stay desk-scale; no big-field tricks
 MAX_ENUMERATION_P = 1 << 20  # point enumeration builds an O(p) residue table
@@ -62,7 +62,10 @@ class CurveParams:
 
 def validate_curve(p: int, a: int, b: int) -> CurveParams:
     """Validate (p, a, b), reducing a and b mod p."""
-    if not isinstance(p, int) or not is_prime(p):
+    for value, name in ((p, "p"), (a, "a"), (b, "b")):
+        validate_int(value, name)
+    p, a, b = int(p), int(a), int(b)  # numpy integers would overflow in 4a^3 + 27b^2
+    if not is_prime(p):
         raise ValidationError(f"p = {p} is not prime")
     return CurveParams(p, a % p, b % p)
 
@@ -190,19 +193,19 @@ def all_curve_orders(p: int) -> np.ndarray:
         raise ValidationError(f"p = {p} must be a prime above 3")
     if p >= MAX_ENUMERATION_P:
         raise ScaleGuardError(f"curve-order sweep capped at p < 2^20, got {p}")
-    nsol = _square_root_table(p)[0]
-    x = np.arange(p, dtype=np.int64)
-    b_arr = np.arange(p, dtype=np.int64)
     orders = np.empty((p, p), dtype=np.int64)
+    for a, roots, nonsingular in _root_counts_by_a(p):
+        orders[a] = np.where(nonsingular, 1 + roots.sum(axis=0), -1)
+    return orders
+
+
+def _root_counts_by_a(p: int):
+    """For each a: the (x, b) table of root counts of y^2 = x^3 + ax + b, and which b are nonsingular."""
+    nsol = _square_root_table(p)[0]
+    x = np.arange(p, dtype=np.int64)  # also the b axis
     x3 = (x * x * x) % p
     for a in range(p):
-        base = (x3 + a * x) % p
-        rhs = (base[:, None] + b_arr[None, :]) % p
-        orders[a, :] = 1 + nsol[rhs].sum(axis=0)
-    aa = np.arange(p, dtype=np.int64)[:, None]
-    singular = (4 * aa**3 + 27 * b_arr[None, :] ** 2) % p == 0
-    orders[singular] = -1
-    return orders
+        yield a, nsol[((x3 + a * x)[:, None] + x[None, :]) % p], (4 * a**3 + 27 * x**2) % p != 0
 
 
 def x_coord(point: CurvePoint) -> int:

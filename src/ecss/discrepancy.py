@@ -10,7 +10,7 @@ import numpy as np
 
 from .combinat import alpha
 from .curve import is_prime
-from .errors import ScaleGuardError, ValidationError, validate_seed
+from .errors import ScaleGuardError, ValidationError, finite_float, validate_seed
 from .generator import PointSet
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
@@ -203,6 +203,7 @@ class BoundInputs:
             raise ValidationError("s must be >= 1 when given")
 
 
+@finite_float
 def discrepancy_bound_1d(inputs: BoundInputs) -> float:
     """Average-case bound with the 3^(r/2) window-pair term; natural logs throughout."""
     n, p, r = inputs.n, inputs.p, inputs.r
@@ -210,6 +211,7 @@ def discrepancy_bound_1d(inputs: BoundInputs) -> float:
     return core * math.log(inputs.tau) ** 2 * math.log(p) / inputs.delta
 
 
+@finite_float
 def discrepancy_bound_multi(inputs: BoundInputs) -> float:
     """s-dimensional bound with the alpha_s^(r/2) term; requires s >= 2."""
     if inputs.s is None or inputs.s < 2:
@@ -220,6 +222,7 @@ def discrepancy_bound_multi(inputs: BoundInputs) -> float:
     return core * math.log(inputs.tau) ** 2 / inputs.delta
 
 
+@finite_float
 def elmahassni_bound(inputs: BoundInputs) -> float:
     """El Mahassni's earlier one-dimensional bound, for comparison."""
     n, p = inputs.n, inputs.p

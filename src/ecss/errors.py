@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the seed check every seeded entry point runs."""
+"""Exception types shared across the package, and the input rules every entry point shares."""
 
+import functools
+import math
 from numbers import Integral
 
 
@@ -11,7 +13,30 @@ class ScaleGuardError(RuntimeError):
     """Raised when a request exceeds the desk-scale guard of an exhaustive routine."""
 
 
+def validate_int(value, name: str, minimum: int | None = None) -> None:
+    """Reject anything but an integer (not a bool), and one below minimum when given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def validate_seed(seed) -> None:
     """Reject a seed numpy cannot take: it must be an integer (not a bool) and >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    validate_int(seed, "seed", 0)
+
+
+def finite_float(fn):
+    """Report a float overflow in fn, raised or returned as inf or nan, as a ValidationError."""
+
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            value = fn(*args)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValidationError(f"{fn.__name__} overflows a float at {', '.join(map(repr, args))}")
+        return value
+
+    return checked

@@ -19,8 +19,8 @@ from .discrepancy import (
     exact_fits_guard,
     mc_box_lower_bound,
 )
-from .errors import ValidationError, validate_seed
-from .gf2 import BinaryPoly, LfsrSource, poly_is_irreducible, sequence_period, windows_distinct
+from .errors import ValidationError, validate_int, validate_seed
+from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period, windows_distinct
 from .generator import LANE_BUDGET, _lane_sums, _point_arrays, s_tuples
 
 DEFAULT_MC_TRIALS = 4000
@@ -42,19 +42,18 @@ class ExperimentConfig:
     tau: int = field(init=False)  # the register period, computed from poly and init
 
     def __post_init__(self):
+        for name in ("r", "s", "samples"):
+            validate_int(getattr(self, name), name, 1)
+        for n in self.n_grid:
+            validate_int(n, "N grid entry", 1)
         if self.r != self.poly.degree:
             raise ValidationError(f"r = {self.r} does not match polynomial degree {self.poly.degree}")
-        if self.s < 1:
-            raise ValidationError("s must be >= 1")
-        if self.samples < 1:
-            raise ValidationError("sample count must be >= 1")
         if not 0 < self.delta < math.inf:
             raise ValidationError("delta must be positive and finite")
         validate_seed(self.seed)
         if not poly_is_irreducible(self.poly):
             raise ValidationError("characteristic polynomial must be irreducible")
-        init = self.init if self.init else (1,) + (0,) * (self.r - 1)
-        object.__setattr__(self, "init", tuple(init))
+        object.__setattr__(self, "init", tuple(self.init) if self.init else default_init(self.r))
         tau = sequence_period(self.poly, self.init)
         object.__setattr__(self, "tau", tau)
         if not windows_distinct(LfsrSource(self.poly, self.init), self.r, tau):
@@ -62,7 +61,7 @@ class ExperimentConfig:
         grid = tuple(sorted(int(n) for n in self.n_grid))
         if not grid:
             raise ValidationError("N grid must be nonempty")
-        if grid[0] < 1 or grid[-1] > tau:
+        if grid[-1] > tau:
             raise ValidationError(f"N grid must lie within [1, {tau}]")
         object.__setattr__(self, "n_grid", grid)
         if self.r > math.isqrt(self.curve.p):

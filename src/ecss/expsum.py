@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (CurveParams, CurvePoint, INFINITY, _square_root_table, add, enumerate_points, is_on_curve,
+from .curve import (CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points, is_on_curve,
                     is_prime, negate, x_coord)
 from .errors import ScaleGuardError, ValidationError
-from .generator import (LANE_BUDGET, GeneratorConfig, PointSet, WeightVector, _lane_sums, _mod, _point_arrays,
-                        _pow_mod)
+from .generator import GeneratorConfig, PointSet, WeightVector, _mod, _point_arrays, _pow_mod
+from .gf2 import packed_windows
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
-MAX_AVG_WEIGHT_WORK = 10**6  # (#E)^r * N
+MAX_AVG_WINDOW_BITS = 10**6  # N + r - 1 register bits, read and packed in Python
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,6 @@ class ComplexSum:
     def __post_init__(self):
         if abs(self.value) > self.terms + 1e-9:
             raise ValidationError("sum modulus exceeds the number of unit terms")
-
-
-def _accumulate(values) -> ComplexSum:
-    arr = np.asarray(values, dtype=complex)
-    return ComplexSum(value=complex(arr.sum()), terms=arr.size)
 
 
 def additive_character(m: int, z) -> complex:
@@ -48,7 +44,7 @@ def orthogonality_sum(m: int, lam: int) -> complex:
         raise ValidationError("modulus must be >= 1")
     eta = np.arange(m)
     values = np.exp(2j * np.pi * ((eta * (lam % m)) % m) / m)
-    return _accumulate(values).value
+    return ComplexSum(complex(values.sum()), values.size).value
 
 
 def dirichlet_l1(m: int, M: int) -> float:
@@ -86,7 +82,7 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
     minus_c = negate(c, curve)
     xs = [x_coord(add(c, point, curve)) for point in points if point != minus_c]
     values = np.exp(2j * np.pi * ((a % p) * np.asarray(xs, dtype=np.int64) % p) / p)
-    return _accumulate(values).value
+    return ComplexSum(complex(values.sum()), values.size).value
 
 
 def curve_char_sums_all(curve: CurveParams, c: CurvePoint = INFINITY, points=None) -> np.ndarray:
@@ -129,16 +125,9 @@ def max_char_ratio_all_curves(p: int) -> float:
         raise ValidationError(f"p = {p} must be a prime above 3")
     if p > 2000:
         raise ScaleGuardError("whole-curve character sweep capped at p <= 2000")
-    nsol = _square_root_table(p)[0].astype(np.float64)
-    x = np.arange(p, dtype=np.int64)
-    b_arr = np.arange(p, dtype=np.int64)
-    x3 = (x * x * x) % p
     best = 0.0
-    for a in range(p):
-        rhs = ((x3 + a * x)[:, None] + b_arr[None, :]) % p
-        hists = nsol[rhs]  # (x value, b)
-        mags = np.abs(np.fft.rfft(hists, axis=0)[1:, :])
-        nonsingular = (4 * a**3 + 27 * b_arr**2) % p != 0
+    for _, roots, nonsingular in _root_counts_by_a(p):
+        mags = np.abs(np.fft.rfft(roots.astype(np.float64), axis=0)[1:, :])  # roots: (x value, b)
         if nonsingular.any():
             best = max(best, float(mags[:, nonsingular].max()))
     return best / math.sqrt(p)
@@ -180,33 +169,25 @@ def koksma_szusz_rhs(points: PointSet, L: int) -> float:
 
 
 def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, source) -> float:
-    """Exact average over all weight vectors of |sum_{n<=N} e_p(a x(V(n)))|^2.
+    """Exact average over all weight vectors of |sum_{n<=N} e_p(a x(V(n)))|^2, in closed form.
 
-    Exhausts the full (#E)^r weight space; a = 0 is allowed as a calibration
-    input (every term is 1, so the result is N^2).
+    If window n has a set bit j that window m lacks, P_j makes V(n) uniform on E
+    and independent of V(m).  So with c_w the number of n <= N with window w,
+    z = c_0, N' = N - z and S = (1/#E) sum_{P in E} e_p(a x(P)) (x(O) = 0),
+    the average is sum_w c_w^2 + (N'^2 - sum_{w != 0} c_w^2) |S|^2 + 2 z N' Re S.
+    a = 0 is allowed as a calibration input (S = 1, so the result is N^2).
     """
     if r < 1 or count < 1:
         raise ValidationError("need r >= 1 and N >= 1")
-    points = enumerate_points(curve)
-    order = len(points)
-    vectors = order**r
-    work = vectors * count
-    if work > MAX_AVG_WEIGHT_WORK:
-        raise ScaleGuardError(f"(#E)^r * N = {work} exceeds {MAX_AVG_WEIGHT_WORK}")
+    if count + r - 1 > MAX_AVG_WINDOW_BITS:
+        raise ScaleGuardError(f"N + r - 1 = {count + r - 1} register bits exceed {MAX_AVG_WINDOW_BITS}")
     GeneratorConfig(source=source, weights=WeightVector((INFINITY,) * r), curve=curve)  # validates the source
-    p = curve.p
-    bits = source.bits(count + r - 1)
-    px, py, pinf = (arr[0] for arr in _point_arrays([points]))
-    # Summed in itertools.product(points, repeat=r) order, where vector k picks points k // place % #E.
-    place = order ** np.arange(r - 1, -1, -1)
-    block = max(1, LANE_BUDGET // count)
-    total = 0.0
-    for start in range(0, vectors, block):
-        picks = np.arange(start, min(start + block, vectors))[:, None] // place % order
-        xs = _lane_sums(bits, px[picks], py[picks], pinf[picks], curve)[0]
-        sums = np.exp(2j * np.pi * ((a % p) * xs % p) / p).sum(axis=1)
-        if (np.abs(sums) > count + 1e-9).any():  # the ComplexSum check, once per block
-            raise ValidationError("sum modulus exceeds the number of unit terms")
-        for value in sums.tolist():
-            total += abs(value) ** 2  # Python abs and order: np.abs and np.sum change the last digits
-    return total / vectors
+    points = enumerate_points(curve)
+    total = ComplexSum(1 + complex(curve_char_sums_all(curve, points=points)[a % curve.p]), len(points))
+    mean = total.value / total.terms
+    counts = Counter(packed_windows(source.bits(count + r - 1), r))
+    zero = counts[0]
+    nonzero = count - zero
+    squares = sum(c * c for c in counts.values())
+    off_diagonal = nonzero * nonzero - (squares - zero * zero)
+    return squares + off_diagonal * abs(mean) ** 2 + 2 * zero * nonzero * mean.real

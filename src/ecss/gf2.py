@@ -117,15 +117,9 @@ class BitSequenceSource(ABC):
         """Return [u(1), ..., u(count)]."""
 
 
-def _pack_window(bits) -> tuple[int, int]:
-    packed = 0
-    length = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValidationError(f"window bits must be 0 or 1, got {b!r}")
-        packed |= b << length
-        length += 1
-    return packed, length
+def default_init(degree: int) -> tuple[int, ...]:
+    """The initial window (1, 0, ..., 0) used when none is given."""
+    return (1,) + (0,) * (degree - 1)
 
 
 class LfsrSource(BitSequenceSource):
@@ -137,13 +131,13 @@ class LfsrSource(BitSequenceSource):
     """
 
     def __init__(self, poly: BinaryPoly, init):
-        packed, length = _pack_window(init)
-        if length != poly.degree:
-            raise ValidationError(
-                f"initial window has {length} bits, polynomial degree is {poly.degree}"
-            )
+        init = tuple(init)
+        if any(b not in (0, 1) for b in init):
+            raise ValidationError(f"window bits must be 0 or 1, got {init!r}")
+        if len(init) != poly.degree:
+            raise ValidationError(f"initial window has {len(init)} bits, polynomial degree is {poly.degree}")
         self.poly = poly
-        self._init = packed
+        self._init = sum(b << t for t, b in enumerate(init))  # packed LSB-first
 
     @property
     def order(self) -> int:
@@ -198,11 +192,7 @@ def sequence_period(poly: BinaryPoly, init) -> int:
     then a bijection, so the first return to the start is the period).  For
     an irreducible polynomial the result divides 2^r - 1.
     """
-    packed, length = _pack_window(init)
-    if length != poly.degree:
-        raise ValidationError(
-            f"initial window has {length} bits, polynomial degree is {poly.degree}"
-        )
+    packed = LfsrSource(poly, init)._init
     if packed == 0:
         raise ValidationError("zero initial window is excluded (all-zero output)")
     if poly.constant_term != 1:

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -71,6 +74,18 @@ def disc_bodies(draw):
         header = ",".join(["n"] + [f"c{k}" for k in range(s)])
         body = header + "\n" + "".join(f"{k},{line}" for k, line in enumerate(body.splitlines(True)))
     return kind, s, body
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+CONFIG_FIELDS = ["curve", "curve.p", "curve.a", "curve.b", "poly_hex", "r", "s", "n_grid", "samples", "delta", "seed"]
 
 
 class TestBeta:
@@ -237,8 +252,9 @@ class TestGenAndDisc:
     def test_disc_index_column_only_is_validation_error(self, capsys, tmp_path, method):
         points_file = tmp_path / "pts.csv"
         points_file.write_text("n\n0.5\n0.25\n")
-        code, out, _ = run_cli(capsys, "disc", "--input", str(points_file), "--method", method)
+        code, out, err = run_cli(capsys, "disc", "--input", str(points_file), "--method", method)
         assert code == 2 and out == ""
+        assert err == "error: point input has no coordinate columns besides the n index\n"  # no --method hint
 
     @settings(max_examples=120, deadline=None)
     @given(disc_bodies(), st.sampled_from(["exact", "mc"]))
@@ -312,6 +328,31 @@ class TestBounds:
     def test_invalid_inputs(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--n", "0", "--p", "5", "--r", "1", "--tau", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [("--r", "5000"), ("--r", "2", "--s", "5000"), ("--r", "2", "--delta", "1e-320")])
+    def test_float_overflow_is_validation_error(self, capsys, extra):
+        code, out, err = run_cli(capsys, "bounds", "--n", "5", "--p", "11", "--tau", "10", *extra)
+        assert code == 2 and out == "" and "overflows a float" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(-2, 10**6) | st.integers(),
+        p=st.sampled_from([2, 5, 11, 1009, 2**61 - 1]) | st.integers(),
+        r=st.integers(-2, 3000) | st.integers(),
+        tau=st.integers(-2, 10**6) | st.integers(),
+        delta=st.floats(),
+        s=st.none() | st.integers(-2, 1000) | st.integers(),
+    )
+    @example(n=5, p=11, r=5000, tau=10, delta=1.0, s=None)
+    @example(n=5, p=11, r=2, tau=10, delta=1.0, s=5000)
+    def test_exit_codes_on_any_numbers(self, n, p, r, tau, delta, s):
+        argv = ["bounds", f"--n={n}", f"--p={p}", f"--r={r}", f"--tau={tau}", f"--delta={delta!r}"]
+        code, out, err = run_cli_on_stdin("", *argv, *([f"--s={s}"] if s is not None else []))
+        assert code in (0, 2), err
+        if code == 0:
+            json.loads(out, parse_constant=reject_constant)  # every number finite
+        else:
+            assert out == "" and err.startswith("error:")
 
 
 class TestExpsumCheck:
@@ -439,6 +480,40 @@ class TestExperiment:
         path.write_text(text)
         code, _, _ = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", 2.0), ("s", 1.5), ("s", True), ("r", 5.0),
+        ("n_grid", [5.7]), ("n_grid", ["5"]), ("n_grid", [4, True]), ("curve", {"p": 101, "a": 1.5, "b": 1}),
+    ])
+    def test_non_integer_field_is_validation_error(self, capsys, tmp_path, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, field: value}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2 and out == "" and "must be an integer" in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), json_values, max_size=2))
+    @example({})
+    @example({"samples": 2.5})
+    @example({"s": True, "n_grid": ["5"]})
+    def test_exit_codes_on_any_field_values(self, overrides):
+        config = json.loads(json.dumps(self.CONFIG))
+        for field, value in overrides.items():
+            head, _, leaf = field.partition(".")
+            if not leaf:
+                config[head] = value
+            elif isinstance(config[head], dict):  # "curve" itself may have been replaced
+                config[head][leaf] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # r > sqrt(p) warns on small primes
+                code, out, err = run_cli_on_stdin("", "experiment", "--config", path)
+        assert code in (0, 2, 3), err
+        if code:
+            assert out == "" and err.startswith(("error:", "scale guard:"))
 
 
 class TestParserBehaviour:

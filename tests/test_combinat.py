@@ -83,6 +83,14 @@ class TestAlpha:
         with pytest.raises(ValidationError):
             alpha(0)
 
+    def test_float_overflow_is_validation_error(self):
+        assert alpha(511) == (4.0**511 - 1.0) ** (1.0 / 511)  # the last s whose 4^s is a float
+        for s in (512, 5000):
+            with pytest.raises(ValidationError, match="overflows a float"):
+                alpha(s)
+        with pytest.raises(ValidationError, match="overflows a float"):
+            bad_pair_upper_bound(5000, 2)
+
 
 class TestIsSGood:
     def test_worked_examples(self):

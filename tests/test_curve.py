@@ -50,6 +50,15 @@ class TestValidateCurve:
         c = validate_curve(5, 6, -4)
         assert (c.a, c.b) == (1, 1)
 
+    @pytest.mark.parametrize("params", [(101.0, 1, 1), (101, 1.5, 1), (101, 1, 1e300), (101, True, 1), (101, 1, "1")])
+    def test_non_integer_rejected(self, params):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            validate_curve(*params)
+
+    def test_numpy_integers_become_python_ints(self):
+        c = validate_curve(np.int64(2_147_483_629), np.int64(2_000_000_000), np.int64(7))
+        assert all(type(v) is int for v in (c.p, c.a, c.b))
+
     def test_field_cap(self):
         with pytest.raises(ValidationError):
             validate_curve(2_147_483_659, 1, 1)  # prime just above 2^31

@@ -387,6 +387,15 @@ class TestBoundEvaluators:
         for fn in (discrepancy_bound_1d, discrepancy_bound_multi, elmahassni_bound):
             assert fn(inputs) == fn(inputs)
 
+    def test_float_overflow_is_validation_error(self):
+        wide = BoundInputs(n=5, p=11, r=5000, tau=10, delta=1.0, s=2)
+        for fn in (discrepancy_bound_1d, discrepancy_bound_multi):
+            with pytest.raises(ValidationError, match="overflows a float"):
+                fn(wide)
+        tiny_delta = BoundInputs(n=5, p=11, r=2, tau=10, delta=1e-320)  # inf is returned, not raised
+        with pytest.raises(ValidationError, match="overflows a float"):
+            elmahassni_bound(tiny_delta)
+
     def test_inputs_validated(self):
         with pytest.raises(ValidationError):
             BoundInputs(n=0, p=5, r=2, tau=3, delta=1.0)

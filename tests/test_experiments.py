@@ -55,6 +55,21 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match="seed"):
             small_config(seed=seed)
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", 5.0), ("r", True), ("s", 1.5), ("s", True), ("samples", 2.0), ("samples", 2.5),
+        ("n_grid", (4, 5.7)), ("n_grid", ("5",)), ("n_grid", (True, 8)),
+    ])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            small_config(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        config = small_config(s=np.int64(2), samples=np.int64(3), n_grid=(np.int64(8), 4))
+        assert config.n_grid == (4, 8) and all(type(n) is int for n in config.n_grid)
+
+    def test_default_init_is_the_unit_window(self):
+        assert small_config().init == (1, 0, 0, 0, 0)
+
     def test_numpy_integer_seed_accepted(self):
         assert small_config(seed=np.int64(5)).seed == 5
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ecss.curve import CurvePoint, INFINITY, add, enumerate_points, is_prime, negate, validate_curve, x_coord
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.expsum import (
+    MAX_AVG_WINDOW_BITS,
     ComplexSum,
     additive_character,
     avg_square_sum_over_weights,
@@ -17,8 +19,8 @@ from ecss.expsum import (
     max_char_ratio_all_curves,
     orthogonality_sum,
 )
-from ecss.generator import LANE_BUDGET, PointSet
-from ecss.gf2 import BinaryPoly, LfsrSource
+from ecss.generator import PointSet
+from ecss.gf2 import BinaryPoly, LfsrSource, PeriodicSource
 
 F5 = validate_curve(5, 1, 1)
 
@@ -231,6 +233,33 @@ class TestKoksmaSzusz:
             koksma_szusz_rhs(ps, 1)
 
 
+def exhaustive_avg_square(params, r, a, count, source):
+    """Average of |sum_{n<=N} e_p(a x(V(n)))|^2 over all (#E)^r weight vectors, by an addition table."""
+    points = enumerate_points(params)  # index 0 is the identity
+    index = {point: i for i, point in enumerate(points)}
+    table = np.array([[index[add(u, v, params)] for v in points] for u in points])
+    xs = np.array([x_coord(point) for point in points])
+    combos = np.array(list(product(range(len(points)), repeat=r)))  # (#E^r, r)
+    sums = np.zeros((1 << r, len(combos)), dtype=np.int64)  # sums[mask] = index of sum_{j in mask} P_j
+    for mask in range(1, 1 << r):
+        top = mask.bit_length() - 1
+        sums[mask] = table[sums[mask ^ (1 << top)], combos[:, top]]
+    bits = source.bits(count + r - 1)
+    windows = [sum(bits[n + t] << t for t in range(r)) for n in range(count)]
+    phases = np.exp(2j * np.pi * ((a * xs[sums[windows]]) % params.p) / params.p)  # (N, #E^r)
+    return float(np.mean(np.abs(phases.sum(axis=0)) ** 2))
+
+
+def mean_character(params, a):
+    """(1/#E) sum_{P in E} e_p(a x(P)), with x(O) = 0, summed point by point."""
+    points = enumerate_points(params)
+    return sum(cmath.exp(2j * math.pi * a * x_coord(point) / params.p) for point in points) / len(points)
+
+
+# A primitive trinomial X^31 + X^3 + 1: tau = 2^31 - 1, far beyond any N used here.
+POLY_31 = BinaryPoly((1 << 31) | (1 << 3) | 1)
+
+
 class TestAvgSquareSum:
     def source(self):
         return LfsrSource(BinaryPoly(0b111), (1, 0))
@@ -243,8 +272,6 @@ class TestAvgSquareSum:
 
     def test_matches_independent_recomputation(self):
         # oracle: explicit double loop over all 81 weight vectors
-        from itertools import product
-
         points = enumerate_points(F5)
         bits = self.source().bits(4)
         total = 0.0
@@ -262,12 +289,9 @@ class TestAvgSquareSum:
         assert abs(value - expected) < 1e-9
         assert value <= 3 + 9 / math.sqrt(5) + 1e-9  # diagonal plus off-diagonal shape
 
-    def test_lane_blocks_cover_every_weight_vector_once(self):
-        from itertools import product
-
+    def test_matches_enumeration_at_r4(self):
         source = LfsrSource(BinaryPoly(0x13), (1, 0, 0, 1))
         points = enumerate_points(F5)
-        assert len(points) ** 4 > LANE_BUDGET // 3  # 6561 weight vectors take two lane blocks
         bits = source.bits(6)
         total = 0.0
         for combo in product(points, repeat=4):
@@ -281,13 +305,54 @@ class TestAvgSquareSum:
             total += abs(inner) ** 2
         assert abs(avg_square_sum_over_weights(F5, 4, 2, 3, source) - total / len(points) ** 4) < 1e-9
 
+    @pytest.mark.parametrize(
+        "params, r, count, source",
+        [
+            ((11, 1, 1), 4, 15, LfsrSource(BinaryPoly(0x13), (1, 0, 0, 0))),  # the benchmark input
+            ((13, 2, 0), 3, 7, LfsrSource(BinaryPoly(0b1011), (0, 1, 1))),  # 2-torsion point (0, 0)
+            ((7, 0, 1), 4, 12, LfsrSource(BinaryPoly(0x19), (1, 1, 0, 1))),  # 2-torsion point (6, 0)
+            ((7, 0, 1), 3, 14, PeriodicSource((0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1, 1))),  # zero, repeated windows
+        ],
+    )
+    def test_closed_form_matches_exhaustive_oracle_for_every_a(self, params, r, count, source):
+        params = validate_curve(*params)
+        for a in range(params.p):
+            want = exhaustive_avg_square(params, r, a, count, source)
+            got = avg_square_sum_over_weights(params, r, a, count, source)
+            assert abs(got - want) <= 1e-12 * want, (a, got, want)
+        assert avg_square_sum_over_weights(params, r, 0, count, source) == count * count
+
+    def test_distinct_windows_give_n_plus_off_diagonal_mean_square(self):
+        # N <= tau: every window is distinct and nonzero, so avg = N + N(N-1)|S|^2.
+        # (#E)^r N is about 10^35 here; an enumeration could not run.
+        params = validate_curve(101, 1, 1)
+        source = LfsrSource(POLY_31, (1,) + (0,) * 30)
+        count = 10**4
+        for a in (1, 2, 50, 100):
+            want = count + count * (count - 1) * abs(mean_character(params, a)) ** 2
+            got = avg_square_sum_over_weights(params, 31, a, count, source)
+            assert abs(got - want) <= 1e-12 * want, (a, got, want)
+
+    @pytest.mark.parametrize("params, poly", [((101, 1, 1), 0x25), ((1009, 3, 7), 0x409)])
+    def test_average_within_bombieri_constant(self, params, poly):
+        # |S(a)| <= 5 sqrt(p) (criterion 6) bounds the mean character by (1 + 5 sqrt(p)) / #E.
+        params = validate_curve(*params)
+        poly = BinaryPoly(poly)
+        source = LfsrSource(poly, (1,) + (0,) * (poly.degree - 1))
+        count = 2**poly.degree - 1  # N = tau
+        order = len(enumerate_points(params))
+        bound = count + count * (count - 1) * (1 + 5 * math.sqrt(params.p)) ** 2 / order**2
+        for a in range(1, params.p):
+            assert avg_square_sum_over_weights(params, poly.degree, a, count, source) <= bound
+
     def test_register_order_must_match_r(self):
         with pytest.raises(ValidationError):
             avg_square_sum_over_weights(F5, 3, 1, 3, self.source())
 
     def test_guard(self):
-        with pytest.raises(ScaleGuardError):
-            avg_square_sum_over_weights(F5, 7, 1, 10, LfsrSource(BinaryPoly(0b10000001), (1,) * 7))
+        source = LfsrSource(POLY_31, (1,) * 31)
+        with pytest.raises(ScaleGuardError, match="register bits"):
+            avg_square_sum_over_weights(F5, 31, 1, MAX_AVG_WINDOW_BITS - 29, source)
 
 
 class TestDomainTypes:

@@ -5,6 +5,7 @@ from ecss.gf2 import (
     BinaryPoly,
     LfsrSource,
     PeriodicSource,
+    default_init,
     poly_is_irreducible,
     sequence_period,
     windows_distinct,
@@ -109,6 +110,17 @@ class TestSequencePeriod:
     def test_degree_guard(self):
         with pytest.raises(ScaleGuardError):
             sequence_period(BinaryPoly(1 << 25 | 1), (1,) + (0,) * 24)
+
+    @pytest.mark.parametrize("init", [(1,), (1, 0, 0), (1, 2)])
+    def test_init_checked_as_by_the_register(self, init):
+        with pytest.raises(ValidationError) as from_period:
+            sequence_period(BinaryPoly(0b111), init)
+        with pytest.raises(ValidationError) as from_register:
+            LfsrSource(BinaryPoly(0b111), init)
+        assert str(from_period.value) == str(from_register.value)
+
+    def test_default_init_is_the_unit_window(self):
+        assert default_init(1) == (1,) and default_init(4) == (1, 0, 0, 0)
 
     @pytest.mark.parametrize("degree", range(2, 9))
     def test_irreducible_period_independent_of_init(self, degree):
