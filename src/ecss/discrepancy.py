@@ -10,7 +10,7 @@ import numpy as np
 
 from .combinat import alpha
 from .curve import is_prime
-from .errors import ScaleGuardError, ValidationError, finite_float, validate_seed
+from .errors import ScaleGuardError, ValidationError, finite_float, validate_positive_real, validate_seed
 from .generator import PointSet
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
@@ -49,76 +49,99 @@ def exact_fits_guard(n: int, s: int) -> bool:
     return n ** (2 * s) <= MAX_EXACT_MULTI_WORK
 
 
-def _scan_last_axis(cum: np.ndarray, vals: np.ndarray, widths: np.ndarray, n_total: int, closed: bool) -> float:
+def _scan_last_axis(cum: np.ndarray, vals: np.ndarray, widths: np.ndarray, n_total: int, closed: bool) -> np.ndarray:
     """Best box along the last axis, one row of counts per fixed set of leading sides.
 
     Row k holds cum[k, j] points at candidates < j of the slab with leading
-    volume widths[k].  Closed boxes give the excess max_{i <= j} count/N - volume,
-    open boxes the deficit max_{i < j} volume - count/N.
+    volume widths[k]; vals broadcasts against the rows.  Closed boxes give the
+    excess max_{i <= j} count/N - volume, open boxes the deficit
+    max_{i < j} volume - count/N.  Returns the best value of each index of
+    the first axis.
     """
     share = cum / n_total
-    wv = widths[:, None] * vals
+    wv = widths[..., None] * vals
     if closed:  # the closed box [vals[i], vals[j]] holds cum[j+1] - cum[i] points
-        left = np.maximum.accumulate(wv - share[:, :-1], axis=-1)
-        return float(np.max(share[:, 1:] - wv + left))
-    # the open box (vals[i], vals[j]) holds cum[j] - cum[i+1] points
-    left = np.maximum.accumulate(share[:, 1:-1] - wv[:, :-1], axis=-1)
-    return float(np.max(wv[:, 1:] - share[:, 1:-1] + left))
+        left = np.maximum.accumulate(wv - share[..., :-1], axis=-1)
+        boxes = share[..., 1:] - wv + left
+    else:  # the open box (vals[i], vals[j]) holds cum[j] - cum[i+1] points
+        left = np.maximum.accumulate(share[..., 1:-1] - wv[..., :-1], axis=-1)
+        boxes = wv[..., 1:] - share[..., 1:-1] + left
+    return boxes.reshape(len(boxes), -1).max(axis=1)
 
 
-def _sweep(cum: np.ndarray, cands: list, widths: np.ndarray, n_total: int, closed: bool) -> float:
-    """Best closed (or open) box over a batch of cumulative count grids, grid k of width widths[k].
+def _sweep(cum: np.ndarray, cands: list, widths: np.ndarray, n_total: int, closed: bool) -> np.ndarray:
+    """Best closed (or open) box of each cumulative count grid cum[k], of leading width widths[k].
 
-    cum[k] counts, per axis, the points at candidates below each index, so
-    along the first axis the closed slab between candidates i <= j holds
-    cum[k, j+1] - cum[k, i] points and the open one between i < j holds
-    cum[k, j] - cum[k, i+1], still cumulative along the other axes.  Above the
-    second-to-last axis the slabs join the batch, EXACT_BLOCK_BUDGET elements (or
-    one slab) per block; the second-to-last axis is scanned one i at a time.
+    cands[a][k] are grid k's candidates on axis a.  cum[k] counts, per axis,
+    the points at candidates below each index, so along the first axis the
+    closed slab between candidates i <= j holds cum[k, j+1] - cum[k, i] points
+    and the open one between i < j holds cum[k, j] - cum[k, i+1], still
+    cumulative along the other axes.  Above the second-to-last axis the slabs
+    join the batch, EXACT_BLOCK_BUDGET elements (or one slab per grid) per
+    block; the second-to-last axis is scanned one i at a time.
     """
     if cum.ndim == 2:
         return _scan_last_axis(cum, cands[0], widths, n_total, closed)
     xs, grid = cands[0], cum.shape[2:]
     shift = int(closed)  # a closed slab also holds the points at both end candidates
-    best = 0.0
+    found = []
     if cum.ndim == 3:
-        for i in range(len(xs) - 1 + shift):
+        for i in range(xs.shape[1] - 1 + shift):
             first = i + 1 - shift  # smallest admissible j
-            slabs = cum[:, first + shift : len(xs) + shift] - cum[:, first, None]
-            w = widths[:, None] * (xs[first:] - xs[i])
-            best = max(best, _scan_last_axis(slabs.reshape(-1, grid[0]), cands[1], w.ravel(), n_total, closed))
-        return best
-    lo, hi = np.triu_indices(len(xs), k=1 - shift)
+            slabs = cum[:, first + shift : xs.shape[1] + shift] - cum[:, first, None]
+            w = widths[:, None] * (xs[:, first:] - xs[:, i, None])
+            found.append(_scan_last_axis(slabs, cands[1][:, None], w, n_total, closed))
+        return np.max(found, axis=0)
+    lo, hi = np.triu_indices(xs.shape[1], k=1 - shift)
     step = max(1, EXACT_BLOCK_BUDGET // (len(cum) * math.prod(grid)))
     for k in range(0, len(lo), step):
         i, j = lo[k : k + step], hi[k : k + step]
         slabs = cum[:, j + shift] - cum[:, i + 1 - shift]
-        w = widths[:, None] * (xs[j] - xs[i])
-        best = max(best, _sweep(slabs.reshape((-1,) + grid), cands[1:], w.ravel(), n_total, closed))
-    return best
+        w = widths[:, None] * (xs[:, j] - xs[:, i])
+        inner = [np.repeat(c, len(i), axis=0) for c in cands[1:]]
+        best = _sweep(slabs.reshape((-1,) + grid), inner, w.ravel(), n_total, closed)
+        found.append(best.reshape(len(cum), -1).max(axis=1))
+    return np.max(found, axis=0)
 
 
-def _exact_extreme(rows: np.ndarray) -> float:
-    """Exact sup over half-open boxes [a, b) of |count/N - volume|, any number of axes.
+def _exact_extreme(samples: np.ndarray) -> np.ndarray:
+    """Exact sup over half-open boxes [a, b) of |count/N - volume| of each (N, s) sample of a (B, N, s) batch.
 
-    Per-axis box candidates are the point coordinates plus 0 and 1.  Face
-    inclusion is resolved by evaluating the closed-box limit for the excess
-    and the open-box limit for the deficit; their max over the candidate
-    family equals the true sup over half-open boxes.  The tally is cumulated
-    along every axis once, and the slabs of every leading axis but the
-    second-to-last are scanned as one batch, in blocks of EXACT_BLOCK_BUDGET.
+    Per-axis box candidates are a sample's distinct coordinates plus 0 and 1.
+    Face inclusion is resolved by evaluating the closed-box limit for the
+    excess and the open-box limit for the deficit; their max over the
+    candidate family equals the true sup over half-open boxes.  Each sample's
+    candidates are padded with copies of 1.0 to the batch's widest, and these
+    hold no point: a box reaching a padded candidate repeats a box ending at
+    the sample's own 1.0, and one starting there has volume and count 0, so
+    no value changes.  The tally is cumulated along every axis once, and the
+    slabs of every leading axis but the second-to-last are scanned as one
+    batch, in blocks of EXACT_BLOCK_BUDGET.
     """
-    cands = []
-    idx = []
-    for col in rows.T:
-        c, where = np.unique(np.concatenate([col, [0.0, 1.0]]), return_inverse=True)
+    n_samples, n_total, s = samples.shape
+    batch = np.arange(n_samples)[:, None]
+    cands, flat = [], 0  # flat: each point's cell in a sample's count grid
+    for axis in range(s):
+        col = np.empty((n_samples, n_total + 2))
+        col[:, :n_total] = samples[:, :, axis]
+        col[:, n_total:] = 0.0, 1.0
+        order = np.argsort(col, axis=1)
+        ordered = np.take_along_axis(col, order, axis=1)
+        rank = np.zeros(order.shape, dtype=np.int64)  # of each sorted value among the distinct ones
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=rank[:, 1:])
+        c = np.ones((n_samples, rank[:, -1].max() + 1))
+        c[batch, rank] = ordered
+        where = np.empty_like(rank)
+        where[batch, order] = rank
         cands.append(c)
-        idx.append(where[:-2] + 1)  # the appended 0 and 1 hold no point; index 0 is the zero pad
-    cum = np.zeros([len(c) + 1 for c in cands])
-    np.add.at(cum, tuple(idx), 1.0)
-    for axis in range(cum.ndim):
+        # The appended 0 and 1 hold no point; index 0 of each axis is the zero pad.
+        flat = flat * (c.shape[1] + 1) + where[:, :-2] + 1
+    shape = [n_samples] + [c.shape[1] + 1 for c in cands]
+    cum = np.bincount((flat + batch * math.prod(shape[1:])).ravel(), minlength=math.prod(shape)).reshape(shape)
+    for axis in range(1, cum.ndim):
         cum = np.cumsum(cum, axis=axis)
-    return max(_sweep(cum[None], cands, np.array([1.0]), rows.shape[0], closed) for closed in (True, False))
+    cum, widths = cum.astype(float), np.ones(n_samples)
+    return np.maximum(*(_sweep(cum, cands, widths, n_total, closed) for closed in (True, False)))
 
 
 def exact_extreme_1d(points) -> DiscrepancyReport:
@@ -127,7 +150,7 @@ def exact_extreme_1d(points) -> DiscrepancyReport:
     rows = _as_rows(points)
     if rows.shape[1] != 1:
         raise ValidationError("one-dimensional routine got multi-column points")
-    value = _exact_extreme(rows)
+    value = float(_exact_extreme(rows[None])[0])
     return DiscrepancyReport(rows.shape[0], 1, value, EXACT, time.perf_counter() - start)
 
 
@@ -142,7 +165,7 @@ def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
     n_total = rows.shape[0]
     if not exact_fits_guard(n_total, s):
         raise ScaleGuardError(f"N^(2s) = {n_total ** (2 * s)} exceeds {MAX_EXACT_MULTI_WORK}")
-    value = _exact_extreme(rows)
+    value = float(_exact_extreme(rows[None])[0])
     return DiscrepancyReport(n_total, s, value, EXACT, time.perf_counter() - start)
 
 
@@ -193,8 +216,7 @@ class BoundInputs:
     def __post_init__(self):
         if not 1 <= self.n <= self.tau:
             raise ValidationError("need 1 <= N <= tau")
-        if not 0 < self.delta < math.inf:
-            raise ValidationError("delta must be positive and finite")
+        validate_positive_real(self.delta, "delta")
         if self.r < 1:
             raise ValidationError("r must be >= 1")
         if not is_prime(self.p):

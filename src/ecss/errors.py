@@ -2,7 +2,7 @@
 
 import functools
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ValidationError(ValueError):
@@ -19,6 +19,16 @@ def validate_int(value, name: str, minimum: int | None = None) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def validate_positive_real(value, name: str) -> None:
+    """Reject anything but a real number (not a bool) above 0 and finite as a float."""
+    try:
+        valid = not isinstance(value, bool) and isinstance(value, Real) and 0 < float(value) < math.inf
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def validate_seed(seed) -> None:

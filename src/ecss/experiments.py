@@ -10,18 +10,20 @@ import numpy as np
 
 from .curve import CurveParams, WeightVector, enumerate_points
 from .discrepancy import (
+    EXACT,
+    EXACT_BLOCK_BUDGET,
+    MC_LOWER_BOUND,
     BoundInputs,
+    _exact_extreme,
     discrepancy_bound_1d,
     discrepancy_bound_multi,
     elmahassni_bound,
-    exact_extreme_1d,
-    exact_extreme_multi,
     exact_fits_guard,
     mc_box_lower_bound,
 )
-from .errors import ValidationError, validate_int, validate_seed
+from .errors import ValidationError, validate_int, validate_positive_real, validate_seed
 from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period, windows_distinct
-from .generator import LANE_BUDGET, _lane_sums, _point_arrays, s_tuples
+from .generator import LANE_BUDGET, _lane_sums, _point_arrays
 
 DEFAULT_MC_TRIALS = 4000
 
@@ -48,8 +50,7 @@ class ExperimentConfig:
             validate_int(n, "N grid entry", 1)
         if self.r != self.poly.degree:
             raise ValidationError(f"r = {self.r} does not match polynomial degree {self.poly.degree}")
-        if not 0 < self.delta < math.inf:
-            raise ValidationError("delta must be positive and finite")
+        validate_positive_real(self.delta, "delta")
         validate_seed(self.seed)
         if not poly_is_irreducible(self.poly):
             raise ValidationError("characteristic polynomial must be irreducible")
@@ -107,66 +108,48 @@ def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> 
     return out
 
 
-def _sample_discrepancies(config: ExperimentConfig, outputs: np.ndarray, mc_seed: int):
-    """D values for one sample's normalised outputs at every N in the grid, plus the method used."""
-    values = []
-    methods = []
-    for n in config.n_grid:
-        if config.s == 1:
-            report = exact_extreme_1d(outputs[:n])
-        else:
-            window = s_tuples(outputs[: n + config.s - 1], config.s)
-            if exact_fits_guard(n, config.s):
-                report = exact_extreme_multi(window, config.s)
-            else:
-                report = mc_box_lower_bound(window, DEFAULT_MC_TRIALS, mc_seed)
-        values.append(report.value)
-        methods.append(report.method)
-    return values, methods
-
-
 def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run the harness: sample weight vectors, compute D(N) per sample, aggregate.
 
     Every sample shares one register, so the bits are generated once and the
     samples' outputs are computed in blocks of lanes; each block's D values
-    are taken before the next block is summed.
+    are taken before the next block is summed.  Within the guard, one exact
+    kernel call takes as many of a block's samples as keep N^s count cells
+    within EXACT_BLOCK_BUDGET: the whole block when s = 1, since a block holds
+    at most LANE_BUDGET / N samples and the two budgets are equal.  Past the
+    guard each sample gets a Monte-Carlo lower bound.  The bounds are
+    evaluated first, so an overflow stops the run before any sample is drawn.
     """
+    inputs = [BoundInputs(n=n, p=config.curve.p, r=config.r, tau=config.tau, delta=config.delta,
+                          s=config.s if config.s >= 2 else None) for n in config.n_grid]
+    bound = discrepancy_bound_1d if config.s == 1 else discrepancy_bound_multi
+    bounds = [(bound(i), elmahassni_bound(i)) for i in inputs]
+    exact = [config.s == 1 or exact_fits_guard(n, config.s) for n in config.n_grid]
     weights = sample_weight_vectors(config.curve, config.r, config.samples, config.seed)
     mc_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence((config.seed, 1)).spawn(config.samples)]
     count = config.n_grid[-1] + config.s - 1
     bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
     wx, wy, winf = _point_arrays(weights)
     block = max(1, LANE_BUDGET // count)
-    results = []
+    matrix = np.empty((config.samples, len(config.n_grid)))
     for start in range(0, config.samples, block):
         part = slice(start, start + block)
-        x = _lane_sums(bits, wx[part], wy[part], winf[part], config.curve)[0]
-        for outputs, mc_seed in zip(x / config.curve.p, mc_seeds[part]):
-            results.append(_sample_discrepancies(config, outputs, mc_seed))
-
-    matrix = np.asarray([values for values, _ in results])  # (samples, grid)
-    rows = []
-    for col, n in enumerate(config.n_grid):
-        d = matrix[:, col]
-        inputs = BoundInputs(n=n, p=config.curve.p, r=config.r, tau=config.tau,
-                             delta=config.delta, s=config.s if config.s >= 2 else None)
-        thm = discrepancy_bound_1d(inputs) if config.s == 1 else discrepancy_bound_multi(inputs)
-        methods = {m[col] for _, m in results}
-        rows.append(
-            SweepRow(
-                n=n,
-                s=config.s,
-                mean=float(d.mean()),
-                median=float(np.median(d)),
-                q90=float(np.quantile(d, 0.9)),
-                thm_bound=thm,
-                elma_bound=elmahassni_bound(inputs),
-                method=methods.pop() if len(methods) == 1 else "mixed",
-            )
-        )
-    return rows
-
+        outputs = _lane_sums(bits, wx[part], wy[part], winf[part], config.curve)[0] / config.curve.p
+        values = matrix[part]  # a view: the block's rows
+        for col, n in enumerate(config.n_grid):
+            tuples = np.lib.stride_tricks.sliding_window_view(outputs[:, : n + config.s - 1], config.s, axis=1)
+            if exact[col]:
+                group = max(1, EXACT_BLOCK_BUDGET // n**config.s)
+                for first in range(0, len(tuples), group):
+                    values[first : first + group, col] = _exact_extreme(tuples[first : first + group])
+            else:
+                for row, (sample, mc_seed) in enumerate(zip(tuples, mc_seeds[part])):
+                    values[row, col] = mc_box_lower_bound(sample, DEFAULT_MC_TRIALS, mc_seed).value
+    return [
+        SweepRow(n=n, s=config.s, mean=float(d.mean()), median=float(np.median(d)), q90=float(np.quantile(d, 0.9)),
+                 thm_bound=thm, elma_bound=elma, method=EXACT if fits else MC_LOWER_BOUND)
+        for n, d, (thm, elma), fits in zip(config.n_grid, matrix.T, bounds, exact)
+    ]
 
 def slope_fit(rows: list[SweepRow]) -> float:
     """Least-squares slope of log(mean D) against log N."""

@@ -103,6 +103,100 @@ def _pow_mod(z: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
+def _affine(X, Y, Z, p: int):
+    """Affine x and y (0 and 0 at the identity) and non-identity mask of projective points."""
+    z_inv = _pow_mod(Z, p - 2, p)  # Fermat; 0 where Z = 0
+    return _mod(X * z_inv, p), _mod(Y * z_inv, p), Z != 0
+
+
+def _doubles(x, y, curve: CurveParams):
+    """Projective tangent doubles (X, Y, Z) of affine points: w = 3x^2 + a, X = 2hy, Z = 8y^3.
+
+    Z is 0 exactly for the 2-torsion points (y = 0).
+    """
+    p = curve.p
+    w = _mod(3 * _mod(x * x, p) + curve.a, p)
+    yy = _mod(y * y, p)
+    xyy = _mod(x * yy, p)
+    h = _mod(w * w - 8 * xyy, p)
+    return (_mod(2 * _mod(h * y, p), p),
+            _mod(w * _mod(4 * xyy - h, p) - 8 * _mod(yy * yy, p), p),
+            _mod(8 * _mod(yy * y, p), p))
+
+
+def _mixed_add(X, Y, Z, x2, y2, double, sel, p: int):
+    """(X : Y : Z) + (x2, y2) where sel is set, (X : Y : Z) elsewhere; returns new arrays.
+
+    The accumulator is projective on int64, the identity being Z = 0; the
+    point is affine with its projective double.  The special cases are
+    masks, not branches: an identity accumulator takes the point; an
+    accumulator equal to the point takes its double, whose Z is 0 for
+    2-torsion; the opposite point gives v = 0 and hence Z = 0.  sel must be
+    clear where the point is the identity.  Since p < 2^31, a product of two
+    residues is below 2^62; each is reduced before it is used again.
+    """
+    first = sel & (Z == 0)
+    u = _mod(y2 * Z - Y, p)
+    v = _mod(x2 * Z - X, p)
+    same = sel & ((u | v) == 0)
+    vv = _mod(v * v, p)
+    vvv = _mod(v * vv, p)
+    R = _mod(vv * X, p)
+    A = _mod(_mod(u * u, p) * Z - vvv - 2 * R, p)
+    X3 = _mod(v * A, p)
+    Y3 = _mod(u * _mod(R - A, p) - _mod(vvv * Y, p), p)
+    Z3 = _mod(vvv * Z, p)
+    return [np.where(sel, np.where(first, coord, np.where(same, dbl, new)), acc)
+            for acc, new, coord, dbl in ((X, X3, x2, double[0]), (Y, Y3, y2, double[1]), (Z, Z3, 1, double[2]))]
+
+
+def _chunk_width(r: int, n_lanes: int, n_vectors: int) -> int:
+    """Chunk width k of _lane_sums: the minimum of a cost model counted in array elements.
+
+    A pass of additions or inversions costs its elements plus about 300 for
+    numpy's per-call overhead.  With c = ceil(r/k) chunks, the tables take k
+    passes over about 2 c 2^k elements per weight vector (doubling, then
+    normalising); for c > 1 the lanes take c more passes (c - 1 additions, one
+    inversion) over N elements each.  Widths whose tables would exceed
+    2 max(N, 2r) entries per weight vector are not considered.  So once
+    N >= 2r the tables never outgrow twice the lanes, which the batched
+    callers keep within LANE_BUDGET (256 KiB per int64 table array), and
+    below that they hold at most 4r entries, four per weight.
+    """
+
+    def cost(k):
+        chunks = -(-r // k)
+        lane_passes = chunks * (chunks > 1)
+        return 300 * (k + lane_passes) + n_vectors * ((2 * chunks << k) + lane_passes * n_lanes)
+
+    return min((k for k in range(1, r + 1) if -(-r // k) << k <= 2 * max(n_lanes, 2 * r)), key=cost)
+
+
+def _chunk_tables(wx, wy, winf, k: int, curve: CurveParams):
+    """Affine subset sums of each chunk of k weights, as (L, chunks * 2^k) x, y and non-identity mask.
+
+    Entry m of chunk i is the sum of the weights i*k + t over the set bits t
+    of m; the last chunk is padded with identities.  The tables are built by
+    doubling, entry m + 2^t = entry m + P_t for m < 2^t, and normalised by
+    one Fermat inversion.
+    """
+    p = curve.p
+    n_vectors, r = wx.shape
+    chunks = -(-r // k)
+    cx, cy, keep = (np.zeros((n_vectors, chunks * k), dtype=w.dtype) for w in (wx, wy, winf))
+    cx[:, :r], cy[:, :r], keep[:, :r] = wx, wy, ~winf
+    cx, cy, keep = (w.reshape(n_vectors, chunks, k) for w in (cx, cy, keep))
+    double = _doubles(cx, cy, curve)
+    X, Y, Z = (np.zeros((n_vectors, chunks, 1 << k), dtype=np.int64) for _ in range(3))
+    X[..., 1], Y[..., 1], Z[..., 1] = cx[..., 0], cy[..., 0], keep[..., 0]  # an identity has x = y = 0
+    for t in range(1, k):
+        low, high = slice(None, 1 << t), slice(1 << t, 2 << t)
+        X[..., high], Y[..., high], Z[..., high] = _mixed_add(
+            X[..., low], Y[..., low], Z[..., low], cx[..., t, None], cy[..., t, None],
+            [d[..., t, None] for d in double], keep[..., t, None], p)
+    return [a.reshape(n_vectors, -1) for a in _affine(X, Y, Z, p)]
+
+
 def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
     """Subset sums V(n) = sum_j u(n+j) P_j on an (L, N) grid of lanes.
 
@@ -112,52 +206,32 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
     _point_arrays.  Returns the affine x and y and the identity mask, each
     (L, N); identity lanes read x = y = 0.
 
-    Step j adds weight j wherever bit j of the window is set, with the mixed
-    projective-plus-affine addition on int64 (X : Y : Z); the identity is
-    Z = 0.  The special cases are masks, not branches: an identity
-    accumulator takes the weight; an accumulator equal to the weight takes
-    its precomputed double, whose Z is 0 for 2-torsion; the opposite point
-    gives v = 0 and hence Z = 0; an identity weight is skipped.  One
-    Fermat inversion Z^(p-2) ends the loop.  Since p < 2^31, a product of
-    two residues is below 2^62; each is reduced before it is used again.
+    V(n) depends on n only through its window, so this is Lim and Lee's
+    fixed-base comb: the window is cut into chunks of k bits, each chunk
+    indexes a table of the subset sums of its k weights (_chunk_tables), and
+    V(n) is the sum of one entry per chunk.  The ceil(r/k) - 1 mixed
+    additions run on int64 projective lanes, and a last Fermat inversion
+    normalises them.  With one chunk V(n) is a single lookup.
     """
     p = curve.p
-    bits = np.asarray(bits, dtype=bool)
-    n_lanes = len(bits) - wx.shape[1] + 1
-    # Tangent doubles in projective form: w = 3x^2 + a, X = 2hy, Z = 8y^3.
-    w = _mod(3 * _mod(wx * wx, p) + curve.a, p)
-    yy = _mod(wy * wy, p)
-    xyy = _mod(wx * yy, p)
-    h = _mod(w * w - 8 * xyy, p)
-    dx = _mod(2 * _mod(h * wy, p), p)
-    dy = _mod(w * _mod(4 * xyy - h, p) - 8 * _mod(yy * yy, p), p)
-    dz = _mod(8 * _mod(yy * wy, p), p)
-    keep = ~np.asarray(winf, dtype=bool)
-
-    # Step 0 adds weight 0 to the identity, which leaves weight 0 itself.
-    Z = (bits[None, :n_lanes] & keep[:, :1]).astype(np.int64)
-    X = Z * wx[:, :1]
-    Y = Z * wy[:, :1]
-    for j in range(1, wx.shape[1]):
-        x2, y2 = wx[:, j, None], wy[:, j, None]
-        sel = bits[None, j : j + n_lanes] & keep[:, j, None]
-        first = sel & (Z == 0)
-        u = _mod(y2 * Z - Y, p)
-        v = _mod(x2 * Z - X, p)
-        same = sel & ((u | v) == 0)
-        vv = _mod(v * v, p)
-        vvv = _mod(v * vv, p)
-        R = _mod(vv * X, p)
-        A = _mod(_mod(u * u, p) * Z - vvv - 2 * R, p)
-        X3 = _mod(v * A, p)
-        Y3 = _mod(u * _mod(R - A, p) - _mod(vvv * Y, p), p)
-        Z3 = _mod(vvv * Z, p)
-        for acc, new, weight, double in ((X, X3, x2, dx), (Y, Y3, y2, dy), (Z, Z3, 1, dz)):
-            new += same * (double[:, j, None] - new)
-            new += first * (weight - new)
-            acc += sel * (new - acc)
-    z_inv = _pow_mod(Z, p - 2, p)
-    return _mod(X * z_inv, p), _mod(Y * z_inv, p), Z == 0
+    r = wx.shape[1]
+    n_lanes = len(bits) - r + 1
+    k = _chunk_width(r, n_lanes, wx.shape[0])
+    chunks = -(-r // k)
+    tx, ty, tkeep = _chunk_tables(wx, wy, np.asarray(winf, dtype=bool), k, curve)
+    # Entry m of packed holds bits[m : m + k], LSB first; the zero padding completes the
+    # last chunk and keeps one k-window when N = 0.
+    padded = np.concatenate([np.asarray(bits, dtype=np.int64), np.zeros(chunks * k - r + 1, dtype=np.int64)])
+    packed = np.convolve(padded, 1 << np.arange(k - 1, -1, -1), "valid")
+    index = [packed[i * k : i * k + n_lanes] + (i << k) for i in range(chunks)]
+    if chunks == 1:
+        return tx[:, index[0]], ty[:, index[0]], ~tkeep[:, index[0]]
+    double = _doubles(tx, ty, curve)
+    X, Y, Z = tx[:, index[0]], ty[:, index[0]], tkeep[:, index[0]].astype(np.int64)
+    for g in index[1:]:
+        X, Y, Z = _mixed_add(X, Y, Z, tx[:, g], ty[:, g], [d[:, g] for d in double], tkeep[:, g], p)
+    x, y, keep = _affine(X, Y, Z, p)
+    return x, y, ~keep
 
 
 def _curve_outputs(config: GeneratorConfig, first: int, count: int):
@@ -182,9 +256,10 @@ def ec_subset_sum(config: GeneratorConfig, n: int) -> CurvePoint:
 def ec_subset_sum_stream(config: GeneratorConfig, count: int) -> list[CurvePoint]:
     """Point outputs for n = 1..count in a single register pass.
 
-    Each output is a sum of up to r weights: the sliding window reweights
-    every term, so there is no cheaper incremental update.  All outputs are
-    summed at once as lanes of one vectorised kernel.
+    The sliding window reweights every term, so V(n + 1) is no cheap update
+    of V(n); but V(n) depends on n only through its window.  So the outputs
+    are lanes of one vectorised kernel that looks up precomputed subset sums
+    of chunks of the weights and adds one per chunk (_lane_sums).
     """
     x, y, inf = _curve_outputs(config, 1, count)
     return [INFINITY if i else CurvePoint(xi, yi)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ecss import experiments
 from ecss.cli import main
 from ecss.curve import CurvePoint, WeightVector, enumerate_points, validate_curve
 from ecss.discrepancy import exact_extreme_1d
@@ -86,6 +88,28 @@ json_values = st.recursive(
     max_leaves=4,
 )
 CONFIG_FIELDS = ["curve", "curve.p", "curve.a", "curve.b", "poly_hex", "r", "s", "n_grid", "samples", "delta", "seed"]
+
+
+GEN_CURVES = {text: enumerate_points(validate_curve(*map(int, text.split(","))))
+              for text in ("13,2,0", "101,1,1", "1009,1,1")}
+
+
+@st.composite
+def gen_argv(draw):
+    """`ecss gen` arguments: curves valid or not, and weight lists of any length and content."""
+    curve = draw(st.sampled_from(sorted(GEN_CURVES)) | st.text(max_size=8)
+                 | st.tuples(st.integers(), st.integers(), st.integers()).map(lambda t: ",".join(map(str, t))))
+    points = [f"{pt.x},{pt.y}" if pt.y is not None else "inf" for pt in GEN_CURVES.get(curve, [])]
+    point = st.just("inf") | st.tuples(st.integers(), st.integers()).map(lambda t: f"{t[0]},{t[1]}") \
+        | st.text(max_size=5)
+    if points:
+        point = point | st.sampled_from(points)
+    weights = st.none() | st.lists(point, max_size=12).map(";".join)
+    return (curve, draw(st.sampled_from(["0xb", "0x13", "0x409"])),
+            draw(st.integers(-3, 2000) | st.text(max_size=4)),
+            draw(st.none() | st.integers(-2, 5) | st.text(max_size=3)),
+            draw(st.none() | st.integers() | st.text(max_size=3)),
+            draw(weights))
 
 
 class TestBeta:
@@ -275,6 +299,30 @@ class TestGenAndDisc:
             assert code == (2 if method == "exact" and s == 4 else 0)
         elif kind == "over-guard":
             assert code == (3 if method == "exact" else 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen_argv())
+    @example(("1009,1,1", "0x409", 23, 3, 7, None))
+    @example(("13,2,0", "0xb", 5, None, None, "0,0;inf;0,0"))
+    @example(("13,2,0", "0xb", 5, None, None, "13,0;inf;0,0"))
+    @example(("1048583,1,1", "0xb", 5, None, 0, None))
+    def test_gen_exit_codes_on_any_arguments(self, case):
+        curve, poly, n, s, seed, weights = case
+        argv = ["gen", f"--curve={curve}", f"--poly={poly}", f"--n={n}"]
+        argv += [f"--{flag}={value}" for flag, value in (("s", s), ("seed", seed), ("weights", weights))
+                 if value is not None]
+        try:
+            code, out, err = run_cli_on_stdin("", *argv)
+        except SystemExit as exc:  # argparse rejects a non-integer --n, --s or --seed
+            assert exc.code == 2
+            return
+        assert code in (0, 2, 3), err
+        if code:
+            assert out == "" and err.startswith(("error:", "scale guard:"))
+        elif s is None:
+            assert len(out.splitlines()) == int(n)
+        else:
+            assert len(parse_csv(out)[1]) == int(n) - int(s) + 1
 
     def test_gen_negative_seed_is_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--curve", "13,2,3", "--poly", "0xb", "--n", "5",
@@ -491,6 +539,24 @@ class TestExperiment:
         code, out, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2 and out == "" and "must be an integer" in err
 
+    @pytest.mark.parametrize("delta", [True, False, "1.0", None, [1.0], 0, -1.0, 10**400])
+    def test_bad_delta_is_validation_error(self, capsys, tmp_path, delta):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "delta": delta}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2 and out == "" and "delta must be a positive finite number" in err
+
+    def test_bound_overflow_exits_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def never(*_):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(experiments, "sample_weight_vectors", never)
+        monkeypatch.setattr(experiments, "_lane_sums", never)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "delta": 1e-320}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2 and out == "" and "overflows a float" in err
+
     @settings(max_examples=80, deadline=None)
     @given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), json_values, max_size=2))
     @example({})
@@ -528,3 +594,33 @@ class TestParserBehaviour:
         _, out, _ = run_cli(capsys, "expsum-check", "--curve", "5,1,1", "--all-a")
         header, rows = parse_csv(out)
         assert all(len(r) == len(header) for r in rows)
+
+
+README_CONFIG = {"curve": {"p": 1009, "a": 1, "b": 1}, "poly_hex": "0x409", "r": 10, "s": 1,
+                 "n_grid": [64, 128, 256, 512, 1023], "samples": 100, "delta": 1.0, "seed": 12345}
+
+
+class TestPinnedOutputs:
+    """SHA-256 of whole CLI outputs, so a kernel change that moves one digit fails here.
+
+    The digests were taken from the scalar-oracle-checked outputs before the
+    chunk-table generator kernel and the batched exact scan; an intended change
+    of output (a VERSION bump, a new column) updates them.
+    """
+
+    @pytest.mark.parametrize("config, digest", [
+        (README_CONFIG, "2ed00d9ddd3b90271fb14876468bef72b84b654a5f3f2463d74e1088ed6ae9ba"),
+        ({**README_CONFIG, "s": 2, "n_grid": [25, 50, 100], "samples": 10},
+         "f322d9880325197c36523f32ea5a1b1c1d3f5829a7c72b3061bf4e14a4fcb41e"),
+    ])
+    def test_experiment(self, capsys, tmp_path, config, digest):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_gen_s3(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", "23",
+                               "--s", "3", "--seed", "7")
+        digest = "53ec93427a89b1bcbea055cd3f44ce25f3194178b470b7001bf6390920d6e14f"
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

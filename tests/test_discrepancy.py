@@ -12,6 +12,7 @@ from ecss.discrepancy import (
     EXACT,
     MC_LOWER_BOUND,
     BoundInputs,
+    _exact_extreme,
     DiscrepancyReport,
     discrepancy_bound_1d,
     discrepancy_bound_multi,
@@ -299,6 +300,69 @@ class TestExactExtremeMulti:
             exact_extreme_multi(PointSet(s=4, rows=rng.random((5, 4))), 4)
 
 
+@st.composite
+def sample_batches(draw, max_n=(40, 8, 3)):
+    """A (B, N, s) batch whose samples differ in their distinct counts.
+
+    Each sample is uniform or on a 2-, 3- or 7-level grid (ties), and any
+    coordinate may be exactly 0.0.
+    """
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n[s - 1]))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        levels = draw(st.sampled_from([None, 2, 3, 7]))
+        if levels is None:
+            coord = st.floats(0.0, 1.0, exclude_max=True)
+        else:
+            coord = st.integers(0, levels - 1).map(lambda k, m=levels: k / m)
+        coord = coord | st.just(0.0)
+        samples.append(draw(st.lists(st.lists(coord, min_size=s, max_size=s), min_size=n, max_size=n)))
+    return np.array(samples)
+
+
+def tiered_batch(s, n, seed):
+    """Uniform, 7-, 3- and 2-level samples of one (N, s) shape, so their candidate counts differ."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((4, n, s))
+    for k, levels in enumerate((7, 3, 2), start=1):
+        rows[k] = np.floor(rows[k] * levels) / levels
+    rows[1, 0] = 0.0
+    return rows
+
+
+class TestBatchedExactKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(sample_batches())
+    @example(np.array([[[0.0]], [[0.5]]]))
+    @example(np.array([[[0.0, 0.5], [0.5, 0.0]], [[0.25, 0.25], [0.25, 0.25]]]))
+    def test_equals_per_sample_calls_and_oracle(self, batch):
+        s = batch.shape[2]
+        values = _exact_extreme(batch)
+        assert values.shape == (len(batch),)
+        oracle = oracle_extreme_1d if s == 1 else oracle_extreme_multi
+        for sample, value in zip(batch, values):
+            assert value == _exact_extreme(sample[None])[0] == exact_value(sample)
+            assert abs(value - oracle(sample[:, 0] if s == 1 else sample)) < 1e-12
+
+    @pytest.mark.parametrize("s, n", [(1, 1023), (2, 60), (3, 12)])
+    def test_tiered_batch_equals_per_sample_calls(self, s, n):
+        batch = tiered_batch(s, n, 40 + s)
+        distinct = {len(np.unique(sample[:, 0])) for sample in batch}
+        assert len(distinct) == len(batch)  # the padding differs per sample
+        values = _exact_extreme(batch)
+        assert values.tolist() == [exact_value(sample) for sample in batch]
+
+    @pytest.mark.parametrize("s, n", [(2, 30), (3, 8)])
+    def test_block_budget_does_not_change_the_batch(self, monkeypatch, s, n):
+        batch = tiered_batch(s, n, 50 + s)
+        values = set()
+        for budget in (1, discrepancy.EXACT_BLOCK_BUDGET, 2**30):
+            monkeypatch.setattr(discrepancy, "EXACT_BLOCK_BUDGET", budget)
+            values.add(tuple(_exact_extreme(batch).tolist()))
+        assert len(values) == 1, values
+
+
 class TestMcLowerBound:
     def test_never_exceeds_exact(self):
         rng = np.random.default_rng(6)
@@ -406,6 +470,11 @@ class TestBoundEvaluators:
         with pytest.raises(ValidationError):
             BoundInputs(n=3, p=5, r=2, tau=3, delta=0.0)
 
+
+    @pytest.mark.parametrize("delta", [True, "1.0", None, math.nan, math.inf, -2.0, 10**400])
+    def test_delta_must_be_a_positive_finite_number(self, delta):
+        with pytest.raises(ValidationError, match="delta must be a positive finite number"):
+            BoundInputs(n=3, p=5, r=2, tau=3, delta=delta)
 
 class TestNontrivialExponent:
     def test_s_one_matches_crossover_exponent(self):

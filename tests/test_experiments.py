@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from ecss import experiments
 
 from ecss.curve import INFINITY, add, enumerate_points, validate_curve, x_coord
 from ecss.errors import ValidationError
@@ -34,6 +38,18 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def scalar_outputs(bits, weights, curve, count):
+    """The first count outputs of one weight vector, by scalar group additions."""
+    outputs = []
+    for n in range(count):
+        acc = INFINITY
+        for j, point in enumerate(weights):
+            if bits[n + j]:
+                acc = add(acc, point, curve)
+        outputs.append(acc)
+    return outputs
+
+
 class TestExperimentConfig:
     def test_tau_computed(self):
         assert small_config().tau == 31
@@ -62,6 +78,15 @@ class TestExperimentConfig:
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match="must be an integer"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("delta", [True, False, "1.0", None, [1.0], math.nan, math.inf, 0, -1.0, 10**400])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ValidationError, match="delta"):
+            small_config(delta=delta)
+
+    @pytest.mark.parametrize("delta", [2, 0.5, np.float64(1e-3)])
+    def test_real_delta_accepted(self, delta):
+        assert small_config(delta=delta).delta == delta
 
     def test_numpy_integer_fields_accepted(self):
         config = small_config(s=np.int64(2), samples=np.int64(3), n_grid=(np.int64(8), 4))
@@ -149,6 +174,28 @@ class TestDiscrepancySweep:
         for row in rows:
             assert row.q90 >= row.mean or abs(row.q90 - row.mean) < 1e-12
 
+    def test_bound_overflow_stops_before_sampling(self, monkeypatch):
+        def never(*_):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(experiments, "sample_weight_vectors", never)
+        monkeypatch.setattr(experiments, "_lane_sums", never)
+        with pytest.raises(ValidationError, match="overflows a float"):
+            discrepancy_sweep(small_config(delta=1e-320))
+
+    def test_monte_carlo_rows_past_the_guard(self):
+        config = small_config(s=2, n_grid=(10, 101), samples=3, curve=validate_curve(1009, 1, 1),
+                              poly=BinaryPoly(0x409), r=10)
+        rows = discrepancy_sweep(config)
+        assert [row.method for row in rows] == ["exact", "monte-carlo-lower-bound"]
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence((config.seed, 1)).spawn(3)]
+        bits = LfsrSource(config.poly, config.init).bits(102 + config.r - 1)
+        d = []
+        for weights, seed in zip(sample_weight_vectors(config.curve, config.r, 3, config.seed), seeds):
+            outputs = [x_coord(point) / config.curve.p for point in scalar_outputs(bits, weights, config.curve, 102)]
+            d.append(experiments.mc_box_lower_bound(s_tuples(outputs, 2), experiments.DEFAULT_MC_TRIALS, seed).value)
+        assert rows[1].mean == float(np.mean(d))
+
     @pytest.mark.parametrize("overrides", [
         dict(curve=validate_curve(1009, 1, 1), poly=BinaryPoly(0x409), r=10, n_grid=(64, 256, 1023),
              samples=40),
@@ -161,13 +208,7 @@ class TestDiscrepancySweep:
         bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
         matrix = []
         for weights in sample_weight_vectors(config.curve, config.r, config.samples, config.seed):
-            outputs = []
-            for n in range(count):
-                acc = INFINITY
-                for j, point in enumerate(weights):
-                    if bits[n + j]:
-                        acc = add(acc, point, config.curve)
-                outputs.append(x_coord(acc) / config.curve.p)
+            outputs = [x_coord(point) / config.curve.p for point in scalar_outputs(bits, weights, config.curve, count)]
             if config.s == 1:
                 matrix.append([exact_extreme_1d(outputs[:n]).value for n in config.n_grid])
             else:

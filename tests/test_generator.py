@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from ecss.curve import (CurvePoint, INFINITY, WeightVector, add, enumerate_points, negate, validate_curve,
                         x_coord)
 from ecss.errors import ValidationError
+from ecss import generator
 from ecss.generator import (
     GeneratorConfig,
     PointSet,
     ResidueWeights,
+    _chunk_width,
     _lane_sums,
     _point_arrays,
     ec_subset_sum,
@@ -109,6 +113,84 @@ class TestLaneKernel:
         source = LfsrSource(BinaryPoly(0x11D), (1,) + (0,) * 7)  # primitive: every nonzero window
         config = GeneratorConfig(source=source, weights=weights, curve=curve)
         assert ec_subset_sum_stream(config, 255) == scalar_fold(source.bits(262), weights, curve)
+
+
+F1009 = validate_curve(1009, 1, 1)
+TABLE_CURVES = KERNEL_CURVES + [F1009]
+TABLE_POINTS = {**KERNEL_POINTS, F1009: enumerate_points(F1009)}
+
+
+@st.composite
+def table_cases(draw):
+    """Weight vectors of the table kernel's orders, a bit string, and a forced chunk width or None.
+
+    Weights mix fresh points, identities, repeats and negatives of earlier
+    weights, and 2-torsion points (y = 0) where the curve has them.
+    """
+    curve = draw(st.sampled_from(TABLE_CURVES))
+    points = TABLE_POINTS[curve]
+    torsion = [pt for pt in points if pt.y == 0]
+    r = draw(st.sampled_from([1, 2, 5, 10, 13, 31]))
+    vectors = []
+    for _ in range(draw(st.integers(1, 2))):
+        weights = []
+        for j in range(r):
+            kinds = ["point", "identity"] + ["repeat", "inverse"] * bool(j) + ["torsion"] * bool(torsion)
+            kind = draw(st.sampled_from(kinds))
+            if kind == "point":
+                weights.append(draw(st.sampled_from(points)))
+            elif kind == "identity":
+                weights.append(INFINITY)
+            elif kind == "torsion":
+                weights.append(draw(st.sampled_from(torsion)))
+            else:
+                earlier = weights[draw(st.integers(0, j - 1))]
+                weights.append(earlier if kind == "repeat" else negate(earlier, curve))
+        vectors.append(weights)
+    n = draw(st.integers(1, 300))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n + r - 1, max_size=n + r - 1))
+    width = draw(st.none() | st.integers(1, r))
+    return curve, vectors, bits, width
+
+
+def lane_points(vectors, bits, curve):
+    x, y, inf = _lane_sums(bits, *_point_arrays(vectors), curve)
+    return [[INFINITY if i else CurvePoint(a, b) for a, b, i in zip(*row)]
+            for row in zip(x.tolist(), y.tolist(), inf.tolist())]
+
+
+class TestChunkTables:
+    @settings(max_examples=80, deadline=None)
+    @given(table_cases())
+    def test_matches_scalar_fold(self, case):
+        curve, vectors, bits, width = case
+        with pytest.MonkeyPatch.context() as patch:
+            if width is not None:  # otherwise the cost model picks it
+                patch.setattr(generator, "_chunk_width", lambda *_: width)
+            got = lane_points(vectors, bits, curve)
+        assert got == [scalar_fold(bits, weights, curve) for weights in vectors]
+
+    def test_every_width_at_r13(self, monkeypatch):
+        # 13 is a multiple of no width but 1 and 13, so the last chunk is padded for every other one.
+        curve = validate_curve(13, 2, 0)
+        p, q = KERNEL_POINTS[curve][3], KERNEL_POINTS[curve][7]
+        torsion = CurvePoint(0, 0)
+        weights = [p, q, p, negate(p, curve), INFINITY, torsion, q, torsion, negate(q, curve), p, INFINITY, q, q]
+        bits = LfsrSource(BinaryPoly(0x201B), (1,) + (0,) * 12).bits(200 + 12)
+        expected = scalar_fold(bits, weights, curve)
+        for width in range(1, 14):
+            monkeypatch.setattr(generator, "_chunk_width", lambda *_: width)
+            assert lane_points([weights], bits, curve) == [expected], width
+
+    def test_tables_stay_within_twice_the_lanes(self):
+        for r, n_lanes, n_vectors in product([1, 2, 5, 10, 13, 24, 31, 64], [1, 5, 23, 101, 1023, 10**5], [1, 16]):
+            k = _chunk_width(r, n_lanes, n_vectors)
+            assert 1 <= k <= r
+            assert -(-r // k) << k <= 2 * max(n_lanes, 2 * r), (r, n_lanes, n_vectors)
+
+    def test_widths_at_the_sweep_shapes(self):
+        assert _chunk_width(10, 1023, 16) == 10  # the README sweep: one lookup per lane
+        assert _chunk_width(10, 101, 10) < 10  # small N does not pay for all 2^r subset sums
 
 
 class TestResidueGenerator:
