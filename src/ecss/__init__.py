@@ -27,6 +27,7 @@ from .curve import (
     enumerate_points,
     is_on_curve,
     negate,
+    point_table,
     scalar_mul,
     validate_curve,
     x_coord,

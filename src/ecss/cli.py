@@ -84,8 +84,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_curve_info(args) -> int:
     params = curve.parse_curve(args.curve)
-    points = curve.enumerate_points(params)
-    order = len(points)
+    order = len(curve.point_table(params))
     hasse_ok = (order - params.p - 1) ** 2 <= 4 * params.p
     _emit_json(
         {"p": params.p, "a": params.a, "b": params.b, "order": order, "hasse_ok": hasse_ok},
@@ -214,7 +213,7 @@ def _cmd_beta(args) -> int:
 def _cmd_expsum_check(args) -> int:
     params = curve.parse_curve(args.curve)
     shift = curve.parse_point(args.c) if args.c else curve.INFINITY
-    points = curve.enumerate_points(params)
+    points = curve.point_table(params)
     p = params.p
     if args.all_a:
         a_values = range(1, p)

@@ -148,11 +148,14 @@ def _square_root_table(p: int):
     return nsol, ys[order], starts
 
 
-def _affine_points(curve: CurveParams) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of every affine point as int64 arrays, in (x, y) order.
+def point_table(curve: CurveParams) -> np.ndarray:
+    """Every point of the curve as an (#E, 2) int64 array of (x, y) rows.
 
-    Each x is repeated once per root of y^2 = x^3 + ax + b, and the roots
-    are gathered from the quadratic-residue table in increasing order.
+    Row 0 is the identity, stored as (0, 0) to match x_coord; the affine
+    points follow in (x, y) order.  Each x is repeated once per root of
+    y^2 = x^3 + ax + b, gathered from one quadratic-residue table in
+    increasing order, so the scan is O(p).  The Hasse inequality is checked
+    before returning.
     """
     p = curve.p
     if p >= MAX_ENUMERATION_P:
@@ -161,32 +164,27 @@ def _affine_points(curve: CurveParams) -> tuple[np.ndarray, np.ndarray]:
     x = np.arange(p, dtype=np.int64)
     rhs = (x * x % p * x + curve.a * x + curve.b) % p
     counts = nsol[rhs]
+    order = 1 + int(counts.sum())
+    if (order - p - 1) ** 2 > 4 * p:
+        raise ValidationError(f"Hasse inequality violated: #E = {order} for p = {p}")
     # Point k is root k - first of its x's bucket, where first is the bucket's first point index.
     shift = np.repeat(starts[rhs] - (np.cumsum(counts) - counts), counts)
-    return np.repeat(x, counts), ys[np.arange(len(shift)) + shift]
+    table = np.zeros((order, 2), dtype=np.int64)
+    table[1:, 0] = np.repeat(x, counts)
+    table[1:, 1] = ys[np.arange(order - 1) + shift]
+    return table
 
 
 def enumerate_points(curve: CurveParams) -> list[CurvePoint]:
-    """All points of the curve: the identity first, then affine points by (x, y).
-
-    Builds a quadratic-residue table once, so the scan is O(p).  The group
-    order is the length of the returned list; the Hasse inequality is checked
-    before returning.
-    """
-    xs, ys = _affine_points(curve)
-    points = [INFINITY, *map(CurvePoint, xs.tolist(), ys.tolist())]
-    order = len(points)
-    p = curve.p
-    if (order - p - 1) ** 2 > 4 * p:
-        raise ValidationError(f"Hasse inequality violated: #E = {order} for p = {p}")
-    return points
+    """point_table as CurvePoint objects: the identity first, then affine points by (x, y)."""
+    return [INFINITY, *map(CurvePoint, *point_table(curve)[1:].T.tolist())]
 
 
 def all_curve_orders(p: int) -> np.ndarray:
     """Group orders of every curve over F_p as a (p, p) array indexed [a, b].
 
     Singular parameter pairs are marked -1.  Counts come from the same
-    quadratic-residue table as enumerate_points, vectorised over b, which
+    quadratic-residue table as point_table, vectorised over b, which
     makes whole-prime sweeps cheap.
     """
     if not is_prime(p) or p <= 3:

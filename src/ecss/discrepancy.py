@@ -30,18 +30,15 @@ class DiscrepancyReport:
 
 
 def _as_rows(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.rows
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or 0 in arr.shape:
-        raise ValidationError("points must form a nonempty (N, s) array")
-    if not np.isfinite(arr).all():
-        raise ValidationError("coordinates must be finite")
-    if arr.min() < 0.0 or arr.max() >= 1.0:
-        raise ValidationError("coordinates must lie in [0, 1)")
-    return arr
+    """The (N, s) rows of a PointSet or array-like, a 1-D input read as one column."""
+    if not isinstance(points, PointSet):
+        arr = np.asarray(points, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2:
+            raise ValidationError("points must form an (N, s) array")
+        points = PointSet(arr.shape[1], arr)
+    return points.rows
 
 
 def exact_fits_guard(n: int, s: int) -> bool:

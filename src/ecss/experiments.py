@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurveParams, WeightVector, enumerate_points
+from .curve import INFINITY, CurveParams, CurvePoint, WeightVector, point_table
 from .discrepancy import (
     EXACT,
     EXACT_BLOCK_BUDGET,
@@ -98,13 +98,12 @@ def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> 
     if count < 0:
         raise ValidationError("count must be >= 0")
     validate_seed(seed)
-    points = enumerate_points(curve)
-    streams = np.random.SeedSequence(seed).spawn(count)
+    table = point_table(curve)
     out = []
-    for child in streams:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, len(points), size=r)
-        out.append(WeightVector(tuple(points[i] for i in idx)))
+    for child in np.random.SeedSequence(seed).spawn(count):
+        idx = np.random.default_rng(child).integers(0, len(table), size=r)
+        out.append(WeightVector(tuple(CurvePoint(x, y) if i else INFINITY
+                                      for i, (x, y) in zip(idx.tolist(), table[idx].tolist()))))
     return out
 
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import (CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points, is_on_curve,
-                    is_prime, negate, x_coord)
+                    is_prime, negate, point_table, x_coord)
 from .errors import ScaleGuardError, ValidationError
-from .generator import GeneratorConfig, PointSet, WeightVector, _mod, _point_arrays, _pow_mod
+from .generator import GeneratorConfig, PointSet, WeightVector, _affine, _doubles, _mixed_add
 from .gf2 import packed_windows
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
@@ -88,29 +88,23 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
 def curve_char_sums_all(curve: CurveParams, c: CurvePoint = INFINITY, points=None) -> np.ndarray:
     """All sums S(a), a = 0..p-1, at once via an x-coordinate histogram and FFT.
 
-    x(c + P) is computed for every point at once on int64 arrays: the chord
-    slope (y_P - y_c)/(x_P - x_c), or the tangent slope (3x_c^2 + a)/(2y_c)
-    at P = c, with one vectorised Fermat inversion.  P = -c is dropped and an
-    identity entry maps to x(c).  Agrees with curve_x_char_sum entry by entry
-    (cross-checked in tests); meant for whole-curve sweeps.
+    points is a point table (row 0 the identity, as from point_table), by
+    default the whole curve.  c is added to every row at once with the
+    generator's projective group law (_mixed_add) and one Fermat inversion;
+    rows whose sum is the identity (P = -c) are dropped.  Agrees with
+    curve_x_char_sum entry by entry (cross-checked in tests); meant for
+    whole-curve sweeps.
     """
     p = curve.p
     if not is_on_curve(c, curve):
         raise ValidationError("shift point must lie on the curve")
     if points is None:
-        points = enumerate_points(curve)
-    px, py, pinf = (arr[0] for arr in _point_arrays([points]))
-    if c.is_infinity:
-        xs = px[~pinf]
-    else:
-        same_x = ~pinf & (px == c.x)
-        keep = ~(same_x & (py == (-c.y) % p))  # drops P = -c
-        px, py, pinf, tangent = px[keep], py[keep], pinf[keep], same_x[keep]  # what is left at x_c is c
-        num = _mod(np.where(tangent, (3 * c.x * c.x + curve.a) % p, py - c.y), p)
-        den = _mod(np.where(tangent, 2 * c.y, px - c.x), p)
-        slope = _mod(num * _pow_mod(den, p - 2, p), p)
-        xs = np.where(pinf, c.x, _mod(slope * slope - c.x - px, p))
-    hist = np.bincount(xs, minlength=p).astype(np.float64)
+        points = point_table(curve)
+    X, Y = points[:, 0], points[:, 1]
+    Z = (np.arange(len(points)) > 0).astype(np.int64)  # row 0 is the identity
+    cx, cy = c.x or 0, c.y or 0
+    x, _, keep = _affine(*_mixed_add(X, Y, Z, cx, cy, _doubles(cx, cy, curve), not c.is_infinity, p), p)
+    hist = np.bincount(x[keep], minlength=p).astype(np.float64)
     # S(a) = sum_v hist[v] exp(+2 pi i a v / p) = p * ifft(hist)[a]
     return p * np.fft.ifft(hist)
 
@@ -182,8 +176,8 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
     if count + r - 1 > MAX_AVG_WINDOW_BITS:
         raise ScaleGuardError(f"N + r - 1 = {count + r - 1} register bits exceed {MAX_AVG_WINDOW_BITS}")
     GeneratorConfig(source=source, weights=WeightVector((INFINITY,) * r), curve=curve)  # validates the source
-    points = enumerate_points(curve)
-    total = ComplexSum(1 + complex(curve_char_sums_all(curve, points=points)[a % curve.p]), len(points))
+    order = len(enumerate_points(curve))  # perfbench/traced_job.py learns #E from this call
+    total = ComplexSum(1 + complex(curve_char_sums_all(curve)[a % curve.p]), order)
     mean = total.value / total.terms
     counts = Counter(packed_windows(source.bits(count + r - 1), r))
     zero = counts[0]

@@ -4,18 +4,24 @@ perfbench/traced_job.py wraps the functions it lists in SPANNED and COUNTED,
 and perfbench/checks.py reads the successor table through
 combinat._successor_gather; deleting any of them would break `--trace 1` or
 the output checks without failing another test.  The harness module is
-imported from its file and only read.
+imported from its file and only read, and traced_job.py is run as a
+subprocess on the two character-sum jobs.
 """
 
 import dataclasses
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ecss import combinat
+from ecss import combinat, curve
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -42,3 +48,23 @@ def test_checker_and_counter_names_exist():
     assert {"iterations", "method"} <= fields
     estimate = combinat.spectral_radius(tm)
     assert isinstance(estimate.iterations, int) and estimate.method == "power-iteration"
+
+
+@pytest.mark.parametrize("mode, argv, params", [
+    ("cli", ["expsum-check", "--curve", "101,1,1", "--all-a", "--c", "0,1"], (101, 1, 1)),
+    ("lib", ["--curve", "11,1,1", "--poly", "0x13", "--init", "1000", "--n", "15", "--a", "3"], (11, 1, 1)),
+], ids=["expsum-check", "avg_square"])
+def test_traced_job_counts_the_summed_points(tmp_path, mode, argv, params):
+    """traced_job.py runs both character-sum jobs and counts #E - 1 summed points.
+
+    It reads #E from the points argument when the caller passes one and
+    otherwise from an earlier enumerate_points call, so a job that passes
+    neither would end in a KeyError.
+    """
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(PERFBENCH / "traced_job.py"), "--job", "0", "--spans", str(spans),
+                           mode, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(spans.read_text(encoding="utf-8"))["trace"]["counts"]
+    assert counts["expsum.points_summed"] == len(curve.point_table(curve.CurveParams(*params))) - 1

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from unittest import mock
@@ -624,3 +625,52 @@ class TestPinnedOutputs:
                                "--s", "3", "--seed", "7")
         digest = "53ec93427a89b1bcbea055cd3f44ce25f3194178b470b7001bf6390920d6e14f"
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    EXPSUM_CURVE = "10007,1,10005"  # x = 1 is a root of x^3 + x + 10005, so (1, 0) is 2-torsion
+
+    # P -> c + P permutes the curve, so the multiset of x(c + P) over P != -c,
+    # and with it every |S(a)|, is the same for each shift c.
+    @pytest.mark.parametrize("c", ["inf", "5000,326", "1,0"])
+    @pytest.mark.parametrize("mode, digest", [
+        (("--all-a",), "102486415a88aa6d9ad8353c5f63176aa35f2fe59f768ad3bf8af8f5e6f7269f"),
+        (("--samples", "7", "--seed", "3"), "f2a203e8dccd008834f255ad6d90485cf4f0f285a9f231fa1bcbc09007ba227f"),
+    ], ids=["all-a", "samples"])
+    def test_expsum_check(self, capsys, c, mode, digest):
+        code, out, _ = run_cli(capsys, "expsum-check", "--curve", self.EXPSUM_CURVE, *mode, "--c", c)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_curve_info(self, capsys):
+        code, out, _ = run_cli(capsys, "curve-info", "--curve", self.EXPSUM_CURVE)
+        digest = "53c0cbfaebb5ecf3d15bca043486c93705ff1b705c68bf3471fc1a24da0e914c"
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestNoPointList:
+    """The table commands read the curve's int64 point table, never a list of CurvePoint objects."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_point_list(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a whole-curve CurvePoint list was built")
+
+        for name, module in list(sys.modules.items()):
+            if name == "ecss" or name.startswith("ecss."):
+                for attr, value in list(vars(module).items()):
+                    if value is enumerate_points:
+                        monkeypatch.setattr(module, attr, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("expsum-check", "--curve", "101,1,1", "--all-a", "--c", "0,1"),
+        ("expsum-check", "--curve", "101,1,1", "--samples", "5", "--seed", "2"),
+        ("curve-info", "--curve", "101,1,1"),
+        ("gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", "8", "--seed", "4"),
+    ], ids=["expsum-all-a", "expsum-samples", "curve-info", "gen"])
+    def test_command_runs(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+
+    def test_experiment_runs(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TestExperiment.CONFIG))
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 0 and out

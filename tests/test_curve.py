@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ecss import curve as curve_module
 from ecss.curve import (
     INFINITY,
     CurvePoint,
@@ -17,6 +18,7 @@ from ecss.curve import (
     negate,
     parse_curve,
     parse_point,
+    point_table,
     scalar_mul,
     validate_curve,
     validate_weights,
@@ -168,8 +170,46 @@ class TestEnumeratePoints:
         assert enumerate_points(curve) == expected
 
     def test_scale_guard(self):
-        with pytest.raises(ScaleGuardError):
-            enumerate_points(validate_curve(1_048_583, 1, 1))  # prime above 2^20
+        for build in (point_table, enumerate_points):
+            with pytest.raises(ScaleGuardError):
+                build(validate_curve(1_048_583, 1, 1))  # the least prime above 2^20
+
+
+class TestPointTable:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_rows_match_double_loop_and_enumeration(self, p):
+        grid = np.arange(p)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                curve = validate_curve(p, a, b)
+                table = point_table(curve)
+                on_curve = (grid[None, :] ** 2 - grid[:, None] ** 3 - a * grid[:, None] - b) % p == 0
+                assert table.dtype == np.int64 and table.shape[1] == 2
+                assert table[0].tolist() == [0, 0]
+                assert np.array_equal(table[1:], np.argwhere(on_curve))  # [x, y] grid: (x, y) order
+                points = enumerate_points(curve)
+                assert points[0] is INFINITY
+                assert [(q.x, q.y) for q in points[1:]] == [tuple(row) for row in table[1:].tolist()]
+
+    def test_identity_row_stays_first_when_origin_is_affine(self):
+        curve = validate_curve(13, 2, 0)  # b = 0, so (0, 0) is an affine 2-torsion point
+        table = point_table(curve)
+        assert table[0].tolist() == [0, 0] and table[1].tolist() == [0, 0]
+        assert len(table) == len(enumerate_points(curve))
+        assert enumerate_points(curve)[:2] == [INFINITY, CurvePoint(0, 0)]
+
+    def test_hasse_violation_raises(self, monkeypatch):
+        real = curve_module._square_root_table
+
+        def doubled(p):
+            nsol, ys, starts = real(p)
+            return 2 * nsol, ys, starts
+
+        monkeypatch.setattr(curve_module, "_square_root_table", doubled)
+        with pytest.raises(ValidationError, match="Hasse"):
+            point_table(F5)
 
 
 class TestAllCurveOrders:

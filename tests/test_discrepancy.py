@@ -400,6 +400,45 @@ class TestMcLowerBound:
         assert mc > 0.9  # exact value is 1.0
 
 
+BAD_POINT_INPUTS = {
+    "empty": [],
+    "empty-2d": np.zeros((0, 2)),
+    "0-d": 0.5,
+    "3-d": np.full((2, 2, 2), 0.5),
+    "zero-column": np.zeros((3, 0)),
+    "nan": [[0.5, np.nan], [0.25, 0.75]],
+    "inf": [[0.5, np.inf], [0.25, 0.75]],
+    "negative": [[0.5, -0.1], [0.25, 0.75]],
+    "one": [[0.5, 1.0], [0.25, 0.75]],
+}
+POINT_ROUTINES = {
+    "exact_1d": exact_extreme_1d,
+    "exact_multi": lambda rows: exact_extreme_multi(rows, 2),
+    "mc": lambda rows: mc_box_lower_bound(rows, 10, seed=0),
+}
+
+
+class TestPointInput:
+    """Every routine validates its points as a PointSet; a 1-D input is one column."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_POINT_INPUTS))
+    @pytest.mark.parametrize("routine", sorted(POINT_ROUTINES))
+    def test_bad_input_is_validation_error(self, routine, kind):
+        with pytest.raises(ValidationError):
+            POINT_ROUTINES[routine](BAD_POINT_INPUTS[kind])
+
+    @pytest.mark.parametrize("routine", sorted(POINT_ROUTINES))
+    def test_point_set_and_array_agree(self, routine):
+        rows = np.random.default_rng(4).random((9, 1 if routine == "exact_1d" else 2))
+        assert POINT_ROUTINES[routine](rows).value == POINT_ROUTINES[routine](PointSet(rows.shape[1], rows)).value
+
+    def test_one_dimensional_input_is_a_column(self):
+        values = [0.1, 0.4, 0.45, 0.9]
+        assert exact_extreme_1d(values).value == exact_extreme_1d([[v] for v in values]).value
+        report = mc_box_lower_bound(values, 50, seed=1)
+        assert report.n == 4 and report.s == 1
+
+
 class TestBoundEvaluators:
     def test_bound_1d_direct_arithmetic(self):
         inputs = BoundInputs(n=3, p=5, r=2, tau=3, delta=1.0)

@@ -5,7 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ecss.curve import CurvePoint, INFINITY, add, enumerate_points, is_prime, negate, validate_curve, x_coord
+from ecss.curve import (CurvePoint, INFINITY, add, enumerate_points, is_prime, negate, point_table, validate_curve,
+                        x_coord)
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.expsum import (
     MAX_AVG_WINDOW_BITS,
@@ -133,7 +134,7 @@ class TestCurveCharSum:
         for curve in (F5, validate_curve(11, 1, 6), validate_curve(31, 4, 2)):
             points = enumerate_points(curve)
             for c in (INFINITY, points[1], points[-1]):
-                sums = curve_char_sums_all(curve, c, points)
+                sums = curve_char_sums_all(curve, c, point_table(curve))
                 for a in rng.integers(1, curve.p, size=4):
                     direct = curve_x_char_sum(curve, int(a), c, points)
                     assert abs(sums[int(a)] - direct) < 1e-9
@@ -150,7 +151,7 @@ class TestCurveCharSum:
         curve = validate_curve(*params)
         c = INFINITY if shift is None else CurvePoint(*shift)
         points = enumerate_points(curve)
-        sums = curve_char_sums_all(curve, c, points)
+        sums = curve_char_sums_all(curve, c, point_table(curve))
         assert np.array_equal(sums, curve_char_sums_all(curve, c))
         # S(0) counts the summed points: every point but -c
         assert abs(sums[0] - (len(points) - 1)) < 1e-9
@@ -160,7 +161,7 @@ class TestCurveCharSum:
     def test_fft_sweep_maps_an_identity_entry_to_x_of_c(self):
         curve = validate_curve(13, 2, 0)
         c = CurvePoint(1, 4)
-        only_identity = curve_char_sums_all(curve, c, [INFINITY])
+        only_identity = curve_char_sums_all(curve, c, point_table(curve)[:1])
         expected = np.exp(2j * np.pi * np.arange(13) * c.x / 13)
         assert np.allclose(only_identity, expected, atol=1e-12)
 
