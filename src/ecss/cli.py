@@ -22,6 +22,8 @@ EXIT_VALIDATION = 2
 EXIT_SCALE_GUARD = 3
 EXIT_IO = 4
 
+MAX_CHECK_SAMPLES = 10**7  # expsum-check --samples draws, one int64 each
+
 
 def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
@@ -219,6 +221,8 @@ def _cmd_expsum_check(args) -> int:
         a_values = range(1, p)
     elif args.samples < 1:
         raise ValidationError("--samples must be >= 1")
+    elif args.samples > MAX_CHECK_SAMPLES:
+        raise ScaleGuardError(f"--samples {args.samples} exceeds {MAX_CHECK_SAMPLES} draws")
     else:
         validate_seed(args.seed)
         rng = np.random.default_rng(args.seed)
@@ -228,8 +232,8 @@ def _cmd_expsum_check(args) -> int:
     magnitudes = [abs(z) for z in sums[a_values].tolist()]
     sqrt_p = math.sqrt(p)
     row = f"{p},%d,%.12g,{sqrt_p:.12g},%.12g\r\n"  # the csv.writer layout, constants rendered once
-    body = "".join([row % (a, m, m / sqrt_p) for a, m in zip(a_values, magnitudes)])
-    _write_text(_csv_head(["p", "a", "abs_sum", "sqrt_p", "ratio"]) + body, args.output)
+    head = _csv_head(["p", "a", "abs_sum", "sqrt_p", "ratio"])
+    _write_text("".join([head, *(row % (a, m, m / sqrt_p) for a, m in zip(a_values, magnitudes))]), args.output)
     return EXIT_OK
 
 
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("expsum-check", help="curve character-sum magnitudes as CSV")
     check.add_argument("--curve", required=True)
-    check.add_argument("--c", help="shift point 'x,y' or 'inf' (default inf)")
+    check.add_argument("--c", help="shift point 'x,y' or 'inf'; validated, and the sums do not depend on it")
     group = check.add_mutually_exclusive_group()
     group.add_argument("--all-a", action="store_true", help="sweep every a in 1..p-1")
     group.add_argument("--samples", type=int, default=20)

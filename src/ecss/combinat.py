@@ -113,7 +113,7 @@ def _occurrence_masks(r: int, s: int):
 def _check_brute_force_guard(r: int, s: int) -> None:
     if s < 1 or r < s:
         raise ValidationError("need r >= s >= 1")
-    if 4**r > MAX_BRUTE_FORCE_PAIRS:
+    if 2 * r >= MAX_BRUTE_FORCE_PAIRS.bit_length():  # 4^r > the cap, without building 4^r for a huge r
         raise ScaleGuardError(f"enumeration of 4^{r} pairs exceeds {MAX_BRUTE_FORCE_PAIRS}")
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ class DiscrepancyReport:
     s: int
     value: float
     method: str
-    elapsed: float
 
 
 def _as_rows(points) -> np.ndarray:
@@ -143,17 +141,15 @@ def _exact_extreme(samples: np.ndarray) -> np.ndarray:
 
 def exact_extreme_1d(points) -> DiscrepancyReport:
     """Exact sup over intervals [a, b) of |count/N - (b - a)|, by one O(N log N) scan."""
-    start = time.perf_counter()
     rows = _as_rows(points)
     if rows.shape[1] != 1:
         raise ValidationError("one-dimensional routine got multi-column points")
     value = float(_exact_extreme(rows[None])[0])
-    return DiscrepancyReport(rows.shape[0], 1, value, EXACT, time.perf_counter() - start)
+    return DiscrepancyReport(rows.shape[0], 1, value, EXACT)
 
 
 def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
     """Exact extreme discrepancy in dimension 2 or 3; guarded by N^(2s) <= 1e8."""
-    start = time.perf_counter()
     if s not in (2, 3):
         raise ValidationError("exact multi-dimensional discrepancy supports s in {2, 3}")
     rows = _as_rows(points)
@@ -163,7 +159,7 @@ def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
     if not exact_fits_guard(n_total, s):
         raise ScaleGuardError(f"N^(2s) = {n_total ** (2 * s)} exceeds {MAX_EXACT_MULTI_WORK}")
     value = float(_exact_extreme(rows[None])[0])
-    return DiscrepancyReport(n_total, s, value, EXACT, time.perf_counter() - start)
+    return DiscrepancyReport(n_total, s, value, EXACT)
 
 
 def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
@@ -173,7 +169,6 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
     sup lives; every sampled box is a genuine box, so the result never
     exceeds the exact value.  Deterministic for a fixed seed.
     """
-    start = time.perf_counter()
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     validate_seed(seed)
@@ -196,7 +191,7 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
         vol = np.prod(hi - lo, axis=1)
         best = max(best, float(np.max(np.abs(count / n_total - vol))))
         done += m
-    return DiscrepancyReport(n_total, s, best, MC_LOWER_BOUND, time.perf_counter() - start)
+    return DiscrepancyReport(n_total, s, best, MC_LOWER_BOUND)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 from .curve import (CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points, is_on_curve,
                     is_prime, negate, point_table, x_coord)
 from .errors import ScaleGuardError, ValidationError
-from .generator import GeneratorConfig, PointSet, WeightVector, _affine, _doubles, _mixed_add
+from .generator import GeneratorConfig, PointSet, WeightVector
 from .gf2 import packed_windows
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
@@ -70,6 +70,7 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
 
     Bombieri's bound for nonconstant rational functions on a curve makes the
     modulus O(sqrt(p)); the tests use 5 sqrt(p) as the explicit constant.
+    Over the whole curve its value is the same for every c (P -> c + P permutes E).
     Pass a precomputed point list to amortise enumeration across sweeps.
     """
     p = curve.p
@@ -88,25 +89,19 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
 def curve_char_sums_all(curve: CurveParams, c: CurvePoint = INFINITY, points=None) -> np.ndarray:
     """All sums S(a), a = 0..p-1, at once via an x-coordinate histogram and FFT.
 
-    points is a point table (row 0 the identity, as from point_table), by
-    default the whole curve.  c is added to every row at once with the
-    generator's projective group law (_mixed_add) and one Fermat inversion;
-    rows whose sum is the identity (P = -c) are dropped.  Agrees with
-    curve_x_char_sum entry by entry (cross-checked in tests); meant for
-    whole-curve sweeps.
+    points is the whole-curve point table (row 0 the identity, as from
+    point_table; computed when None).  c is validated but cannot change the
+    value: P -> c + P permutes E(F_p), so the sum over P != -c of
+    e_p(a x(c + P)) is the sum over Q != O of e_p(a x(Q)).  Agrees with
+    curve_x_char_sum entry by entry for every c (cross-checked in tests).
     """
-    p = curve.p
     if not is_on_curve(c, curve):
         raise ValidationError("shift point must lie on the curve")
     if points is None:
         points = point_table(curve)
-    X, Y = points[:, 0], points[:, 1]
-    Z = (np.arange(len(points)) > 0).astype(np.int64)  # row 0 is the identity
-    cx, cy = c.x or 0, c.y or 0
-    x, _, keep = _affine(*_mixed_add(X, Y, Z, cx, cy, _doubles(cx, cy, curve), not c.is_infinity, p), p)
-    hist = np.bincount(x[keep], minlength=p).astype(np.float64)
+    hist = np.bincount(points[1:, 0], minlength=curve.p).astype(np.float64)  # x(Q) over Q != O
     # S(a) = sum_v hist[v] exp(+2 pi i a v / p) = p * ifft(hist)[a]
-    return p * np.fft.ifft(hist)
+    return curve.p * np.fft.ifft(hist)
 
 
 def max_char_ratio_all_curves(p: int) -> float:

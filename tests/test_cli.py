@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecss import experiments
-from ecss.cli import main
-from ecss.curve import CurvePoint, WeightVector, enumerate_points, validate_curve
+from ecss.cli import MAX_CHECK_SAMPLES, main
+from ecss.curve import CurvePoint, WeightVector, enumerate_points, parse_curve, point_table, validate_curve
 from ecss.discrepancy import exact_extreme_1d
 from ecss.experiments import ExperimentConfig, discrepancy_sweep
 from ecss.expsum import curve_char_sums_all
@@ -113,6 +114,51 @@ def gen_argv(draw):
             draw(weights))
 
 
+def run_cli_contract(*argv):
+    """Run the CLI in-process, check its exit contract and return (code, stdout)."""
+    code, out, err = run_cli_on_stdin("", *argv)
+    assert code in (0, 2, 3, 4), err
+    if code:
+        assert out == "" and err.startswith(("error:", "scale guard:"))
+    return code, out
+
+
+def ints(*ranges):
+    """Integer arguments drawn from the given inclusive ranges."""
+    return st.one_of(*(st.integers(lo, hi) for lo, hi in ranges)).map(str)
+
+
+CHECK_CURVES = {text: point_table(parse_curve(text)) for text in ("5,1,1", "13,2,0", "101,1,1", "1999,1,1")}
+# p < 2000 keeps every point table small; p >= 2^20 meets the enumeration guard.
+curve_texts = (st.sampled_from(sorted(CHECK_CURVES)) | st.text(max_size=10)
+               | st.tuples(st.sampled_from([5, 7, 13, 101, 1999, 2**20 + 7]) | st.integers(-5, 1999)
+                           | st.integers(2**20, 2**70), st.integers(-3, 2000) | st.integers(), st.integers())
+               .map(lambda t: ",".join(map(str, t))))
+
+
+@st.composite
+def lfsr_argv(draw):
+    """(--poly, --init) for `ecss lfsr-info`: degree <= 14 or >= 25, since the period search walks
+    up to 2^degree states; windows of the right length or any other text."""
+    mask = draw(st.integers(0, 2**15 - 1) | st.integers(2**25, 2**100))
+    poly = draw(st.sampled_from([f"{mask:#x}", f"{mask | 1:#x}", f"{mask | 1:X}", None])) or draw(st.text(max_size=4))
+    degree = max(mask.bit_length() - 1, 0)
+    init = draw(st.none() | st.text("01", min_size=degree, max_size=degree) | st.text("01", max_size=30)
+                | st.text(max_size=4))
+    return poly, init
+
+
+@st.composite
+def check_curve_and_shift(draw):
+    """(--curve, --c) for `ecss expsum-check`; the shift may be a point of a sampled curve, or absent."""
+    curve = draw(curve_texts)
+    points = [f"{x},{y}" for x, y in CHECK_CURVES[curve][1:].tolist()] if curve in CHECK_CURVES else []
+    shift = draw(st.none() | st.just("inf") | st.text(max_size=6)
+                 | st.tuples(st.integers(), st.integers()).map(lambda t: f"{t[0]},{t[1]}")
+                 | (st.sampled_from(points) if points else st.nothing()))
+    return curve, shift
+
+
 class TestBeta:
     def test_table_value(self, capsys):
         code, out, _ = run_cli(capsys, "beta", "--s", "2")
@@ -133,6 +179,16 @@ class TestBeta:
         code, out, err = run_cli(capsys, "beta", "--s", "8", "--tolerance", tolerance)
         assert code == 2 and out == "" and "tolerance" in err
 
+    @settings(max_examples=100, deadline=None)
+    @given(ints((-3, 5), (9, 2**70)), st.none() | st.floats().map(repr))
+    @example("9", None)
+    def test_exit_codes_on_any_arguments(self, s, tolerance):
+        # s in 6..8 is accepted but takes seconds, so it is not drawn.
+        extra = [f"--tolerance={tolerance}"] if tolerance is not None else []
+        code, out = run_cli_contract("beta", f"--s={s}", *extra)
+        if code == 0:
+            assert json.loads(out, parse_constant=reject_constant)["s"] == int(s)
+
 
 class TestBadpairs:
     def test_known_count(self, capsys):
@@ -151,6 +207,18 @@ class TestBadpairs:
     def test_scale_guard_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "badpairs", "--r", "20", "--s", "1")
         assert code == 3 and "guard" in err.lower()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ints((-2, 10), (14, 2**70)), ints((-2, 10), (-2**70, 2**70)), st.none() | ints((-2, 10), (-2**70, 2**70)))
+    @example("14", "2", None)
+    @example(str(2**70), "2", None)  # the guard must not build 4^r
+    @example("4", "2", "0")
+    def test_exit_codes_on_any_arguments(self, r, s, h):
+        # r in 11..13 is accepted but enumerates up to 4^13 pairs, so it is not drawn.
+        code, out = run_cli_contract("badpairs", f"--r={r}", f"--s={s}", *([f"--h={h}"] if h is not None else []))
+        if code == 0:
+            payload = json.loads(out)
+            assert (payload["r"], payload["s"]) == (int(r), int(s))
 
 
 class TestGenAndDisc:
@@ -356,6 +424,26 @@ class TestCurveAndLfsrInfo:
         assert payload["irreducible"] and payload["max_period"]
         assert payload["period"] == 1023 and payload["windows_distinct"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(curve_texts)
+    @example("1048583,1,1")
+    @example("3,1,1")
+    def test_curve_info_exit_codes_on_any_curve(self, curve):
+        code, out = run_cli_contract("curve-info", f"--curve={curve}")
+        if code == 0:
+            payload = json.loads(out)
+            assert payload["hasse_ok"] and (curve not in CHECK_CURVES or payload["order"] == len(CHECK_CURVES[curve]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lfsr_argv())
+    @example((hex(2**25 + 1), None))
+    @example(("0x409", "0" * 10))
+    def test_lfsr_info_exit_codes_on_any_arguments(self, case):
+        poly, init = case
+        code, out = run_cli_contract("lfsr-info", f"--poly={poly}", *([f"--init={init}"] if init is not None else []))
+        if code == 0:
+            assert json.loads(out)["degree"] == int(poly, 16).bit_length() - 1
+
 
 class TestBounds:
     def test_values_match_library(self, capsys):
@@ -432,6 +520,40 @@ class TestExpsumCheck:
         code, out, err = run_cli(capsys, "expsum-check", "--curve", "101,1,1", "--samples", "5",
                                  "--seed", "-1")
         assert code == 2 and out == "" and "seed" in err
+
+    @pytest.mark.parametrize("samples", [MAX_CHECK_SAMPLES + 1, 10**11])
+    def test_samples_over_the_guard_exit_before_drawing(self, capsys, samples):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "expsum-check", "--curve", "5,1,1", "--samples", str(samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and err.startswith("scale guard:")
+        assert peak < 2**20  # far below one int64 per draw
+
+    @settings(max_examples=150, deadline=None)
+    @given(check_curve_and_shift(), st.booleans(), ints((-3, 10**4), (MAX_CHECK_SAMPLES + 1, 10**12)),
+           ints((-3, 2**70)))
+    @example(("13,2,0", None), False, str(10**12), "0")
+    @example(("13,2,0", "1,4"), True, "1", "0")
+    def test_exit_codes_on_any_arguments(self, case, all_a, samples, seed):
+        # Accepted sample counts stay at most 10^4, so every draw is quick.
+        curve, shift = case
+        argv = ["expsum-check", f"--curve={curve}", f"--seed={seed}"]
+        argv += ["--all-a"] if all_a else [f"--samples={samples}"]
+        argv += [f"--c={shift}"] if shift is not None else []
+        code, out = run_cli_contract(*argv)
+        if not all_a and int(samples) > MAX_CHECK_SAMPLES:
+            assert code in (2, 3)
+        if code == 0:
+            p = parse_curve(curve).p
+            rows = parse_csv(out)[1]
+            assert rows and all(row[0] == str(p) for row in rows)
+            assert len(rows) == p - 1 if all_a else len(rows) <= int(samples)
+            if shift is not None and curve in CHECK_CURVES:  # a shift on the curve does not change the sums
+                unshifted = run_cli_contract(*argv[:-1])
+                assert unshifted == (0, out)
 
     @staticmethod
     def csv_writer_rendering(p, a_values, sums):

@@ -158,12 +158,32 @@ class TestCurveCharSum:
         for a in range(1, curve.p):
             assert abs(sums[a] - curve_x_char_sum(curve, a, c, points)) < 1e-9
 
-    def test_fft_sweep_maps_an_identity_entry_to_x_of_c(self):
-        curve = validate_curve(13, 2, 0)
-        c = CurvePoint(1, 4)
-        only_identity = curve_char_sums_all(curve, c, point_table(curve)[:1])
-        expected = np.exp(2j * np.pi * np.arange(13) * c.x / 13)
-        assert np.allclose(only_identity, expected, atol=1e-12)
+    @staticmethod
+    def nonsingular_curves(p):
+        return [validate_curve(p, a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p]
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_fft_sweep_is_the_oracle_sum_at_every_shift(self, p):
+        # P -> c + P permutes the curve, so the scalar add loop gives the sweep's value for every c.
+        for curve in self.nonsingular_curves(p):
+            points = enumerate_points(curve)
+            sums = curve_char_sums_all(curve)
+            for c in points:
+                for a in range(1, p):
+                    assert abs(sums[a] - curve_x_char_sum(curve, a, c, points)) < 1e-9
+
+    @pytest.mark.parametrize("p", [17, 19, 23, 29, 31])
+    def test_fft_sweep_is_the_oracle_sum_at_every_shift_sampled(self, p):
+        rng = np.random.default_rng(p)
+        curves = self.nonsingular_curves(p)
+        for k in rng.choice(len(curves), size=3, replace=False):
+            curve = curves[k]
+            points = enumerate_points(curve)
+            sums = curve_char_sums_all(curve)
+            a_values = [int(a) for a in rng.choice(np.arange(1, p), size=2, replace=False)]
+            for c in points:
+                for a in a_values:
+                    assert abs(sums[a] - curve_x_char_sum(curve, a, c, points)) < 1e-9
 
     def test_random_curve_sample_ratio(self):
         rng = np.random.default_rng(6)

@@ -13,3 +13,26 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert len(list(SRC.rglob("*.py"))) >= 10 and offenders == []
+
+
+# Every import of another module's private name, as (importer, module, name).
+# A new coupling to a private helper is a reviewed decision: add it here.
+PRIVATE_IMPORTS = {
+    ("experiments", "discrepancy", "_exact_extreme"),
+    ("experiments", "generator", "_lane_sums"),
+    ("experiments", "generator", "_point_arrays"),
+    ("expsum", "curve", "_root_counts_by_a"),
+}
+
+
+def test_private_imports_match_the_allowlist():
+    paths = sorted((SRC / "ecss").glob("*.py"))
+    found = {
+        (path.stem, (node.module or "").removeprefix("ecss."), alias.name)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ecss"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert len(paths) >= 10 and found == PRIVATE_IMPORTS
