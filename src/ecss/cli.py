@@ -226,7 +226,7 @@ def _cmd_expsum_check(args) -> int:
     else:
         validate_seed(args.seed)
         rng = np.random.default_rng(args.seed)
-        a_values = sorted(set(int(a) for a in rng.integers(1, p, size=args.samples)))
+        a_values = np.unique(rng.integers(1, p, size=args.samples)).tolist()
     sums = expsum.curve_char_sums_all(params, shift, points)
     # abs() of a Python complex: np.abs rounds some moduli differently in the last place.
     magnitudes = [abs(z) for z in sums[a_values].tolist()]

@@ -13,7 +13,7 @@ from .errors import ScaleGuardError, ValidationError, finite_float, validate_pos
 from .generator import PointSet
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
-EXACT_BLOCK_BUDGET = 2**14  # float64 elements (128 KiB) per block of batched slabs
+EXACT_BLOCK_BUDGET = 2**14  # rows (128 KiB per float64 row vector) per block of the box scan
 
 EXACT = "exact"
 MC_LOWER_BOUND = "monte-carlo-lower-bound"
@@ -44,59 +44,55 @@ def exact_fits_guard(n: int, s: int) -> bool:
     return n ** (2 * s) <= MAX_EXACT_MULTI_WORK
 
 
-def _scan_last_axis(cum: np.ndarray, vals: np.ndarray, widths: np.ndarray, n_total: int, closed: bool) -> np.ndarray:
-    """Best box along the last axis, one row of counts per fixed set of leading sides.
+def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool) -> np.ndarray:
+    """Best closed (or open) box of each cumulative count grid cum[b], for s = 2 or 3.
 
-    Row k holds cum[k, j] points at candidates < j of the slab with leading
-    volume widths[k]; vals broadcasts against the rows.  Closed boxes give the
-    excess max_{i <= j} count/N - volume, open boxes the deficit
-    max_{i < j} volume - count/N.  Returns the best value of each index of
-    the first axis.
+    cands[a][b] are grid b's candidates on axis a.  cum[b] counts, per axis,
+    the points at candidates below each index, so along an axis the closed
+    slab between candidates i <= j holds cum[j+1] - cum[i] points and the
+    open one between i < j holds cum[j] - cum[i+1].  A row is one slab on
+    every leading axis.  All rows stream along the last axis, each carrying
+    a running max `left` over its left faces and its `best` box.  Blocks hold
+    whole units, a grid (s = 2) or a grid's first-axis slab (s = 3), and at
+    most EXACT_BLOCK_BUDGET rows unless one unit has more.
     """
-    share = cum / n_total
-    wv = widths[..., None] * vals
-    if closed:  # the closed box [vals[i], vals[j]] holds cum[j+1] - cum[i] points
-        left = np.maximum.accumulate(wv - share[..., :-1], axis=-1)
-        boxes = share[..., 1:] - wv + left
-    else:  # the open box (vals[i], vals[j]) holds cum[j] - cum[i+1] points
-        left = np.maximum.accumulate(share[..., 1:-1] - wv[..., :-1], axis=-1)
-        boxes = wv[..., 1:] - share[..., 1:-1] + left
-    return boxes.reshape(len(boxes), -1).max(axis=1)
-
-
-def _sweep(cum: np.ndarray, cands: list, widths: np.ndarray, n_total: int, closed: bool) -> np.ndarray:
-    """Best closed (or open) box of each cumulative count grid cum[k], of leading width widths[k].
-
-    cands[a][k] are grid k's candidates on axis a.  cum[k] counts, per axis,
-    the points at candidates below each index, so along the first axis the
-    closed slab between candidates i <= j holds cum[k, j+1] - cum[k, i] points
-    and the open one between i < j holds cum[k, j] - cum[k, i+1], still
-    cumulative along the other axes.  Above the second-to-last axis the slabs
-    join the batch, EXACT_BLOCK_BUDGET elements (or one slab per grid) per
-    block; the second-to-last axis is scanned one i at a time.
-    """
-    if cum.ndim == 2:
-        return _scan_last_axis(cum, cands[0], widths, n_total, closed)
-    xs, grid = cands[0], cum.shape[2:]
     shift = int(closed)  # a closed slab also holds the points at both end candidates
-    found = []
-    if cum.ndim == 3:
-        for i in range(xs.shape[1] - 1 + shift):
-            first = i + 1 - shift  # smallest admissible j
-            slabs = cum[:, first + shift : xs.shape[1] + shift] - cum[:, first, None]
-            w = widths[:, None] * (xs[:, first:] - xs[:, i, None])
-            found.append(_scan_last_axis(slabs, cands[1][:, None], w, n_total, closed))
-        return np.max(found, axis=0)
-    lo, hi = np.triu_indices(xs.shape[1], k=1 - shift)
-    step = max(1, EXACT_BLOCK_BUDGET // (len(cum) * math.prod(grid)))
-    for k in range(0, len(lo), step):
-        i, j = lo[k : k + step], hi[k : k + step]
-        slabs = cum[:, j + shift] - cum[:, i + 1 - shift]
-        w = widths[:, None] * (xs[:, j] - xs[:, i])
-        inner = [np.repeat(c, len(i), axis=0) for c in cands[1:]]
-        best = _sweep(slabs.reshape((-1,) + grid), inner, w.ravel(), n_total, closed)
-        found.append(best.reshape(len(cum), -1).max(axis=1))
-    return np.max(found, axis=0)
+    table = np.moveaxis(cum, -1, 0).astype(float, order="C")  # table[l]: counts below last-axis candidate l
+    *lead, pen, last = cands
+    lo, hi = np.triu_indices(pen.shape[1], k=1 - shift)
+    upper, runs = hi + shift, np.bincount(lo)  # the rows of one left index are consecutive
+    lower = slice(1 - shift, len(runs) + 1 - shift)
+    width = pen[:, hi] - pen[:, lo]
+    unit_grid, unit_width = np.arange(len(cum)), np.ones(len(cum))
+    if lead:
+        i, j = np.triu_indices(lead[0].shape[1], k=1 - shift)
+        unit_grid = np.repeat(unit_grid, len(i))
+        i, j = np.tile(i, len(cum)), np.tile(j, len(cum))
+        unit_width = lead[0][unit_grid, j] - lead[0][unit_grid, i]
+    found = np.full(len(cum), -np.inf)
+    step = max(1, EXACT_BLOCK_BUDGET // len(lo))
+    for start in range(0, len(unit_grid), step):
+        u = slice(start, start + step)
+        b = unit_grid[u]
+        block = table[:, b, j[u] + shift] - table[:, b, i[u] + 1 - shift] if lead else table[:, u]
+        w = unit_width[u, None] * width[b]
+        vals = last[b[0]] if b[0] == b[-1] else last[b].T[:, :, None]  # one grid's candidates as scalars
+        left, best = np.full(w.shape, -np.inf), np.full(w.shape, -np.inf)
+        below = 0.0  # index 0 of every axis is the zero pad
+        for l in range(last.shape[1]):
+            col = block[l + 1]
+            above = np.take(col, upper, axis=1) - np.repeat(col[:, lower], runs, axis=1)
+            above /= n_total
+            wv = w * vals[l]
+            if closed:  # the closed box [vals[i], vals[l]] holds above - below_i points
+                np.maximum(left, wv - below, out=left)
+                np.maximum(best, above - wv + left, out=best)
+            else:  # the open box (vals[i], vals[l]) holds below - above_i points
+                np.maximum(best, wv - below + left, out=best)
+                np.maximum(left, above - wv, out=left)
+            below = above
+        np.maximum.at(found, b, best.max(axis=1))
+    return found
 
 
 def _exact_extreme(samples: np.ndarray) -> np.ndarray:
@@ -109,9 +105,11 @@ def _exact_extreme(samples: np.ndarray) -> np.ndarray:
     candidates are padded with copies of 1.0 to the batch's widest, and these
     hold no point: a box reaching a padded candidate repeats a box ending at
     the sample's own 1.0, and one starting there has volume and count 0, so
-    no value changes.  The tally is cumulated along every axis once, and the
-    slabs of every leading axis but the second-to-last are scanned as one
-    batch, in blocks of EXACT_BLOCK_BUDGET.
+    no value changes.  The tally is cumulated along every axis once.  At
+    s = 1 the value is max_l (share[l+1] - v_l) + max_k (v_k - share[k]): the
+    (k, l) term is the closed box for k <= l and the open one for k > l, and
+    rounding is monotone, so this is the max over both, bit for bit.  At
+    s >= 2, _box_scan streams every slab row of the batch along the last axis.
     """
     n_samples, n_total, s = samples.shape
     batch = np.arange(n_samples)[:, None]
@@ -135,8 +133,10 @@ def _exact_extreme(samples: np.ndarray) -> np.ndarray:
     cum = np.bincount((flat + batch * math.prod(shape[1:])).ravel(), minlength=math.prod(shape)).reshape(shape)
     for axis in range(1, cum.ndim):
         cum = np.cumsum(cum, axis=axis)
-    cum, widths = cum.astype(float), np.ones(n_samples)
-    return np.maximum(*(_sweep(cum, cands, widths, n_total, closed) for closed in (True, False)))
+    if s == 1:
+        share, vals = cum / n_total, cands[0]
+        return (share[:, 1:] - vals).max(axis=1) + (vals - share[:, :-1]).max(axis=1)
+    return np.maximum(*(_box_scan(cum, cands, n_total, closed) for closed in (True, False)))
 
 
 def exact_extreme_1d(points) -> DiscrepancyReport:

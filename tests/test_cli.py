@@ -761,6 +761,14 @@ class TestPinnedOutputs:
         code, out, _ = run_cli(capsys, "expsum-check", "--curve", self.EXPSUM_CURVE, *mode, "--c", c)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_expsum_check_sorts_and_deduplicates_draws(self, capsys):
+        # 5000 draws of a in 1..1008 repeat most values; the digest is that of the set-based dedup.
+        code, out, _ = run_cli(capsys, "expsum-check", "--curve", "1009,1,1", "--samples", "5000", "--seed", "11")
+        digest = "fd27292ae5ffec8190b187c32eb316f2bc9aa7d871ac2e567ac8e67bb9bf7475"
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        a_values = [int(row[1]) for row in parse_csv(out)[1]]
+        assert a_values == sorted(set(a_values)) and len(a_values) < 5000
+
     def test_curve_info(self, capsys):
         code, out, _ = run_cli(capsys, "curve-info", "--curve", self.EXPSUM_CURVE)
         digest = "53c0cbfaebb5ecf3d15bca043486c93705ff1b705c68bf3471fc1a24da0e914c"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ecss import curve as curve_module
 from ecss.curve import (
@@ -29,6 +31,18 @@ from ecss.errors import ScaleGuardError, ValidationError
 F5 = validate_curve(5, 1, 1)
 
 SMALL_CURVES = [F5, validate_curve(7, 3, 4), validate_curve(11, 1, 6), validate_curve(13, 2, 3)]
+
+
+@st.composite
+def curve_with_points(draw):
+    """A nonsingular curve over a prime below 2000 and three of its points, often the identity."""
+    p = draw(st.sampled_from([q for q in range(5, 2000) if is_prime(q)]))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b**2) % p)
+    curve = validate_curve(p, a, b)
+    table = point_table(curve)  # row 0 is the point at infinity
+    rows = draw(st.lists(st.integers(0, len(table) - 1) | st.just(0), min_size=3, max_size=3))
+    return curve, [CurvePoint(*map(int, table[k])) if k else INFINITY for k in rows]
 
 
 class TestValidateCurve:
@@ -113,6 +127,15 @@ class TestGroupLaw:
                     left = add(add(p0, p1, curve), p2, curve)
                     right = add(p0, add(p1, p2, curve), curve)
                     assert left == right
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve_with_points())
+    def test_group_law_property(self, case):
+        curve, (p0, p1, p2) = case
+        assert add(p0, INFINITY, curve) == add(INFINITY, p0, curve) == p0
+        assert add(p0, negate(p0, curve), curve) == INFINITY
+        assert add(p0, p1, curve) == add(p1, p0, curve)
+        assert add(add(p0, p1, curve), p2, curve) == add(p0, add(p1, p2, curve), curve)
 
     @pytest.mark.parametrize("curve", SMALL_CURVES, ids=format_curve)
     def test_inverse_and_order(self, curve):

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -330,6 +331,28 @@ def tiered_batch(s, n, seed):
     return rows
 
 
+@st.composite
+def zero_tie_batches(draw):
+    """A (B, N, s) batch at s = 2 or 3 in which every sample has exact 0.0
+    coordinates and a repeated row, and the samples lie on different grids, so
+    their candidate counts and paddings differ.  Coordinates come from a drawn
+    seed: hypothesis's own floats favour short fractions, whose products do
+    not round."""
+    s = draw(st.integers(2, 3))
+    n = draw(st.integers(2, (12, 8)[s - 2]))
+    samples = []
+    for levels in draw(st.lists(st.sampled_from([None, 2, 3, 5, 16]), min_size=1, max_size=4)):
+        rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, s))
+        if levels:
+            rows = np.floor(rows * levels) / levels
+        zeros = st.tuples(st.integers(0, n - 2), st.integers(0, s - 1))
+        for row, axis in draw(st.lists(zeros, min_size=1, max_size=3)):
+            rows[row, axis] = 0.0
+        rows[-1] = rows[draw(st.integers(0, n - 2))]
+        samples.append(rows)
+    return np.array(samples)
+
+
 class TestBatchedExactKernel:
     @settings(max_examples=80, deadline=None)
     @given(sample_batches())
@@ -343,6 +366,14 @@ class TestBatchedExactKernel:
         for sample, value in zip(batch, values):
             assert value == _exact_extreme(sample[None])[0] == exact_value(sample)
             assert abs(value - oracle(sample[:, 0] if s == 1 else sample)) < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_tie_batches())
+    @example(np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.25]]]))
+    @example(np.array([[[0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.5, 0.0, 0.75]]]))
+    def test_batch_is_bit_identical_to_reference_scan(self, batch):
+        values = _exact_extreme(batch)
+        assert values.tolist() == [reference_exact_extreme(sample) for sample in batch]
 
     @pytest.mark.parametrize("s, n", [(1, 1023), (2, 60), (3, 12)])
     def test_tiered_batch_equals_per_sample_calls(self, s, n):
@@ -360,6 +391,29 @@ class TestBatchedExactKernel:
             monkeypatch.setattr(discrepancy, "EXACT_BLOCK_BUDGET", budget)
             values.add(tuple(_exact_extreme(batch).tolist()))
         assert len(values) == 1, values
+
+
+class TestExactKernelMemory:
+    """Peak traced allocation of one exact kernel call at the guard edge.
+
+    The streaming scan holds a block's row vectors and its first-axis slab
+    table: 2.0 MiB at s = 3, N = 21 and 0.65 / 0.88 MiB for the s = 2 shapes
+    (numpy 2.4, Python 3.11).  A table of every row's counts at every
+    last-axis candidate would need 4.4 MiB at s = 2, N = 100, 3.6 MiB for the
+    sweep's six-sample N = 50 group and about 7 MiB unblocked at s = 3.
+    """
+
+    @pytest.mark.parametrize("s, n, samples, limit_mib", [(3, 21, 1, 3.0), (2, 100, 1, 1.0), (2, 50, 6, 1.5)])
+    def test_peak_allocation(self, s, n, samples, limit_mib):
+        batch = np.random.default_rng(60 + s).random((samples, n, s))
+        _exact_extreme(batch)  # first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            _exact_extreme(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20, peak / 2**20
 
 
 class TestMcLowerBound:

@@ -1,7 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecss import experiments
 
@@ -221,6 +228,42 @@ class TestDiscrepancySweep:
             assert row.method == "exact"
             assert (row.mean, row.median, row.q90) == (float(d.mean()), float(np.median(d)),
                                                        float(np.quantile(d, 0.9)))
+
+
+class TestSweepStatistics:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0) | st.integers(0, 6).map(lambda k: k / 7), min_size=1, max_size=400))
+    def test_median_q90_equal_numpy(self, values):
+        d = np.array(values)
+        assert experiments._median_q90(d[::-1]) == (float(np.median(d)), float(np.quantile(d, 0.9)))
+
+    def test_experiment_does_not_import_numpy_ma(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"curve": {"p": 1009, "a": 1, "b": 1}, "poly_hex": "0x409", "r": 10, "s": 2,
+                                    "n_grid": [5, 8], "samples": 3, "delta": 1.0, "seed": 4}))
+        script = ("import sys\nfrom ecss.cli import main\n"
+                  f"code = main(['experiment', '--config', {str(path)!r}])\n"
+                  "print(code, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
+    def test_monte_carlo_seeds_only_past_the_guard(self, monkeypatch):
+        spawned = []
+        seed_sequence = np.random.SeedSequence
+
+        def recording(entropy, *args, **kwargs):
+            spawned.append(entropy)
+            return seed_sequence(entropy, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        config = small_config(s=2, n_grid=(10, 20), samples=3)
+        discrepancy_sweep(config)
+        assert (config.seed, 1) not in spawned
+        discrepancy_sweep(small_config(s=2, n_grid=(10, 101), samples=3, curve=validate_curve(1009, 1, 1),
+                                       poly=BinaryPoly(0x409), r=10))
+        assert (config.seed, 1) in spawned
 
 
 class TestSlopeFit:
