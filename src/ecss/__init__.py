@@ -1,85 +1,45 @@
 """Elliptic-curve subset-sum generator, equidistribution diagnostics, and
-window-pair combinatorics."""
+window-pair combinatorics.
 
-from types import ModuleType as _ModuleType
+The public names below load their defining module on first access (PEP 562),
+so `import ecss` imports neither numpy nor any submodule.
+"""
 
-from .combinat import (
-    BadPairCount,
-    TransferMatrix,
-    WindowPattern,
-    alpha,
-    bad_count_bracket,
-    bad_pair_upper_bound,
-    beta,
-    brute_force_bad_count,
-    brute_force_bad_wrt_first,
-    is_s_good,
-    spectral_radius,
-    transfer_matrix,
-    walk_count,
-)
-from .curve import (
-    INFINITY,
-    CurveParams,
-    CurvePoint,
-    WeightVector,
-    add,
-    enumerate_points,
-    is_on_curve,
-    negate,
-    point_table,
-    scalar_mul,
-    validate_curve,
-    x_coord,
-)
-from .discrepancy import (
-    BoundInputs,
-    DiscrepancyReport,
-    discrepancy_bound_1d,
-    discrepancy_bound_multi,
-    elmahassni_bound,
-    exact_extreme_1d,
-    exact_extreme_multi,
-    mc_box_lower_bound,
-    nontrivial_exponent,
-)
-from .errors import ScaleGuardError, ValidationError
-from .experiments import (
-    ExperimentConfig,
-    SweepRow,
-    bound_crossover,
-    discrepancy_sweep,
-    sample_weight_vectors,
-    slope_fit,
-)
-from .expsum import (
-    ComplexSum,
-    additive_character,
-    avg_square_sum_over_weights,
-    curve_x_char_sum,
-    dirichlet_l1,
-    koksma_szusz_rhs,
-    orthogonality_sum,
-)
-from .generator import (
-    GeneratorConfig,
-    PointSet,
-    ResidueWeights,
-    ec_subset_sum,
-    ec_subset_sum_stream,
-    output_normalized,
-    s_tuples,
-    subset_sum_residue,
-)
-from .gf2 import (
-    BinaryPoly,
-    BitSequenceSource,
-    LfsrSource,
-    PeriodicSource,
-    poly_is_irreducible,
-    sequence_period,
-    windows_distinct,
-)
+import importlib
 
-__all__ = [name for name, value in list(globals().items())
-           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    "combinat": "BadPairCount TransferMatrix WindowPattern alpha bad_count_bracket bad_pair_upper_bound beta "
+                "brute_force_bad_count brute_force_bad_wrt_first is_s_good spectral_radius transfer_matrix walk_count",
+    "curve": "INFINITY CurveParams CurvePoint WeightVector add enumerate_points is_on_curve negate point_table "
+             "scalar_mul validate_curve x_coord",
+    "discrepancy": "BoundInputs DiscrepancyReport discrepancy_bound_1d discrepancy_bound_multi elmahassni_bound "
+                   "exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
+    "errors": "ScaleGuardError ValidationError",
+    "experiments": "ExperimentConfig SweepRow bound_crossover discrepancy_sweep sample_weight_vectors slope_fit",
+    "expsum": "ComplexSum additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 "
+              "koksma_szusz_rhs orthogonality_sum",
+    "generator": "GeneratorConfig PointSet ResidueWeights ec_subset_sum ec_subset_sum_stream output_normalized "
+                 "s_tuples subset_sum_residue",
+    "gf2": "BinaryPoly BitSequenceSource LfsrSource PeriodicSource poly_is_irreducible sequence_period "
+           "windows_distinct",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

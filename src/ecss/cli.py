@@ -1,8 +1,13 @@
-"""Command-line front end; JSON for scalar reports, CSV for tables."""
+"""Command-line front end; JSON for scalar reports, CSV for tables.
+
+Each command imports the ecss modules it uses when it runs, so a job loads
+only its own subcommand's modules.
+"""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -10,9 +15,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import combinat, curve, discrepancy, experiments, expsum, gf2, generator
 from .errors import ScaleGuardError, ValidationError, validate_seed
 
 VERSION = 1
@@ -23,14 +25,22 @@ EXIT_SCALE_GUARD = 3
 EXIT_IO = 4
 
 MAX_CHECK_SAMPLES = 10**7  # expsum-check --samples draws, one int64 each
+CHECK_CHUNK_ROWS = 4096  # expsum-check rows formatted by one % and written at once
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream for --output: standard output for None or '-', else the file."""
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
 
 
 def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -57,11 +67,9 @@ def _parse_bits(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
-def _parse_weights(text: str) -> tuple[curve.CurvePoint, ...]:
-    return tuple(curve.parse_point(part) for part in text.split(";") if part.strip())
-
-
 def _cmd_gen(args) -> int:
+    from . import curve, experiments, generator, gf2
+
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
     params = curve.parse_curve(args.curve)
@@ -69,7 +77,8 @@ def _cmd_gen(args) -> int:
     init = _parse_bits(args.init) if args.init else gf2.default_init(poly.degree)
     source = gf2.LfsrSource(poly, init)
     if args.weights:
-        weights = curve.WeightVector(_parse_weights(args.weights))
+        points = (curve.parse_point(part) for part in args.weights.split(";") if part.strip())
+        weights = curve.WeightVector(tuple(points))
     else:
         weights = experiments.sample_weight_vectors(params, poly.degree, 1, args.seed)[0]
     config = generator.GeneratorConfig(source=source, weights=weights, curve=params)
@@ -85,6 +94,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_curve_info(args) -> int:
+    from . import curve
+
     params = curve.parse_curve(args.curve)
     order = len(curve.point_table(params))
     hasse_ok = (order - params.p - 1) ** 2 <= 4 * params.p
@@ -96,6 +107,8 @@ def _cmd_curve_info(args) -> int:
 
 
 def _cmd_lfsr_info(args) -> int:
+    from . import gf2
+
     poly = gf2.BinaryPoly.from_hex(args.poly)
     init = _parse_bits(args.init) if args.init else gf2.default_init(poly.degree)
     irreducible = gf2.poly_is_irreducible(poly)
@@ -116,6 +129,8 @@ def _cmd_lfsr_info(args) -> int:
 
 
 def _read_point_rows(path: str) -> np.ndarray:
+    import numpy as np
+
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -149,6 +164,8 @@ def _read_point_rows(path: str) -> np.ndarray:
 
 
 def _cmd_disc(args) -> int:
+    from . import discrepancy
+
     arr = _read_point_rows(args.input)
     s = arr.shape[1]
     if args.method == "exact":
@@ -159,12 +176,15 @@ def _cmd_disc(args) -> int:
         else:
             raise ValidationError("exact discrepancy supports s <= 3; use --method mc")
     else:
-        report = discrepancy.mc_box_lower_bound(arr, args.trials, args.seed)
+        trials = discrepancy.DEFAULT_MC_TRIALS if args.trials is None else args.trials
+        report = discrepancy.mc_box_lower_bound(arr, trials, args.seed)
     _emit_json({"n": report.n, "s": report.s, "value": report.value, "method": report.method}, args.output)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
+    from . import discrepancy
+
     inputs = discrepancy.BoundInputs(n=args.n, p=args.p, r=args.r, tau=args.tau,
                                      delta=args.delta, s=args.s)
     payload = {
@@ -181,6 +201,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_badpairs(args) -> int:
+    from . import combinat
+
     if args.h is not None:
         combinat.WindowPattern(args.s, args.h)
     tally = combinat.brute_force_bad_count(args.r, args.s)
@@ -199,6 +221,8 @@ def _cmd_badpairs(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    from . import combinat
+
     radii = combinat.pattern_radii(args.s, args.tolerance)
     _emit_json(
         {
@@ -213,12 +237,16 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_expsum_check(args) -> int:
+    import numpy as np
+
+    from . import curve, expsum
+
     params = curve.parse_curve(args.curve)
     shift = curve.parse_point(args.c) if args.c else curve.INFINITY
     points = curve.point_table(params)
     p = params.p
     if args.all_a:
-        a_values = range(1, p)
+        a_values, index = np.arange(1, p), slice(1, p)
     elif args.samples < 1:
         raise ValidationError("--samples must be >= 1")
     elif args.samples > MAX_CHECK_SAMPLES:
@@ -226,18 +254,24 @@ def _cmd_expsum_check(args) -> int:
     else:
         validate_seed(args.seed)
         rng = np.random.default_rng(args.seed)
-        a_values = np.unique(rng.integers(1, p, size=args.samples)).tolist()
-    sums = expsum.curve_char_sums_all(params, shift, points)
-    # abs() of a Python complex: np.abs rounds some moduli differently in the last place.
-    magnitudes = [abs(z) for z in sums[a_values].tolist()]
+        a_values = index = np.unique(rng.integers(1, p, size=args.samples))
+    sums = expsum.curve_char_sums_all(params, shift, points)[index]
+    # hypot is the modulus abs() of a Python complex returns; np.abs rounds some differently in the last place.
+    magnitudes = np.hypot(sums.real, sums.imag)
     sqrt_p = math.sqrt(p)
     row = f"{p},%d,%.12g,{sqrt_p:.12g},%.12g\r\n"  # the csv.writer layout, constants rendered once
-    head = _csv_head(["p", "a", "abs_sum", "sqrt_p", "ratio"])
-    _write_text("".join([head, *(row % (a, m, m / sqrt_p) for a, m in zip(a_values, magnitudes))]), args.output)
+    table = np.column_stack((a_values, magnitudes, magnitudes / sqrt_p))  # %d renders the float a exactly
+    with _output(args.output) as handle:
+        handle.write(_csv_head(["p", "a", "abs_sum", "sqrt_p", "ratio"]))
+        for start in range(0, len(table), CHECK_CHUNK_ROWS):
+            chunk = table[start : start + CHECK_CHUNK_ROWS]
+            handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
+    from . import curve, experiments, gf2
+
     with open(args.config, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -301,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc = sub.add_parser("disc", help="discrepancy of a CSV point set")
     disc.add_argument("--input", default="-", help="CSV path, '-' for stdin")
     disc.add_argument("--method", choices=["exact", "mc"], default="exact")
-    disc.add_argument("--trials", type=int, default=experiments.DEFAULT_MC_TRIALS)
+    disc.add_argument("--trials", type=int)  # None: discrepancy.DEFAULT_MC_TRIALS
     disc.add_argument("--seed", type=int, default=0)
     disc.add_argument("--output")
     disc.set_defaults(func=_cmd_disc)

@@ -139,13 +139,20 @@ def scalar_mul(k: int, point: CurvePoint, curve: CurveParams) -> CurvePoint:
 
 
 def _square_root_table(p: int):
-    """Return (nsol, ys, starts): ys[starts[t]:starts[t+1]] are the roots of y^2 = t."""
-    ys = np.arange(p, dtype=np.int64)
-    squares = (ys * ys) % p
-    nsol = np.bincount(squares, minlength=p)
-    order = np.argsort(squares, kind="stable")
+    """Return (nsol, ys, starts): ys[starts[t]:starts[t+1]] are the roots of y^2 = t, increasing.
+
+    The roots of a nonzero square y^2 with 1 <= y <= (p-1)/2 are y < p - y,
+    and 0 is the one root of 0, so no sort is needed.
+    """
+    half = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    squares = half * half % p  # distinct: y^2 = z^2 means y = +-z
+    nsol = 2 * np.bincount(squares, minlength=p)
+    nsol[0] = 1
     starts = np.concatenate([[0], np.cumsum(nsol)])
-    return nsol, ys[order], starts
+    ys = np.zeros(p, dtype=np.int64)
+    ys[starts[squares]] = half
+    ys[starts[squares] + 1] = p - half
+    return nsol, ys, starts
 
 
 def point_table(curve: CurveParams) -> np.ndarray:

@@ -44,6 +44,15 @@ def exact_fits_guard(n: int, s: int) -> bool:
     return n ** (2 * s) <= MAX_EXACT_MULTI_WORK
 
 
+def exact_group_size(n: int, s: int) -> int:
+    """Samples of N points per exact kernel call: enough to fill one EXACT_BLOCK_BUDGET-row block of _box_scan.
+
+    A sample has at most c = N + 2 candidates per axis and so at most
+    (c(c+1)/2)^(s-1) closed slab rows: one at s = 1, which has no scan.
+    """
+    return max(1, EXACT_BLOCK_BUDGET // ((n + 2) * (n + 3) // 2) ** (s - 1))
+
+
 def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool) -> np.ndarray:
     """Best closed (or open) box of each cumulative count grid cum[b], for s = 2 or 3.
 
@@ -74,7 +83,11 @@ def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool) -> np.nd
     for start in range(0, len(unit_grid), step):
         u = slice(start, start + step)
         b = unit_grid[u]
-        block = table[:, b, j[u] + shift] - table[:, b, i[u] + 1 - shift] if lead else table[:, u]
+        if lead:
+            block = table[:, b, j[u] + shift]
+            block -= table[:, b, i[u] + 1 - shift]
+        else:
+            block = table[:, u]
         w = unit_width[u, None] * width[b]
         vals = last[b[0]] if b[0] == b[-1] else last[b].T[:, :, None]  # one grid's candidates as scalars
         left, best = np.full(w.shape, -np.inf), np.full(w.shape, -np.inf)
@@ -160,6 +173,9 @@ def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
         raise ScaleGuardError(f"N^(2s) = {n_total ** (2 * s)} exceeds {MAX_EXACT_MULTI_WORK}")
     value = float(_exact_extreme(rows[None])[0])
     return DiscrepancyReport(n_total, s, value, EXACT)
+
+
+DEFAULT_MC_TRIALS = 4000  # boxes per mc_box_lower_bound call in the sweep and `ecss disc --method mc`
 
 
 def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:

@@ -10,8 +10,8 @@ import numpy as np
 
 from .curve import INFINITY, CurveParams, CurvePoint, WeightVector, point_table
 from .discrepancy import (
+    DEFAULT_MC_TRIALS,
     EXACT,
-    EXACT_BLOCK_BUDGET,
     MC_LOWER_BOUND,
     BoundInputs,
     _exact_extreme,
@@ -19,13 +19,12 @@ from .discrepancy import (
     discrepancy_bound_multi,
     elmahassni_bound,
     exact_fits_guard,
+    exact_group_size,
     mc_box_lower_bound,
 )
 from .errors import ValidationError, validate_int, validate_positive_real, validate_seed
 from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period, windows_distinct
 from .generator import LANE_BUDGET, _lane_sums, _point_arrays
-
-DEFAULT_MC_TRIALS = 4000
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,10 @@ def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
     Every sample shares one register, so the bits are generated once and the
     samples' outputs are computed in blocks of lanes; each block's D values
     are taken before the next block is summed.  Within the guard, one exact
-    kernel call takes as many of a block's samples as keep N^s count cells
-    within EXACT_BLOCK_BUDGET: the whole block when s = 1, since a block holds
-    at most LANE_BUDGET / N samples and the two budgets are equal.  Past the
-    guard each sample gets a Monte-Carlo lower bound.  The bounds are
+    kernel call takes as many of a block's samples as fill one block of its
+    box scan (exact_group_size): the whole block when s = 1, since a block
+    holds at most LANE_BUDGET samples and the two budgets are equal.  Past
+    the guard each sample gets a Monte-Carlo lower bound.  The bounds are
     evaluated first, so an overflow stops the run before any sample is drawn.
     """
     inputs = [BoundInputs(n=n, p=config.curve.p, r=config.r, tau=config.tau, delta=config.delta,
@@ -139,7 +138,7 @@ def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
         for col, n in enumerate(config.n_grid):
             tuples = np.lib.stride_tricks.sliding_window_view(outputs[:, : n + config.s - 1], config.s, axis=1)
             if exact[col]:
-                group = max(1, EXACT_BLOCK_BUDGET // n**config.s)
+                group = exact_group_size(n, config.s)
                 for first in range(0, len(tuples), group):
                     values[first : first + group, col] = _exact_extreme(tuples[first : first + group])
             else:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecss import experiments
+from ecss import cli, experiments
 from ecss.cli import MAX_CHECK_SAMPLES, main
 from ecss.curve import CurvePoint, WeightVector, enumerate_points, parse_curve, point_table, validate_curve
 from ecss.discrepancy import exact_extreme_1d
@@ -591,6 +591,49 @@ class TestExpsumCheck:
         rng = np.random.default_rng(3)
         a_values = sorted(set(int(a) for a in rng.integers(1, 101, size=8)))
         assert out == self.csv_writer_rendering(101, a_values, curve_char_sums_all(curve))
+
+    # Both modes write 12 rows: chunks of 4 fill exactly three, and 11 and 13 leave one row over or short.
+    @pytest.mark.parametrize("chunk", [4, 11, 12, 13])
+    @pytest.mark.parametrize("mode", [("13,2,0", "--all-a"), ("10007,1,1", "--samples", "12", "--seed", "3")],
+                             ids=["all-a", "samples"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_chunked_rows_are_the_csv_writer_rendering(self, capsys, monkeypatch, tmp_path, chunk, mode, to_file):
+        monkeypatch.setattr(cli, "CHECK_CHUNK_ROWS", chunk)
+        curve = parse_curve(mode[0])
+        if mode[1] == "--all-a":
+            a_values = range(1, curve.p)
+        else:
+            a_values = sorted(set(np.random.default_rng(3).integers(1, curve.p, size=12).tolist()))
+        assert len(a_values) == 12
+        self.check_rendering(capsys, tmp_path, ["--curve", *mode], to_file,
+                             self.csv_writer_rendering(curve.p, a_values, curve_char_sums_all(curve)))
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_rows_in_whole_chunks_of_the_module_size(self, capsys, tmp_path, to_file):
+        curve = validate_curve(12289, 1, 1)  # p - 1 = 3 * 4096
+        expected = self.csv_writer_rendering(12289, range(1, 12289), curve_char_sums_all(curve))
+        self.check_rendering(capsys, tmp_path, ["--curve", "12289,1,1", "--all-a"], to_file, expected)
+
+    @staticmethod
+    def check_rendering(capsys, tmp_path, argv, to_file, expected):
+        path = tmp_path / "check.csv"
+        code, out, _ = run_cli(capsys, "expsum-check", *argv, *(["--output", str(path)] if to_file else []))
+        assert code == 0
+        assert (path.read_bytes().decode() if to_file else out) == expected
+        assert out == "" if to_file else not path.exists()
+
+    def test_all_a_output_streams_in_chunks(self, tmp_path):
+        # A string per row peaks at 22 MiB at p = 100003; the chunked writer at 8.5 MiB,
+        # most of it the point table and the character sums.
+        argv = ["expsum-check", "--curve", "100003,32984,38683", "--all-a", "--output", str(tmp_path / "check.csv")]
+        main(argv[:2] + ["101,1,1"] + argv[3:])  # first-call allocations are not the command's
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 12 * 2**20, peak / 2**20
 
 
 class TestExperiment:

@@ -235,6 +235,24 @@ class TestPointTable:
             point_table(F5)
 
 
+def argsort_square_root_table(p):
+    """The quadratic-residue table by a stable sort of every y by y^2, the reference for the sort-free build."""
+    ys = np.arange(p, dtype=np.int64)
+    squares = (ys * ys) % p
+    nsol = np.bincount(squares, minlength=p)
+    order = np.argsort(squares, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(nsol)])
+    return nsol, ys[order], starts
+
+
+class TestSquareRootTable:
+    @pytest.mark.parametrize("p", [p for p in range(5, 300) if is_prime(p)] + [1009, 100003, 1048573])
+    def test_equals_the_argsort_build(self, p):
+        for name, got, want in zip(("nsol", "ys", "starts"), curve_module._square_root_table(p),
+                                   argsort_square_root_table(p)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 class TestAllCurveOrders:
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
     def test_matches_enumeration_exhaustively(self, p):

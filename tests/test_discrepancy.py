@@ -397,13 +397,20 @@ class TestExactKernelMemory:
     """Peak traced allocation of one exact kernel call at the guard edge.
 
     The streaming scan holds a block's row vectors and its first-axis slab
-    table: 2.0 MiB at s = 3, N = 21 and 0.65 / 0.88 MiB for the s = 2 shapes
-    (numpy 2.4, Python 3.11).  A table of every row's counts at every
-    last-axis candidate would need 4.4 MiB at s = 2, N = 100, 3.6 MiB for the
-    sweep's six-sample N = 50 group and about 7 MiB unblocked at s = 3.
+    table, one gathered copy with the lower faces subtracted in place:
+    1.72 MiB at s = 3, N = 21 (1.98 as the difference of two copies) and
+    0.65 / 0.88 MiB for the one-sample N = 100 and six-sample N = 50 shapes
+    (numpy 2.4, Python 3.11).  The sweep's s = 2 groups, sized by
+    exact_group_size to fill one block, take 1.71 MiB (three at N = 100) and
+    1.59 MiB (eleven at N = 50).  A table of every row's counts at every
+    last-axis candidate would need 4.4 MiB at s = 2, N = 100, 3.6 MiB for six
+    samples at N = 50 and about 7 MiB unblocked at s = 3.
     """
 
-    @pytest.mark.parametrize("s, n, samples, limit_mib", [(3, 21, 1, 3.0), (2, 100, 1, 1.0), (2, 50, 6, 1.5)])
+    @pytest.mark.parametrize("s, n, samples, limit_mib", [
+        (3, 21, 1, 3.0), (2, 100, 1, 1.0), (2, 50, 6, 1.5),
+        (3, 21, 1, 1.85), (2, 100, 3, 2.0), (2, 50, 11, 2.0),
+    ])
     def test_peak_allocation(self, s, n, samples, limit_mib):
         batch = np.random.default_rng(60 + s).random((samples, n, s))
         _exact_extreme(batch)  # first-call allocations are not the kernel's

@@ -203,6 +203,24 @@ class TestDiscrepancySweep:
             d.append(experiments.mc_box_lower_bound(s_tuples(outputs, 2), experiments.DEFAULT_MC_TRIALS, seed).value)
         assert rows[1].mean == float(np.mean(d))
 
+    # A sample of N points has at most (N + 2)(N + 3) / 2 closed slab rows per leading axis: 5,253 at
+    # N = 100, so three fill a 2^14-row block of the box scan; 36^2 = 1,296 at s = 3, N = 6, so twelve.
+    @pytest.mark.parametrize("s, n_grid, samples, sizes", [(2, (25, 100), 7, [7, 3, 3, 1]), (3, (6,), 13, [12, 1])])
+    def test_exact_groups_fill_a_block_and_equal_one_sample_calls(self, monkeypatch, s, n_grid, samples, sizes):
+        kernel, calls = experiments._exact_extreme, []
+
+        def recording(batch):
+            values = kernel(batch)
+            calls.append((len(batch), values, np.concatenate([kernel(sample[None]) for sample in batch])))
+            return values
+
+        monkeypatch.setattr(experiments, "_exact_extreme", recording)
+        discrepancy_sweep(small_config(s=s, n_grid=n_grid, samples=samples, curve=validate_curve(1009, 1, 1),
+                                       poly=BinaryPoly(0x409), r=10))
+        assert [size for size, _, _ in calls] == sizes
+        for _, grouped, single in calls:
+            assert grouped.tobytes() == single.tobytes()
+
     @pytest.mark.parametrize("overrides", [
         dict(curve=validate_curve(1009, 1, 1), poly=BinaryPoly(0x409), r=10, n_grid=(64, 256, 1023),
              samples=40),

@@ -1,0 +1,87 @@
+"""What a fresh process loads: `import ecss` loads no submodule, and each CLI command only its own."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ecss
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The 64 public names, by defining module, as exported when ecss/__init__.py imported every module.
+PUBLIC = {
+    "combinat": "BadPairCount TransferMatrix WindowPattern alpha bad_count_bracket bad_pair_upper_bound beta "
+                "brute_force_bad_count brute_force_bad_wrt_first is_s_good spectral_radius transfer_matrix walk_count",
+    "curve": "INFINITY CurveParams CurvePoint WeightVector add enumerate_points is_on_curve negate point_table "
+             "scalar_mul validate_curve x_coord",
+    "discrepancy": "BoundInputs DiscrepancyReport discrepancy_bound_1d discrepancy_bound_multi elmahassni_bound "
+                   "exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
+    "errors": "ScaleGuardError ValidationError",
+    "experiments": "ExperimentConfig SweepRow bound_crossover discrepancy_sweep sample_weight_vectors slope_fit",
+    "expsum": "ComplexSum additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 "
+              "koksma_szusz_rhs orthogonality_sum",
+    "generator": "GeneratorConfig PointSet ResidueWeights ec_subset_sum ec_subset_sum_stream output_normalized "
+                 "s_tuples subset_sum_residue",
+    "gf2": "BinaryPoly BitSequenceSource LfsrSource PeriodicSource poly_is_irreducible sequence_period "
+           "windows_distinct",
+}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The ecss modules, and numpy if loaded, in sys.modules of a fresh process after running code."""
+    script = (f"import contextlib, io, json, sys\n{code}\n"
+              "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'ecss']))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def cli_run(*argv: str) -> str:
+    """Code that runs `ecss ARGV` in-process with its output discarded, exiting 0."""
+    return ("from ecss.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({list(argv)!r}) == 0")
+
+
+def test_import_ecss_loads_no_submodule_and_no_numpy():
+    assert loaded_after("import ecss") == {"ecss"}
+
+
+def test_a_public_name_or_submodule_loads_only_its_module():
+    assert loaded_after("import ecss\necss.alpha") == {"ecss", "ecss.combinat", "ecss.errors", "numpy"}
+    assert loaded_after("import ecss\necss.gf2.BinaryPoly") == {"ecss", "ecss.gf2", "ecss.errors"}
+
+
+@pytest.mark.parametrize("argv", [("beta", "--s", "3"), ("badpairs", "--r", "6", "--s", "2")],
+                         ids=["beta", "badpairs"])
+def test_table_commands_load_only_combinat(argv):
+    assert loaded_after(cli_run(*argv)) == {"ecss", "ecss.cli", "ecss.errors", "ecss.combinat", "numpy"}
+
+
+def test_expsum_check_loads_no_combinatorics_or_discrepancy():
+    loaded = loaded_after(cli_run("expsum-check", "--curve", "13,2,0", "--all-a"))
+    assert "ecss.expsum" in loaded
+    assert not loaded & {"ecss.combinat", "ecss.discrepancy", "ecss.experiments"}
+
+
+def test_lfsr_info_loads_no_numpy():
+    assert loaded_after(cli_run("lfsr-info", "--poly", "0x13")) == {"ecss", "ecss.cli", "ecss.errors", "ecss.gf2"}
+
+
+def test_public_names_resolve_to_their_modules():
+    assert sorted(ecss.__all__) == sorted(name for names in PUBLIC.values() for name in names.split())
+    for module, names in PUBLIC.items():
+        defining = importlib.import_module(f"ecss.{module}")
+        for name in names.split():
+            assert getattr(ecss, name) is getattr(defining, name), name
+    namespace = {}
+    exec("from ecss import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ecss.__all__)
+    assert set(ecss.__all__) <= set(dir(ecss))
+    with pytest.raises(AttributeError):
+        ecss.no_such_name
