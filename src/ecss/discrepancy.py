@@ -176,6 +176,7 @@ def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
 
 
 DEFAULT_MC_TRIALS = 4000  # boxes per mc_box_lower_bound call in the sweep and `ecss disc --method mc`
+MAX_MC_TRIALS = 10**6  # bounds the chunk loop; each chunk already holds at most 10^6 box-point cells
 
 
 def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
@@ -187,6 +188,8 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if trials > MAX_MC_TRIALS:
+        raise ScaleGuardError(f"{trials} trials exceed the cap of {MAX_MC_TRIALS}")
     validate_seed(seed)
     rows = _as_rows(points)
     n_total, s = rows.shape

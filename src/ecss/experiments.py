@@ -22,9 +22,11 @@ from .discrepancy import (
     exact_group_size,
     mc_box_lower_bound,
 )
-from .errors import ValidationError, validate_int, validate_positive_real, validate_seed
-from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period, windows_distinct
+from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real, validate_seed
+from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period
 from .generator import LANE_BUDGET, _lane_sums, _point_arrays
+
+MAX_SAMPLES = 10**5  # weight vectors per sweep, each a spawned RNG stream and r CurvePoints up front
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,16 @@ class ExperimentConfig:
             raise ValidationError(f"r = {self.r} does not match polynomial degree {self.poly.degree}")
         validate_positive_real(self.delta, "delta")
         validate_seed(self.seed)
+        object.__setattr__(self, "init", tuple(self.init) if self.init else default_init(self.r))
+        # Degree-guarded, so first; its walk back to the start proves the tau windows (the states) distinct.
+        object.__setattr__(self, "tau", sequence_period(self.poly, self.init))
         if not poly_is_irreducible(self.poly):
             raise ValidationError("characteristic polynomial must be irreducible")
-        object.__setattr__(self, "init", tuple(self.init) if self.init else default_init(self.r))
-        tau = sequence_period(self.poly, self.init)
-        object.__setattr__(self, "tau", tau)
-        if not windows_distinct(LfsrSource(self.poly, self.init), self.r, tau):
-            raise ValidationError("register windows repeat within one period")
         grid = tuple(sorted(int(n) for n in self.n_grid))
         if not grid:
             raise ValidationError("N grid must be nonempty")
-        if grid[-1] > tau:
-            raise ValidationError(f"N grid must lie within [1, {tau}]")
+        if grid[-1] > self.tau:
+            raise ValidationError(f"N grid must lie within [1, {self.tau}]")
         object.__setattr__(self, "n_grid", grid)
         if self.r > math.isqrt(self.curve.p):
             warnings.warn(
@@ -96,6 +96,8 @@ def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> 
         raise ValidationError("r must be >= 1")
     if count < 0:
         raise ValidationError("count must be >= 0")
+    if count > MAX_SAMPLES:
+        raise ScaleGuardError(f"{count} samples exceed the cap of {MAX_SAMPLES}")
     validate_seed(seed)
     table = point_table(curve)
     out = []

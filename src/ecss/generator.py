@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import CurveParams, CurvePoint, INFINITY, WeightVector, validate_weights
-from .errors import ValidationError
+from .errors import ScaleGuardError, ValidationError
 from .gf2 import BitSequenceSource, LfsrSource
 
 
@@ -74,6 +74,8 @@ def subset_sum_residue(config: GeneratorConfig, ns) -> list[int]:
 
 
 LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers; bounds the temporaries
+# Output index, or s-tuple coordinates, per call; `ecss gen` holds about 170 B of RSS per value it writes.
+MAX_OUTPUTS = 2 * 10**6
 
 
 def _point_arrays(vectors):
@@ -242,6 +244,8 @@ def _curve_outputs(config: GeneratorConfig, first: int, count: int):
         raise ValidationError("indices start at 1")
     if count < 0:
         raise ValidationError("count must be >= 0")
+    if first + count - 1 > MAX_OUTPUTS:
+        raise ScaleGuardError(f"output index {first + count - 1} exceeds the cap of {MAX_OUTPUTS}")
     bits = config.source.bits(first + count + config.r - 2)[first - 1 :]
     x, y, inf = _lane_sums(bits, *_point_arrays([config.weights]), config.curve)
     return x[0], y[0], inf[0]
@@ -307,5 +311,7 @@ def s_tuples(seq, s: int) -> PointSet:
         raise ValidationError("sequence must be one-dimensional")
     if len(arr) < s:
         raise ValidationError(f"sequence of length {len(arr)} is shorter than s = {s}")
+    if (len(arr) - s + 1) * s > MAX_OUTPUTS:
+        raise ScaleGuardError(f"{(len(arr) - s + 1) * s} tuple coordinates exceed the cap of {MAX_OUTPUTS}")
     rows = np.lib.stride_tricks.sliding_window_view(arr, s).copy()
     return PointSet(s=s, rows=rows)

@@ -188,8 +188,9 @@ def packed_windows(stream, r: int, start: int = 0):
 def sequence_period(poly: BinaryPoly, init) -> int:
     """Smallest tau >= 1 with window(n + tau) = window(n) for every n.
 
-    Requires a nonzero initial window and constant term 1 (the state map is
-    then a bijection, so the first return to the start is the period).  For
+    Requires a nonzero initial window and constant term 1.  The state map on
+    the r-bit windows is then a bijection, so the first return to the start is
+    the period, and the tau windows of one period are pairwise distinct.  For
     an irreducible polynomial the result divides 2^r - 1.
     """
     packed = LfsrSource(poly, init)._init
@@ -214,7 +215,8 @@ def sequence_period(poly: BinaryPoly, init) -> int:
 
 
 def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
-    """True iff the windows (u(n+1), ..., u(n+r)), n = 1..tau, are pairwise distinct."""
+    """True iff the windows (u(n+1), ..., u(n+r)), n = 1..tau, of any source are pairwise distinct.
+    An LfsrSource's windows are its states, so at tau = sequence_period(...) it always passes."""
     if r < 1 or tau < 1:
         raise ValidationError("window length and tau must be >= 1")
     seen = set()

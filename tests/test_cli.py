@@ -16,13 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecss import cli, experiments
+from ecss import cli, experiments, gf2
 from ecss.cli import MAX_CHECK_SAMPLES, main
 from ecss.curve import CurvePoint, WeightVector, enumerate_points, parse_curve, point_table, validate_curve
-from ecss.discrepancy import exact_extreme_1d
-from ecss.experiments import ExperimentConfig, discrepancy_sweep
+from ecss.discrepancy import MAX_MC_TRIALS, exact_extreme_1d
+from ecss.experiments import MAX_SAMPLES, ExperimentConfig, discrepancy_sweep
 from ecss.expsum import curve_char_sums_all
-from ecss.generator import GeneratorConfig, output_normalized
+from ecss.generator import MAX_OUTPUTS, GeneratorConfig, output_normalized
 from ecss.gf2 import BinaryPoly, LfsrSource
 
 
@@ -37,6 +37,16 @@ def parse_csv(text):
     reader = csv.reader(lines)
     header = next(reader)
     return header, list(reader)
+
+
+def run_cli_traced(capsys, *argv):
+    """run_cli, plus the tracemalloc peak of the run."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        return code, out, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_cli_on_stdin(body, *argv):
@@ -108,7 +118,7 @@ def gen_argv(draw):
         point = point | st.sampled_from(points)
     weights = st.none() | st.lists(point, max_size=12).map(";".join)
     return (curve, draw(st.sampled_from(["0xb", "0x13", "0x409"])),
-            draw(st.integers(-3, 2000) | st.text(max_size=4)),
+            draw(st.integers(-3, 2000) | st.integers(MAX_OUTPUTS + 1, 10**12) | st.text(max_size=4)),
             draw(st.none() | st.integers(-2, 5) | st.text(max_size=3)),
             draw(st.none() | st.integers() | st.text(max_size=3)),
             draw(weights))
@@ -386,12 +396,36 @@ class TestGenAndDisc:
             assert exc.code == 2
             return
         assert code in (0, 2, 3), err
+        if isinstance(n, int) and n > MAX_OUTPUTS:
+            assert code in (2, 3)
         if code:
             assert out == "" and err.startswith(("error:", "scale guard:"))
         elif s is None:
             assert len(out.splitlines()) == int(n)
         else:
             assert len(parse_csv(out)[1]) == int(n) - int(s) + 1
+
+    @pytest.mark.parametrize("n", [MAX_OUTPUTS + 1, 10**12])
+    def test_n_over_the_cap_exits_before_generating(self, capsys, n):
+        code, out, err, peak = run_cli_traced(capsys, "gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", str(n))
+        assert code == 3 and out == "" and err.startswith("scale guard:")
+        assert peak < 2**20  # far below the 170 B per output that generating would hold
+
+    def test_tuples_over_the_cap_exit_before_the_copy(self, capsys):
+        # 3,000 outputs are cheap, but 1,501 tuples of dimension 1,500 exceed MAX_OUTPUTS coordinates.
+        code, out, err, peak = run_cli_traced(capsys, "gen", "--curve", "1009,1,1", "--poly", "0x409",
+                                              "--n", "3000", "--s", "1500")
+        assert code == 3 and out == "" and err.startswith("scale guard:") and 1501 * 1500 > MAX_OUTPUTS
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("trials", [MAX_MC_TRIALS + 1, 10**12])
+    def test_mc_trials_over_the_cap_exit_before_sampling(self, capsys, tmp_path, trials):
+        points_file = tmp_path / "pts.csv"
+        points_file.write_text("0.1,0.2\n0.3,0.8\n")
+        code, out, err, peak = run_cli_traced(capsys, "disc", "--input", str(points_file), "--method", "mc",
+                                              "--trials", str(trials))
+        assert code == 3 and out == "" and err.startswith("scale guard:")
+        assert peak < 2**20
 
     def test_gen_negative_seed_is_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--curve", "13,2,3", "--poly", "0xb", "--n", "5",
@@ -415,6 +449,21 @@ class TestCurveAndLfsrInfo:
         code, out, _ = run_cli(capsys, "curve-info", "--curve", "5,1,1")
         payload = json.loads(out)
         assert code == 0 and payload["order"] == 9 and payload["hasse_ok"]
+
+    def test_lfsr_info_holds_no_window_set(self, capsys):
+        # One period of this degree-20 register is 1,048,575 windows; the period walk holds one state.
+        code, out, _, peak = run_cli_traced(capsys, "lfsr-info", "--poly", "0x100009")
+        assert code == 0 and json.loads(out)["windows_distinct"] is True
+        assert peak < 2**20
+
+    def test_period_guard_runs_before_the_irreducibility_test(self, capsys, monkeypatch):
+        def never(_):
+            raise AssertionError("the irreducibility test ran")
+
+        monkeypatch.setattr(gf2, "poly_is_irreducible", never)
+        poly = hex((1 << 4423) | (1 << 271) | 1)  # irreducible; testing that takes about 15 s
+        code, out, err = run_cli(capsys, "lfsr-info", "--poly", poly)
+        assert code == 3 and out == "" and err.startswith("scale guard: period search")
 
     def test_lfsr_info(self, capsys):
         code, out, _ = run_cli(capsys, "lfsr-info", "--poly", "0x409")
@@ -523,12 +572,7 @@ class TestExpsumCheck:
 
     @pytest.mark.parametrize("samples", [MAX_CHECK_SAMPLES + 1, 10**11])
     def test_samples_over_the_guard_exit_before_drawing(self, capsys, samples):
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "expsum-check", "--curve", "5,1,1", "--samples", str(samples))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, out, err, peak = run_cli_traced(capsys, "expsum-check", "--curve", "5,1,1", "--samples", str(samples))
         assert code == 3 and out == "" and err.startswith("scale guard:")
         assert peak < 2**20  # far below one int64 per draw
 
@@ -711,6 +755,21 @@ class TestExperiment:
         path.write_text(json.dumps({**self.CONFIG, "delta": delta}))
         code, out, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2 and out == "" and "delta must be a positive finite number" in err
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
+    def test_samples_over_the_cap_exit_before_drawing(self, capsys, tmp_path, samples):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "samples": samples}))
+        code, out, err, peak = run_cli_traced(capsys, "experiment", "--config", str(path))
+        assert code == 3 and out == "" and err.startswith("scale guard:")
+        assert peak < 2**20  # far below one spawned RNG stream per sample
+
+    def test_oversized_reducible_poly_is_a_scale_guard(self, capsys, tmp_path):
+        # The period guard runs before the irreducibility test, so X^25 + 1 = (X + 1)(...) exits 3.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "poly_hex": hex((1 << 25) | 1), "r": 25}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 3 and out == "" and err.startswith("scale guard: period search")
 
     def test_bound_overflow_exits_before_the_sweep(self, capsys, tmp_path, monkeypatch):
         def never(*_):

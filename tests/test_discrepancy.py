@@ -449,6 +449,10 @@ class TestMcLowerBound:
         with pytest.raises(ValidationError):
             mc_box_lower_bound([[0.5]], 0, seed=0)
 
+    def test_trials_over_the_cap_rejected(self):
+        with pytest.raises(ScaleGuardError):
+            mc_box_lower_bound([[0.5]], discrepancy.MAX_MC_TRIALS + 1, seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 0.5, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):

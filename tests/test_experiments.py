@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from ecss import experiments
 
 from ecss.curve import INFINITY, add, enumerate_points, validate_curve, x_coord
-from ecss.errors import ValidationError
+from ecss.errors import ScaleGuardError, ValidationError
 from ecss.experiments import (
+    MAX_SAMPLES,
     ExperimentConfig,
     bound_crossover,
     discrepancy_sweep,
@@ -69,6 +71,29 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError):
             small_config(poly=BinaryPoly(0b110101), r=5)  # (X+1)(X^4+X+1)
 
+    def test_constant_term_zero_is_reported_before_reducibility(self):
+        with pytest.raises(ValidationError, match="constant term must be 1"):
+            small_config(poly=BinaryPoly(0b100110), r=5)  # X^5 + X^2 + X = X(X^4 + X + 1)
+
+    def test_holds_no_window_set(self):
+        # One period of this degree-20 register is 1,048,575 windows; the period walk holds one state.
+        tracemalloc.start()
+        try:
+            config = small_config(curve=validate_curve(1009, 1, 1), poly=BinaryPoly(0x100009), r=20,
+                                  n_grid=(64,), samples=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert config.tau == 2**20 - 1 and peak < 2**20
+
+    def test_period_guard_runs_before_the_irreducibility_test(self, monkeypatch):
+        def never(_):
+            raise AssertionError("the irreducibility test ran")
+
+        monkeypatch.setattr(experiments, "poly_is_irreducible", never)
+        with pytest.raises(ScaleGuardError, match="period search"):
+            small_config(poly=BinaryPoly((1 << 4423) | (1 << 271) | 1), r=4423)  # irreducible
+
     def test_grid_outside_period_rejected(self):
         with pytest.raises(ValidationError):
             small_config(n_grid=(4, 64))
@@ -121,6 +146,10 @@ class TestExperimentConfig:
 class TestSampleWeightVectors:
     def test_empty(self):
         assert sample_weight_vectors(F101, 3, 0, 1) == []
+
+    def test_count_over_the_cap_rejected(self):
+        with pytest.raises(ScaleGuardError):
+            sample_weight_vectors(F101, 3, MAX_SAMPLES + 1, 1)
 
     @pytest.mark.parametrize("seed", [-1, 2.0, False])
     def test_bad_seed_rejected(self, seed):

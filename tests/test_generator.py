@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from ecss.curve import (CurvePoint, INFINITY, WeightVector, add, enumerate_points, negate, validate_curve,
                         x_coord)
-from ecss.errors import ValidationError
+from ecss.errors import ScaleGuardError, ValidationError
 from ecss import generator
 from ecss.generator import (
+    MAX_OUTPUTS,
     GeneratorConfig,
     PointSet,
     ResidueWeights,
@@ -149,7 +150,10 @@ def table_cases(draw):
         vectors.append(weights)
     n = draw(st.integers(1, 300))
     bits = draw(st.lists(st.integers(0, 1), min_size=n + r - 1, max_size=n + r - 1))
-    width = draw(st.none() | st.integers(1, r))
+    # Only the widths _chunk_width may pick: their tables hold at most 2 max(N, 2r) entries, where
+    # an unbounded width at r = 31 would ask for 2^31-entry tables.
+    widths = [k for k in range(1, r + 1) if -(-r // k) << k <= 2 * max(n, 2 * r)]
+    width = draw(st.none() | st.sampled_from(widths))
     return curve, vectors, bits, width
 
 
@@ -229,6 +233,13 @@ class TestEcGenerator:
         assert ec_subset_sum(config, 1) == CurvePoint(0, 1)
         assert ec_subset_sum(config, 2) == CurvePoint(2, 1)
         assert ec_subset_sum(config, 3) == CurvePoint(3, 4)
+
+    def test_index_over_the_cap_rejected(self):
+        # An output at index n reads n + r - 1 register bits.
+        with pytest.raises(ScaleGuardError):
+            ec_subset_sum(f5_config(), MAX_OUTPUTS + 1)
+        with pytest.raises(ScaleGuardError):
+            ec_subset_sum_stream(f5_config(), MAX_OUTPUTS + 1)
 
     def test_empty_window_gives_identity(self):
         source = LfsrSource(BinaryPoly(0b111), (0, 0))
@@ -333,6 +344,12 @@ class TestSTuples:
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             s_tuples([0.1], 2)
+
+    def test_coordinates_over_the_cap_rejected(self):
+        s = 1500
+        assert s_tuples([0.5] * (MAX_OUTPUTS // s + s - 1), s).n == MAX_OUTPUTS // s
+        with pytest.raises(ScaleGuardError):
+            s_tuples([0.5] * (MAX_OUTPUTS // s + s), s)
 
     def test_point_set_validation(self):
         with pytest.raises(ValidationError):

@@ -165,3 +165,12 @@ class TestWindowsDistinct:
             hit += 1
             assert windows_distinct(LfsrSource(poly, init), degree, full)
         assert hit > 0  # at least one primitive polynomial at every degree
+
+    @pytest.mark.parametrize("degree", range(2, 7))
+    def test_the_period_walk_proves_the_windows_distinct(self, degree):
+        # The windows of a register are its states, so one period of them never repeats: reducible
+        # or not, whatever the nonzero start. ExperimentConfig and `ecss lfsr-info` rely on this.
+        for poly in all_polys(degree, constant_term=1):
+            for packed in range(1, 1 << degree):
+                init = tuple((packed >> i) & 1 for i in range(degree))
+                assert windows_distinct(LfsrSource(poly, init), degree, sequence_period(poly, init)), (poly, init)
