@@ -25,7 +25,7 @@ EXIT_SCALE_GUARD = 3
 EXIT_IO = 4
 
 MAX_CHECK_SAMPLES = 10**7  # expsum-check --samples draws, one int64 each
-CHECK_CHUNK_ROWS = 4096  # expsum-check rows formatted by one % and written at once
+CHUNK_ROWS = 4096  # gen and expsum-check rows formatted by one % and written at once
 
 
 @contextlib.contextmanager
@@ -55,6 +55,13 @@ def _csv_head(header: list[str]) -> str:
     return buf.getvalue()
 
 
+def _write_rows(handle, row: str, table) -> None:
+    """Write each row of a 2-D array through the % format row, one % and one write per CHUNK_ROWS rows."""
+    for start in range(0, len(table), CHUNK_ROWS):
+        chunk = table[start : start + CHUNK_ROWS]
+        handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def _emit_csv(header: list[str], rows, path: str | None) -> None:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
@@ -68,6 +75,8 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def _cmd_gen(args) -> int:
+    import numpy as np
+
     from . import curve, experiments, generator, gf2
 
     if args.n < 1:
@@ -84,12 +93,14 @@ def _cmd_gen(args) -> int:
     config = generator.GeneratorConfig(source=source, weights=weights, curve=params)
     values = generator.output_normalized(config, args.n)
     if args.s is None:
-        _write_text("".join(f"{v:.17g}\n" for v in values), args.output)
+        with _output(args.output) as handle:
+            _write_rows(handle, "%.17g\n", np.asarray(values)[:, None])
     else:
         window = generator.s_tuples(values, args.s)
-        header = ["n"] + [f"c{i}" for i in range(args.s)]
-        rows = [[n + 1] + [f"{v:.17g}" for v in row] for n, row in enumerate(window.rows)]
-        _emit_csv(header, rows, args.output)
+        table = np.column_stack((np.arange(1, window.n + 1), window.rows))  # %d renders the float n exactly
+        with _output(args.output) as handle:
+            handle.write(_csv_head(["n"] + [f"c{i}" for i in range(args.s)]))
+            _write_rows(handle, "%d" + ",%.17g" * args.s + "\r\n", table)  # the csv.writer layout
     return EXIT_OK
 
 
@@ -202,14 +213,15 @@ def _cmd_badpairs(args) -> int:
 
     if args.h is not None:
         combinat.WindowPattern(args.s, args.h)
-    tally = combinat.brute_force_bad_count(args.r, args.s)
+    tally = combinat.bad_pair_count(args.r, args.s)
+    bound = combinat.bad_pair_upper_bound(args.r, args.s)  # a float: overflows (exit 2) past r = 520-650
     per_h = list(tally.per_h) if args.h is None else [tally.per_h[args.h - 1]]
     _emit_json(
         {
             "r": args.r,
             "s": args.s,
             "f": tally.f,
-            "bound": combinat.bad_pair_upper_bound(args.r, args.s),
+            "bound": bound,
             "per_h": per_h,
         },
         args.output,
@@ -260,9 +272,7 @@ def _cmd_expsum_check(args) -> int:
     table = np.column_stack((a_values, magnitudes, magnitudes / sqrt_p))  # %d renders the float a exactly
     with _output(args.output) as handle:
         handle.write(_csv_head(["p", "a", "abs_sum", "sqrt_p", "ratio"]))
-        for start in range(0, len(table), CHECK_CHUNK_ROWS):
-            chunk = table[start : start + CHECK_CHUNK_ROWS]
-            handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        _write_rows(handle, row, table)
     return EXIT_OK
 
 
@@ -347,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--output")
     bounds.set_defaults(func=_cmd_bounds)
 
-    bad = sub.add_parser("badpairs", help="exact bad-pair counts by enumeration")
+    bad = sub.add_parser("badpairs", help="exact bad-pair counts from a flag automaton")
     bad.add_argument("--r", type=int, required=True)
     bad.add_argument("--s", type=int, required=True)
     bad.add_argument("--h", type=int)

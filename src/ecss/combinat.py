@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import add
 
 from .errors import ScaleGuardError, ValidationError, finite_float
 
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
+# 16^s automaton states x (r - s + 1) steps x 64-bit words of a count (about 2r bits); excludes s >= 6
+MAX_AUTOMATON_WORK = 10**7
 MAX_SPAN = 8  # transfer matrix dimension 4^s - 1 <= 65535
 # Rayleigh-quotient stagnation cannot resolve differences much below float
 # epsilon; a smaller tolerance would run every iteration.
@@ -98,6 +99,8 @@ def _occurrence_masks(r: int, s: int):
     window of v at position i is all-zero, and basis_masks[h-1][v] likewise
     for the basis window e_h.
     """
+    import numpy as np
+
     values = np.arange(1 << r, dtype=np.uint32)
     wmask = np.uint32((1 << s) - 1)
     zero = np.zeros(1 << r, dtype=np.uint32)
@@ -119,6 +122,8 @@ def _check_brute_force_guard(r: int, s: int) -> None:
 
 def brute_force_bad_wrt_first(r: int, s: int, h: int) -> int:
     """Exhaustive count of pairs with no position where x shows e_h against y's 0_s."""
+    import numpy as np
+
     _check_brute_force_guard(r, s)
     WindowPattern(s, h)
     zero, basis = _occurrence_masks(r, s)
@@ -149,6 +154,8 @@ def brute_force_bad_count(r: int, s: int) -> BadPairCount:
     oracle for the walk-counting route.  The per-h counts of
     brute_force_bad_wrt_first come from the same blocks.
     """
+    import numpy as np
+
     _check_brute_force_guard(r, s)
     zero, basis = _occurrence_masks(r, s)
     size = 1 << r
@@ -169,6 +176,69 @@ def brute_force_bad_count(r: int, s: int) -> BadPairCount:
     f = size * size - good_total
     per_h = tuple(size * size - hits for hits in hit_totals)
     return BadPairCount(r=r, s=s, f=f, per_h=per_h)
+
+
+def _check_automaton_guard(r: int, s: int) -> None:
+    if s < 1 or r < s:
+        raise ValidationError("need r >= s >= 1")
+    # 16^s alone is past the cap once 4s exceeds its bit length, so 16^s is built only for s <= 6
+    if 4 * s > MAX_AUTOMATON_WORK.bit_length() or 16**s * (r - s + 1) * (2 * r // 64 + 1) > MAX_AUTOMATON_WORK:
+        raise ScaleGuardError(f"bad-pair automaton at r = {r}, s = {s}: 16^s states x (r - s + 1) steps "
+                              f"x (2r // 64 + 1) words exceeds {MAX_AUTOMATON_WORK}")
+
+
+def bad_pair_count(r: int, s: int) -> BadPairCount:
+    """Exact s-bad tally from one pass of a flag automaton, in Python ints.
+
+    A state is the window pair (v, w) of x and y, packed v << s | w as in
+    transfer_matrix, and 2s flags: flag h - 1 is set once x has shown e_h
+    against y's 0_s, flag s + h - 1 once y has shown e_h against x's 0_s.
+    Each step reads one fresh bit per stream, so a state has four successors
+    and the flags only grow.  A state with every flag set stays s-good, so
+    those fold into one counter that each step multiplies by 4, and
+    f = 4^r - good.  per_h[h - 1] sums the final states with flag h - 1
+    unset: the same integer as walk_count(transfer_matrix(s, h), r - s).
+
+    The counts of each window pair are a list indexed by the flag set.  The
+    four pairs that differ only in their oldest bits have the same four
+    successors, so a step adds their lists once and hands the sum on; only
+    the 2s pairs that set a flag move counts between flag sets.  The work is
+    checked against MAX_AUTOMATON_WORK first; its slowest edge, s = 5 at
+    r = 13, takes about 0.5 s and 11 MiB of allocations.
+    """
+    _check_automaton_guard(r, s)
+    pairs = 1 << 2 * s  # window pairs, and flag sets of 2s flags
+    full = pairs - 1
+    top = 1 << (s - 1)
+    mark = [0] * pairs  # the flag each window pair sets
+    for h in range(s):
+        mark[1 << h << s] = 1 << h  # (e_h, 0_s)
+        mark[1 << h] = 1 << s + h  # (0_s, e_h)
+    counts = [[int(flags == mark[pair]) for flags in range(pairs)] for pair in range(pairs)]
+    good = 0
+    for _ in range(r - s):
+        good *= 4
+        step = [None] * pairs
+        for v in range(top):
+            for w in range(top):
+                low = v << s + 1 | w << 1  # the four predecessors: low plus their oldest bits
+                merged = list(map(add, map(add, counts[low], counts[low | 1]),
+                                  map(add, counts[low | 1 << s], counts[low | 1 << s | 1])))
+                high = v << s | w
+                for pair in (high, high | top, high | top << s, high | top << s | top):
+                    bit = mark[pair]
+                    if bit:
+                        flagged = [c + merged[flags ^ bit] if flags & bit else 0
+                                   for flags, c in enumerate(merged)]
+                        good += flagged[full]
+                        flagged[full] = 0
+                        step[pair] = flagged
+                    else:
+                        step[pair] = merged  # shared, never mutated
+        counts = step
+    totals = [sum(column) for column in zip(*counts)]  # by flag set
+    per_h = tuple(sum(c for flags, c in enumerate(totals) if not flags >> h & 1) for h in range(s))
+    return BadPairCount(r=r, s=s, f=4**r - good, per_h=per_h)
 
 
 @dataclass(frozen=True)
@@ -205,6 +275,8 @@ def transfer_matrix(s: int, h: int) -> TransferMatrix:
     forbidden one shift down by one index, and the forbidden one becomes the
     pad slot dim, which sorting moves to the end of its row.
     """
+    import numpy as np
+
     if s < 1:
         raise ValidationError("s must be >= 1")
     if s > MAX_SPAN:
@@ -223,6 +295,8 @@ def transfer_matrix(s: int, h: int) -> TransferMatrix:
 
 def walk_count(matrix: TransferMatrix, steps: int) -> int:
     """Total walks of the given length over all start states, in exact integers."""
+    import numpy as np
+
     if steps < 0:
         raise ValidationError("steps must be >= 0")
     ext = np.ones(matrix.dim + 1, dtype=object)  # Python ints: counts outgrow int64
@@ -254,6 +328,8 @@ def spectral_radius(matrix: TransferMatrix, tolerance: float = 1e-9) -> Spectral
     pattern for s <= MAX_SPAN stops within 20 steps at MIN_TOLERANCE.  Not
     stopping within MAX_POWER_ITERATIONS raises ScaleGuardError.
     """
+    import numpy as np
+
     if not MIN_TOLERANCE <= tolerance < math.inf:
         raise ValidationError(f"tolerance must be finite and >= {MIN_TOLERANCE}, got {tolerance}")
     pad = _successor_gather(matrix)
@@ -299,7 +375,7 @@ def bad_count_bracket(r: int, s: int) -> tuple[int, int]:
 
     Valid for any r >= s (no enumeration guard): each one-sided count is a
     lower bound, and the union over patterns and the two vector roles gives
-    the upper bound.
+    the upper bound.  bad_pair_count gives f_s(r) itself; the bracket checks it.
     """
     if s < 1 or r < s:
         raise ValidationError("need r >= s >= 1")

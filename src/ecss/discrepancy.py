@@ -177,6 +177,8 @@ def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
 
 DEFAULT_MC_TRIALS = 4000  # boxes per mc_box_lower_bound call in the sweep and `ecss disc --method mc`
 MAX_MC_TRIALS = 10**6  # bounds the chunk loop; each chunk already holds at most 10^6 box-point cells
+# trials * N * s box-point comparisons, as MAX_KOKSMA_WORK bounds (2L)^s * N; 2.1-3.5 s at the edge
+MAX_MC_WORK = 10**8
 
 
 def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
@@ -193,6 +195,8 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
     validate_seed(seed)
     rows = _as_rows(points)
     n_total, s = rows.shape
+    if trials * n_total * s > MAX_MC_WORK:
+        raise ScaleGuardError(f"trials * N * s = {trials * n_total * s} exceeds {MAX_MC_WORK}")
     rng = np.random.default_rng(seed)
     best = 0.0
     chunk = max(1, min(trials, 10**6 // max(1, n_total * s)))

@@ -74,7 +74,8 @@ def subset_sum_residue(config: GeneratorConfig, ns) -> list[int]:
 
 
 LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers; bounds the temporaries
-# Output index, or s-tuple coordinates, per call; `ecss gen` holds about 170 B of RSS per value it writes.
+# Output index, or s-tuple coordinates, per call; at the cap `ecss gen` peaks at about
+# 160 MiB RSS for r = 10 (one comb chunk) and 440-500 MiB for r >= 24 (the lane additions).
 MAX_OUTPUTS = 2 * 10**6
 
 
@@ -225,12 +226,13 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
     # last chunk and keeps one k-window when N = 0.
     padded = np.concatenate([np.asarray(bits, dtype=np.int64), np.zeros(chunks * k - r + 1, dtype=np.int64)])
     packed = np.convolve(padded, 1 << np.arange(k - 1, -1, -1), "valid")
-    index = [packed[i * k : i * k + n_lanes] + (i << k) for i in range(chunks)]
+    g = packed[:n_lanes]  # chunk 0's table index; each later chunk's is formed when it is added
     if chunks == 1:
-        return tx[:, index[0]], ty[:, index[0]], ~tkeep[:, index[0]]
+        return tx[:, g], ty[:, g], ~tkeep[:, g]
     double = _doubles(tx, ty, curve)
-    X, Y, Z = tx[:, index[0]], ty[:, index[0]], tkeep[:, index[0]].astype(np.int64)
-    for g in index[1:]:
+    X, Y, Z = tx[:, g], ty[:, g], tkeep[:, g].astype(np.int64)
+    for i in range(1, chunks):
+        g = packed[i * k : i * k + n_lanes] + (i << k)
         X, Y, Z = _mixed_add(X, Y, Z, tx[:, g], ty[:, g], [d[:, g] for d in double], tkeep[:, g], p)
     x, y, keep = _affine(X, Y, Z, p)
     return x, y, ~keep

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from ecss import cli, experiments, gf2
 from ecss.cli import MAX_CHECK_SAMPLES, main
+from ecss.combinat import bad_pair_count, transfer_matrix, walk_count
 from ecss.curve import CurvePoint, WeightVector, enumerate_points, parse_curve, point_table, validate_curve
 from ecss.discrepancy import MAX_MC_TRIALS, exact_extreme_1d
 from ecss.experiments import MAX_SAMPLES, ExperimentConfig, discrepancy_sweep
@@ -215,16 +216,26 @@ class TestBadpairs:
         assert code == 0 and len(payload["per_h"]) == 1
 
     def test_scale_guard_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "badpairs", "--r", "20", "--s", "1")
+        code, _, err = run_cli(capsys, "badpairs", "--r", "64", "--s", "4")  # one past the s = 4 edge
         assert code == 3 and "guard" in err.lower()
 
+    def test_counts_past_the_enumeration_range(self, capsys):
+        code, out, _ = run_cli(capsys, "badpairs", "--r", "40", "--s", "3", "--h", "2")
+        payload = json.loads(out)
+        assert code == 0 and payload["f"] == bad_pair_count(40, 3).f
+        assert payload["per_h"] == [walk_count(transfer_matrix(3, 2), 37)]
+
+    def test_overflowing_bound_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "badpairs", "--r", "700", "--s", "1")  # 3^700 overflows a float
+        assert code == 2 and out == "" and "overflows a float" in err
+
     @settings(max_examples=100, deadline=None)
-    @given(ints((-2, 10), (14, 2**70)), ints((-2, 10), (-2**70, 2**70)), st.none() | ints((-2, 10), (-2**70, 2**70)))
+    @given(ints((-2, 13), (14, 2**70)), ints((-2, 10), (-2**70, 2**70)), st.none() | ints((-2, 10), (-2**70, 2**70)))
     @example("14", "2", None)
     @example(str(2**70), "2", None)  # the guard must not build 4^r
+    @example("13", "3", "2")
     @example("4", "2", "0")
     def test_exit_codes_on_any_arguments(self, r, s, h):
-        # r in 11..13 is accepted but enumerates up to 4^13 pairs, so it is not drawn.
         code, out = run_cli_contract("badpairs", f"--r={r}", f"--s={s}", *([f"--h={h}"] if h is not None else []))
         if code == 0:
             payload = json.loads(out)
@@ -285,6 +296,31 @@ class TestGenAndDisc:
         code_a, out_a, _ = run_cli(capsys, *args)
         code_b, out_b, _ = run_cli(capsys, *args)
         assert code_a == code_b == 0 and out_a == out_b
+
+    # 23 rows (21 at s = 3): chunks of 4 leave 3 (1) over, chunks of 7 leave 2 (none), 4096 hold them all.
+    @pytest.mark.parametrize("chunk", [4, 7, 4096])
+    @pytest.mark.parametrize("s", [None, 1, 3])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_chunked_output_is_the_row_by_row_rendering(self, capsys, monkeypatch, tmp_path, chunk, s, to_file):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        params = parse_curve("1009,1,1")
+        config = GeneratorConfig(source=LfsrSource(BinaryPoly(0x409), gf2.default_init(10)),
+                                 weights=experiments.sample_weight_vectors(params, 10, 1, 3)[0], curve=params)
+        values = output_normalized(config, 23)
+        if s is None:
+            expected = "".join(f"{v:.17g}\n" for v in values)
+        else:  # the csv.writer rows gen wrote before it streamed
+            buf = io.StringIO()
+            buf.write("# version=1\n")
+            writer = csv.writer(buf)
+            writer.writerow(["n"] + [f"c{i}" for i in range(s)])
+            writer.writerows([n + 1] + [f"{v:.17g}" for v in values[n : n + s]] for n in range(len(values) - s + 1))
+            expected = buf.getvalue()
+        path = tmp_path / "gen.out"
+        code, out, _ = run_cli(capsys, "gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", "23", "--seed", "3",
+                               *([] if s is None else ["--s", str(s)]), *(["--output", str(path)] if to_file else []))
+        assert code == 0
+        assert (path.read_bytes().decode() if to_file else out) == expected
 
     def test_disc_mc_method(self, capsys, tmp_path):
         points_file = tmp_path / "pts.csv"
@@ -409,7 +445,7 @@ class TestGenAndDisc:
     def test_n_over_the_cap_exits_before_generating(self, capsys, n):
         code, out, err, peak = run_cli_traced(capsys, "gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", str(n))
         assert code == 3 and out == "" and err.startswith("scale guard:")
-        assert peak < 2**20  # far below the 170 B per output that generating would hold
+        assert peak < 2**20  # far below the 80-250 B per output that generating holds
 
     def test_tuples_over_the_cap_exit_before_the_copy(self, capsys):
         # 3,000 outputs are cheap, but 1,501 tuples of dimension 1,500 exceed MAX_OUTPUTS coordinates.
@@ -426,6 +462,14 @@ class TestGenAndDisc:
                                               "--trials", str(trials))
         assert code == 3 and out == "" and err.startswith("scale guard:")
         assert peak < 2**20
+
+    def test_mc_work_over_the_budget_exits_3(self, capsys, tmp_path):
+        # a 1,023-point s = 2 file: 48,876 trials is one past MAX_MC_WORK, where 10^6 trials took 62 s
+        points_file = tmp_path / "pts.csv"
+        np.savetxt(points_file, np.random.default_rng(5).random((1023, 2)), delimiter=",")
+        code, out, err = run_cli(capsys, "disc", "--input", str(points_file), "--method", "mc",
+                                 "--trials", "48876")
+        assert code == 3 and out == "" and "trials * N * s" in err
 
     def test_gen_negative_seed_is_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--curve", "13,2,3", "--poly", "0xb", "--n", "5",
@@ -642,7 +686,7 @@ class TestExpsumCheck:
                              ids=["all-a", "samples"])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     def test_chunked_rows_are_the_csv_writer_rendering(self, capsys, monkeypatch, tmp_path, chunk, mode, to_file):
-        monkeypatch.setattr(cli, "CHECK_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
         curve = parse_curve(mode[0])
         if mode[1] == "--all-a":
             a_values = range(1, curve.p)

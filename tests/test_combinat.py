@@ -9,6 +9,7 @@ from ecss.combinat import (
     WindowPattern,
     alpha,
     bad_count_bracket,
+    bad_pair_count,
     bad_pair_upper_bound,
     beta,
     brute_force_bad_count,
@@ -212,6 +213,58 @@ class TestBruteForceCounts:
             brute_force_bad_count(2, 3)
         with pytest.raises(ValidationError):
             brute_force_bad_wrt_first(4, 2, 3)
+
+
+# The largest r the automaton guard admits for each s; s = 6 is past it at every r.
+AUTOMATON_EDGE = {1: 4464, 2: 1117, 3: 273, 4: 63, 5: 13}
+
+
+class TestBadPairAutomaton:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_brute_force(self, s):
+        for r in range(s, 11):
+            assert bad_pair_count(r, s) == brute_force_bad_count(r, s)
+
+    def test_closed_form_s1_at_r200(self):
+        assert bad_pair_count(200, 1).f == 2 * 3**200 - 2**200
+
+    def test_walk_counts_and_bracket_at_r40(self):
+        tally = bad_pair_count(40, 3)
+        assert tally.per_h == tuple(walk_count(transfer_matrix(3, h), 37) for h in (1, 2, 3))
+        lower, upper = bad_count_bracket(40, 3)
+        assert lower <= tally.f <= upper
+        assert f"{tally.f:.4e}" == "1.1720e+24"
+
+    @pytest.mark.parametrize("s, rs, tolerance", [(2, (40, 100, 200), 1e-5), (3, (100, 200, 272), 1e-3)])
+    def test_growth_ratio_approaches_beta(self, s, rs, tolerance):
+        # Measured gaps f(r+1)/f(r) - beta: 2.9e-2, 1.1e-3, 8.2e-6 at s = 2; 2.6e-2, 5.8e-3, 9.1e-4 at s = 3.
+        target = beta(s, 1e-12)
+        gaps = [bad_pair_count(r + 1, s).f / bad_pair_count(r, s).f - target for r in rs]
+        assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < tolerance
+
+    def test_per_h_equals_walk_counts_at_the_worst_guard_edge(self):
+        s, r = 5, AUTOMATON_EDGE[5]
+        tally = bad_pair_count(r, s)
+        assert tally.per_h == tuple(walk_count(transfer_matrix(s, h), r - s) for h in range(1, s + 1))
+        lower, upper = bad_count_bracket(r, s)
+        assert lower <= tally.f <= min(upper, 4**r)
+
+    @pytest.mark.parametrize("s", sorted(AUTOMATON_EDGE))
+    def test_guard_edge(self, s):
+        combinat._check_automaton_guard(AUTOMATON_EDGE[s], s)
+        with pytest.raises(ScaleGuardError):
+            bad_pair_count(AUTOMATON_EDGE[s] + 1, s)
+
+    @pytest.mark.parametrize("r, s", [(6, 6), (2**70, 2), (2**70, 2**70)])
+    def test_guard_needs_no_table(self, r, s):
+        with pytest.raises(ScaleGuardError):
+            bad_pair_count(r, s)
+
+    @pytest.mark.parametrize("r, s", [(2, 3), (1, 0), (0, 0), (-1, 1)])
+    def test_validation(self, r, s):
+        with pytest.raises(ValidationError):
+            bad_pair_count(r, s)
 
 
 class TestLemmaBound:

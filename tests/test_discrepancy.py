@@ -453,6 +453,19 @@ class TestMcLowerBound:
         with pytest.raises(ScaleGuardError):
             mc_box_lower_bound([[0.5]], discrepancy.MAX_MC_TRIALS + 1, seed=0)
 
+    @pytest.mark.parametrize("n, s", [(1023, 2), (300, 3), (10**5, 1)])
+    def test_work_over_the_budget_rejected_before_sampling(self, monkeypatch, n, s):
+        rows = np.random.default_rng(3).random((n, s))
+        edge = discrepancy.MAX_MC_WORK // (n * s)
+        monkeypatch.setattr(discrepancy.np.random, "default_rng", None)  # sampling would fail
+        with pytest.raises(ScaleGuardError, match="trials \\* N \\* s"):
+            mc_box_lower_bound(rows, edge + 1, seed=0)
+
+    def test_work_budget_admits_the_sweep_and_the_benchmark_inputs(self):
+        # the sweep's DEFAULT_MC_TRIALS at N <= 1023 up to s = 24, and the benchmark checker's 4000 trials at N = 21, s = 3
+        assert discrepancy.DEFAULT_MC_TRIALS * 1023 * 24 <= discrepancy.MAX_MC_WORK
+        assert mc_box_lower_bound(np.random.default_rng(4).random((21, 3)), 4000, seed=0).value > 0
+
     @pytest.mark.parametrize("seed", [-1, 0.5, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):
