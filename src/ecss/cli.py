@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import io
 import json
@@ -49,6 +48,8 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 
 def _csv_head(header: list[str]) -> str:
+    import csv
+
     buf = io.StringIO()
     buf.write(f"# version={VERSION}\n")
     csv.writer(buf).writerow(header)
@@ -63,6 +64,8 @@ def _write_rows(handle, row: str, table) -> None:
 
 
 def _emit_csv(header: list[str], rows, path: str | None) -> None:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     _write_text(_csv_head(header) + buf.getvalue(), path)
@@ -137,6 +140,8 @@ def _cmd_lfsr_info(args) -> int:
 
 
 def _read_point_rows(path: str) -> np.ndarray:
+    import csv
+
     import numpy as np
 
     try:

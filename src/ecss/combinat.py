@@ -12,7 +12,8 @@ alpha_s = (4^s - 1)^(1/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .errors import ScaleGuardError, ValidationError, finite_float
@@ -251,18 +252,39 @@ class TransferMatrix:
     pairs avoiding the forbidden window pair, which is exactly the
     bad-with-respect-to-x count.
 
-    gather is the (dim, 4) successor table: row i lists the successors of
-    state i in increasing order, padded with dim where the forbidden state
-    was cut.  It is read-only.
+    The matrix is never stored: _matvec applies it to a vector over all 4^s
+    window pairs by reshaping.  gather is the (dim, 4) successor table, built
+    on first access only: row i lists the successors of state i in
+    increasing order, padded with dim where the forbidden state was cut.  It
+    is read-only.
     """
 
     s: int
     h: int
-    gather: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.gather)
+        return 4**self.s - 1
+
+    @property
+    def forbidden(self) -> int:
+        """Packed index v << s | w of the cut state (e_h, 0_s); state i > forbidden has index i - 1."""
+        return WindowPattern(self.s, self.h).basis_window << self.s
+
+    @cached_property
+    def gather(self):
+        """The (dim, 4) successor table described above; no solve or count reads it."""
+        import numpy as np
+
+        s, dim, forbidden = self.s, self.dim, self.forbidden
+        top = 1 << (s - 1)
+        states = np.delete(np.arange(dim + 1, dtype=np.int64), forbidden)
+        base = ((states >> s) >> 1 << s) | ((states & ((1 << s) - 1)) >> 1)
+        nxt = base[:, None] + np.array([0, top, top << s, (top << s) | top], dtype=np.int64)
+        index = np.where(nxt == forbidden, dim, nxt - (nxt > forbidden))
+        index.sort(axis=1)  # the pad slot dim moves to the end of its row
+        index.flags.writeable = False
+        return index
 
 
 def transfer_matrix(s: int, h: int) -> TransferMatrix:
@@ -271,26 +293,32 @@ def transfer_matrix(s: int, h: int) -> TransferMatrix:
     State (v, w) packs to v << s | w.  Reading one fresh bit per stream
     shifts both windows down, so the successors are
     base + {0, top, top << s, top << s | top} with base = (v >> 1) << s | w >> 1
-    and top = 1 << (s - 1): already in increasing order.  States above the
-    forbidden one shift down by one index, and the forbidden one becomes the
-    pad slot dim, which sorting moves to the end of its row.
+    and top = 1 << (s - 1): already in increasing order.  Only s and h are
+    validated here; nothing of size 4^s is built.
     """
-    import numpy as np
-
     if s < 1:
         raise ValidationError("s must be >= 1")
     if s > MAX_SPAN:
         raise ScaleGuardError(f"span capped at {MAX_SPAN} (dimension 4^s - 1)")
-    forbidden = WindowPattern(s, h).basis_window << s  # (e_h, 0_s)
-    dim = 4**s - 1
-    top = 1 << (s - 1)
-    states = np.delete(np.arange(dim + 1, dtype=np.int64), forbidden)
-    base = ((states >> s) >> 1 << s) | ((states & ((1 << s) - 1)) >> 1)
-    nxt = base[:, None] + np.array([0, top, top << s, (top << s) | top], dtype=np.int64)
-    index = np.where(nxt == forbidden, dim, nxt - (nxt > forbidden))
-    index.sort(axis=1)
-    index.flags.writeable = False
-    return TransferMatrix(s=s, h=h, gather=index)
+    WindowPattern(s, h)
+    return TransferMatrix(s=s, h=h)
+
+
+def _matvec(full, s: int):
+    """M x over all n^2 window pairs (n = 2^s), x given with 0 at the forbidden state.
+
+    The successors of (v, w) are (v >> 1 | b top, w >> 1 | c top), so viewed
+    as (2, n/2, 2, n/2) the four quarter blocks of x are the four successor
+    sets, and (M x)(v, w) is their sum at (v >> 1, w >> 1).  The blocks are
+    added in the increasing successor order of gather's rows, which is the
+    order the floats were always summed in; a cut successor adds the 0 at
+    its own place.  The result holds a value at the forbidden state too,
+    which callers drop.  Works on float and on Python-int object arrays.
+    """
+    half = 1 << (s - 1)
+    y = full.reshape(2, half, 2, half)
+    z = y[0, :, 0] + y[0, :, 1] + y[1, :, 0] + y[1, :, 1]
+    return z.repeat(2, 0).repeat(2, 1).ravel()
 
 
 def walk_count(matrix: TransferMatrix, steps: int) -> int:
@@ -299,11 +327,13 @@ def walk_count(matrix: TransferMatrix, steps: int) -> int:
 
     if steps < 0:
         raise ValidationError("steps must be >= 0")
-    ext = np.ones(matrix.dim + 1, dtype=object)  # Python ints: counts outgrow int64
-    ext[-1] = 0  # the pad slot
+    f = matrix.forbidden
+    full = np.ones(matrix.dim + 1, dtype=object)  # Python ints: counts outgrow int64
+    full[f] = 0
     for _ in range(steps):
-        ext[:-1] = ext[matrix.gather].sum(axis=1)
-    return int(ext[:-1].sum())
+        full = _matvec(full, matrix.s)
+        full[f] = 0
+    return int(full.sum())
 
 
 @dataclass(frozen=True)
@@ -315,29 +345,35 @@ class SpectralRadiusEstimate:
 
 
 def _successor_gather(matrix: TransferMatrix):
-    """The (dim, 4) padded successor table for the vectorised matvec; the pad slot dim holds 0."""
+    """The (dim, 4) padded successor table; the pad slot dim holds 0."""
     return matrix.gather
 
 
 def spectral_radius(matrix: TransferMatrix, tolerance: float = 1e-9) -> SpectralRadiusEstimate:
     """Dominant eigenvalue by power iteration from the all-ones vector.
 
-    Each step gathers the four successor entries of every state, with 0 in
-    the pad slot.  Stops when successive Rayleigh quotients differ by less
-    than the tolerance, which must lie in [MIN_TOLERANCE, inf); every
-    pattern for s <= MAX_SPAN stops within 20 steps at MIN_TOLERANCE.  Not
-    stopping within MAX_POWER_ITERATIONS raises ScaleGuardError.
+    The iterate x lives on the dim states; each step places it in a vector
+    over all 4^s window pairs with 0 at the forbidden one, applies _matvec
+    and drops that entry again.  No successor table is built.  Stops when
+    successive Rayleigh quotients differ by less than the tolerance, which
+    must lie in [MIN_TOLERANCE, inf); every pattern for s <= MAX_SPAN stops
+    within 20 steps at MIN_TOLERANCE.  Not stopping within
+    MAX_POWER_ITERATIONS raises ScaleGuardError.
     """
     import numpy as np
 
     if not MIN_TOLERANCE <= tolerance < math.inf:
         raise ValidationError(f"tolerance must be finite and >= {MIN_TOLERANCE}, got {tolerance}")
-    pad = _successor_gather(matrix)
+    f = matrix.forbidden
+    full = np.zeros(matrix.dim + 1)  # full[f] stays 0
     x = np.ones(matrix.dim)
     x /= np.linalg.norm(x)
     prev = rayleigh = None
     for iteration in range(MAX_POWER_ITERATIONS + 1):  # iteration = Rayleigh quotients taken so far
-        y = np.concatenate([x, [0.0]])[pad].sum(axis=1)
+        full[:f] = x[:f]
+        full[f + 1 :] = x[f:]
+        mx = _matvec(full, matrix.s)
+        y = np.concatenate([mx[:f], mx[f + 1 :]])
         if prev is not None and abs(rayleigh - prev) < tolerance:
             residual = float(np.max(np.abs(y - rayleigh * x)))
             return SpectralRadiusEstimate(rayleigh, residual, iteration)

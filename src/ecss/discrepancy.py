@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import alpha
 from .curve import is_prime
 from .errors import ScaleGuardError, ValidationError, finite_float, validate_positive_real, validate_seed
 from .generator import PointSet
@@ -253,6 +252,8 @@ def discrepancy_bound_multi(inputs: BoundInputs) -> float:
     """s-dimensional bound with the alpha_s^(r/2) term; requires s >= 2."""
     if inputs.s is None or inputs.s < 2:
         raise ValidationError("multi-dimensional bound needs s >= 2")
+    from .combinat import alpha  # only here: the s = 1 sweep and `disc` do not load combinat
+
     n, p, r, s = inputs.n, inputs.p, inputs.r, inputs.s
     lp = math.log(p)
     core = n**-0.5 * lp + p**-0.5 * lp + alpha(s) ** (r / 2.0) / n * lp**s
@@ -269,6 +270,8 @@ def elmahassni_bound(inputs: BoundInputs) -> float:
 
 def nontrivial_exponent(s: int) -> float:
     """Exponent gamma_s = log(alpha_s) / (2 log 2); below 1 for every s."""
+    from .combinat import alpha
+
     if s < 1:
         raise ValidationError("s must be >= 1")
     return math.log(alpha(s)) / (2.0 * math.log(2.0))

@@ -73,9 +73,9 @@ def subset_sum_residue(config: GeneratorConfig, ns) -> list[int]:
     return out
 
 
-LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers; bounds the temporaries
+LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers, and per slice of lane additions
 # Output index, or s-tuple coordinates, per call; at the cap `ecss gen` peaks at about
-# 160 MiB RSS for r = 10 (one comb chunk) and 440-500 MiB for r >= 24 (the lane additions).
+# 160 MiB RSS for r = 10 (one comb chunk) and 165-200 MiB for r = 24..300 (chunk additions).
 MAX_OUTPUTS = 2 * 10**6
 
 
@@ -214,7 +214,10 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
     indexes a table of the subset sums of its k weights (_chunk_tables), and
     V(n) is the sum of one entry per chunk.  The ceil(r/k) - 1 mixed
     additions run on int64 projective lanes, and a last Fermat inversion
-    normalises them.  With one chunk V(n) is a single lookup.
+    normalises them.  They run on slices of at most LANE_BUDGET lanes (one
+    output column per weight vector at least), which bounds their
+    temporaries; every lane is computed alone, so the slices change no bit.
+    With one chunk V(n) is a single lookup.
     """
     p = curve.p
     r = wx.shape[1]
@@ -230,12 +233,19 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
     if chunks == 1:
         return tx[:, g], ty[:, g], ~tkeep[:, g]
     double = _doubles(tx, ty, curve)
-    X, Y, Z = tx[:, g], ty[:, g], tkeep[:, g].astype(np.int64)
-    for i in range(1, chunks):
-        g = packed[i * k : i * k + n_lanes] + (i << k)
-        X, Y, Z = _mixed_add(X, Y, Z, tx[:, g], ty[:, g], [d[:, g] for d in double], tkeep[:, g], p)
-    x, y, keep = _affine(X, Y, Z, p)
-    return x, y, ~keep
+    x, y = (np.empty((len(wx), n_lanes), dtype=np.int64) for _ in range(2))
+    inf = np.empty((len(wx), n_lanes), dtype=bool)
+    width = max(1, LANE_BUDGET // len(wx))  # lanes per slice: bounds the group-law temporaries
+    for lo in range(0, n_lanes, width):
+        hi = min(lo + width, n_lanes)
+        g = packed[lo:hi]
+        X, Y, Z = tx[:, g], ty[:, g], tkeep[:, g].astype(np.int64)
+        for i in range(1, chunks):
+            g = packed[i * k + lo : i * k + hi] + (i << k)
+            X, Y, Z = _mixed_add(X, Y, Z, tx[:, g], ty[:, g], [d[:, g] for d in double], tkeep[:, g], p)
+        x[:, lo:hi], y[:, lo:hi], keep = _affine(X, Y, Z, p)
+        inf[:, lo:hi] = ~keep
+    return x, y, inf
 
 
 def _curve_outputs(config: GeneratorConfig, first: int, count: int):

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -446,6 +448,21 @@ class TestGenAndDisc:
         code, out, err, peak = run_cli_traced(capsys, "gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", str(n))
         assert code == 3 and out == "" and err.startswith("scale guard:")
         assert peak < 2**20  # far below the 80-250 B per output that generating holds
+
+    def test_two_chunk_register_at_the_cap_adds_in_lane_slices(self, tmp_path):
+        # r = 24 needs two comb chunks; adding all 2*10^6 lanes at once peaked at 437 MiB, and
+        # LANE_BUDGET-lane slices peak at 163 MiB (measured with Python 3.11, numpy 2.4), about
+        # what the one-chunk r = 10 run holds.
+        out = tmp_path / "values.txt"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        child = subprocess.Popen([sys.executable, "-m", "ecss.cli", "gen", "--curve", "1009,1,1", "--poly",
+                                  "0x1000087", "--n", str(MAX_OUTPUTS), "--seed", "3", "--output", str(out)],
+                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        with child.stderr:
+            _, status, usage = os.wait4(child.pid, 0)  # the rusage of this child alone
+            assert os.waitstatus_to_exitcode(status) == 0, child.stderr.read()
+        assert sum(1 for _ in out.open()) == MAX_OUTPUTS
+        assert usage.ru_maxrss < 256 * 1024  # KiB
 
     def test_tuples_over_the_cap_exit_before_the_copy(self, capsys):
         # 3,000 outputs are cheap, but 1,501 tuples of dimension 1,500 exceed MAX_OUTPUTS coordinates.
@@ -893,6 +910,25 @@ class TestPinnedOutputs:
                                "--s", "3", "--seed", "7")
         digest = "53ec93427a89b1bcbea055cd3f44ce25f3194178b470b7001bf6390920d6e14f"
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # The reports of the successor-table power iteration, which the reshape matvec reproduces bit for bit.
+    BETA_REPORTS = {
+        "--s 1": '"s": 1, "beta": 3.000000000000001, "alpha": 3.0, "dominant_h": [1]',
+        "--s 2": '"s": 2, "beta": 3.7320508076089602, "alpha": 3.872983346207417, "dominant_h": [1, 2]',
+        "--s 3": '"s": 3, "beta": 3.9394650586694624, "alpha": 3.9790572078963917, "dominant_h": [2]',
+        "--s 4": '"s": 4, "beta": 3.984437223583859, "alpha": 3.996088014880467, "dominant_h": [2, 3]',
+        "--s 5": '"s": 5, "beta": 3.996154038321775, "alpha": 3.9992184446452828, "dominant_h": [3]',
+        "--s 6": '"s": 6, "beta": 3.999027005306564, "alpha": 3.9998372230240165, "dominant_h": [3, 4]',
+        "--s 7": '"s": 7, "beta": 3.9997570164238088, "alpha": 3.9999651218555066, "dominant_h": [3, 4, 5]',
+        "--s 8": '"s": 8, "beta": 3.999939036291755, "alpha": 3.9999923705545366, '
+                 '"dominant_h": [1, 2, 3, 4, 5, 6, 7, 8]',
+        "--s 6 --tolerance 1e-12": '"s": 6, "beta": 3.999027004704455, "alpha": 3.9998372230240165, '
+                                   '"dominant_h": [3, 4]',
+    }
+
+    @pytest.mark.parametrize("argv", BETA_REPORTS)
+    def test_beta(self, capsys, argv):
+        assert run_cli(capsys, "beta", *argv.split()) == (0, '{"version": 1, ' + self.BETA_REPORTS[argv] + "}\n", "")
 
     EXPSUM_CURVE = "10007,1,10005"  # x = 1 is a root of x^3 + x + 10005, so (1, 0) is 2-torsion
 

@@ -4,8 +4,10 @@ import pytest
 from ecss import combinat
 from ecss.combinat import (
     MAX_SPAN,
+    MAX_POWER_ITERATIONS,
     MIN_TOLERANCE,
     BadPairCount,
+    SpectralRadiusEstimate,
     WindowPattern,
     alpha,
     bad_count_bracket,
@@ -70,6 +72,36 @@ def dense(tm):
     for i, row in enumerate(gather_successors(tm)):
         mat[i, list(row)] = 1.0
     return mat
+
+
+def gather_power_iteration(tm, tolerance):
+    """The power iteration that gathered through the successor table, kept as the oracle of the matvec.
+
+    Returns (value, residual, iterations) as spectral_radius did before it
+    stopped reading gather.
+    """
+    pad = tm.gather
+    x = np.ones(tm.dim)
+    x /= np.linalg.norm(x)
+    prev = rayleigh = None
+    for iteration in range(MAX_POWER_ITERATIONS + 1):
+        y = np.concatenate([x, [0.0]])[pad].sum(axis=1)
+        if prev is not None and abs(rayleigh - prev) < tolerance:
+            return rayleigh, float(np.max(np.abs(y - rayleigh * x))), iteration
+        prev, rayleigh = rayleigh, float(x @ y)
+        x = y / np.linalg.norm(y)
+    raise AssertionError("the oracle did not settle")
+
+
+def gather_walk_totals(tm, steps):
+    """walk_count(tm, t) for t = 0..steps, by gathering Python ints through the successor table."""
+    ext = np.ones(tm.dim + 1, dtype=object)
+    ext[-1] = 0
+    totals = [int(ext[:-1].sum())]
+    for _ in range(steps):
+        ext[:-1] = ext[tm.gather].sum(axis=1)
+        totals.append(int(ext[:-1].sum()))
+    return totals
 
 
 class TestAlpha:
@@ -315,6 +347,14 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             transfer_matrix(2, 1).gather[0, 0] = 0
 
+    def test_gather_is_built_on_demand_and_kept(self):
+        tm = transfer_matrix(3, 2)
+        spectral_radius(tm)
+        walk_count(tm, 5)
+        assert "gather" not in vars(tm)  # neither the solve nor the walk builds the table
+        assert tm.gather is tm.gather is combinat._successor_gather(tm)
+        assert "gather" in vars(tm)
+
     def test_guard(self):
         with pytest.raises(ScaleGuardError):
             transfer_matrix(9, 1)
@@ -341,6 +381,12 @@ class TestWalkCount:
             for r in range(s, 13):
                 assert walk_count(tm, r - s) == brute_force_bad_wrt_first(r, s, h)
 
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_matches_gather_walk(self, s):
+        for h in range(1, s + 1):
+            tm = transfer_matrix(s, h)
+            assert [walk_count(tm, steps) for steps in range(21)] == gather_walk_totals(tm, 20)
+
     def test_counts_are_exact_beyond_int64(self):
         assert walk_count(transfer_matrix(1, 1), 60) == 3**61
 
@@ -356,6 +402,13 @@ class TestSpectralRadius:
             top = max(abs(np.linalg.eigvals(dense(tm))))
             est = spectral_radius(tm, 1e-10)
             assert abs(est.value - top) < 1e-7
+
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-9, 1e-13])
+    @pytest.mark.parametrize("s", range(1, MAX_SPAN + 1))
+    def test_equals_gather_oracle_bit_for_bit(self, s, tolerance):
+        for h in range(1, s + 1):
+            tm = transfer_matrix(s, h)
+            assert spectral_radius(tm, tolerance) == SpectralRadiusEstimate(*gather_power_iteration(tm, tolerance))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecss import experiments
+from ecss import experiments, generator
 
 from ecss.curve import INFINITY, add, enumerate_points, validate_curve, x_coord
 from ecss.errors import ScaleGuardError, ValidationError
@@ -249,6 +249,22 @@ class TestDiscrepancySweep:
         assert [size for size, _, _ in calls] == sizes
         for _, grouped, single in calls:
             assert grouped.tobytes() == single.tobytes()
+
+    def test_each_block_adds_its_lanes_in_one_slice(self, monkeypatch):
+        # N = 100 is too few lanes to pay for all 2^10 subset sums, so every lane takes chunk additions;
+        # a block of 163 samples holds at most LANE_BUDGET lanes, so _lane_sums adds them in one slice.
+        add, widths = generator._mixed_add, []
+
+        def recording(X, *args):
+            if X.ndim == 2:  # the lane additions, not the table build
+                widths.append(X.shape)
+            return add(X, *args)
+
+        monkeypatch.setattr(generator, "_mixed_add", recording)
+        discrepancy_sweep(small_config(n_grid=(25, 100), samples=200, curve=validate_curve(1009, 1, 1),
+                                       poly=BinaryPoly(0x409), r=10))
+        block = LANE_BUDGET // 100
+        assert set(widths) == {(block, 100), (200 - block, 100)}
 
     @pytest.mark.parametrize("overrides", [
         dict(curve=validate_curve(1009, 1, 1), poly=BinaryPoly(0x409), r=10, n_grid=(64, 256, 1023),

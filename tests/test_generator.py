@@ -123,7 +123,8 @@ TABLE_POINTS = {**KERNEL_POINTS, F1009: enumerate_points(F1009)}
 
 @st.composite
 def table_cases(draw):
-    """Weight vectors of the table kernel's orders, a bit string, and a forced chunk width or None.
+    """Weight vectors of the table kernel's orders, a bit string, a forced chunk width or None, and
+    a forced lane budget or None.
 
     Weights mix fresh points, identities, repeats and negatives of earlier
     weights, and 2-torsion points (y = 0) where the curve has them.
@@ -154,7 +155,8 @@ def table_cases(draw):
     # an unbounded width at r = 31 would ask for 2^31-entry tables.
     widths = [k for k in range(1, r + 1) if -(-r // k) << k <= 2 * max(n, 2 * r)]
     width = draw(st.none() | st.sampled_from(widths))
-    return curve, vectors, bits, width
+    budget = draw(st.none() | st.integers(1, 9))  # small budgets cut the lanes into slices and a remainder
+    return curve, vectors, bits, width, budget
 
 
 def lane_points(vectors, bits, curve):
@@ -167,10 +169,12 @@ class TestChunkTables:
     @settings(max_examples=80, deadline=None)
     @given(table_cases())
     def test_matches_scalar_fold(self, case):
-        curve, vectors, bits, width = case
+        curve, vectors, bits, width, budget = case
         with pytest.MonkeyPatch.context() as patch:
             if width is not None:  # otherwise the cost model picks it
                 patch.setattr(generator, "_chunk_width", lambda *_: width)
+            if budget is not None:
+                patch.setattr(generator, "LANE_BUDGET", budget)
             got = lane_points(vectors, bits, curve)
         assert got == [scalar_fold(bits, weights, curve) for weights in vectors]
 

@@ -35,9 +35,9 @@ PUBLIC = {
 
 
 def loaded_after(code: str) -> set[str]:
-    """The ecss modules, and numpy if loaded, in sys.modules of a fresh process after running code."""
+    """The ecss modules, and numpy and csv if loaded, in sys.modules of a fresh process after running code."""
     script = (f"import contextlib, io, json, sys\n{code}\n"
-              "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'ecss']))")
+              "print(json.dumps([m for m in sys.modules if m in ('numpy', 'csv') or m.split('.')[0] == 'ecss']))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -74,6 +74,32 @@ def test_expsum_check_loads_no_combinatorics_or_discrepancy():
 
 def test_lfsr_info_loads_no_numpy():
     assert loaded_after(cli_run("lfsr-info", "--poly", "0x13")) == {"ecss", "ecss.cli", "ecss.errors", "ecss.gf2"}
+
+
+@pytest.mark.parametrize("argv", [("beta", "--s", "3"), ("badpairs", "--r", "12", "--s", "3"),
+                                  ("bounds", "--n", "100", "--p", "1009", "--r", "10", "--tau", "1023", "--s", "2"),
+                                  ("curve-info", "--curve", "13,2,0"), ("lfsr-info", "--poly", "0x13")],
+                         ids=["beta", "badpairs", "bounds", "curve-info", "lfsr-info"])
+def test_json_commands_load_no_csv(argv):
+    assert "csv" not in loaded_after(cli_run(*argv))
+
+
+SAMPLING = {"ecss", "ecss.cli", "ecss.errors", "ecss.curve", "ecss.discrepancy", "ecss.generator", "ecss.gf2",
+            "numpy", "csv"}
+
+
+def test_disc_loads_no_combinatorics(tmp_path):
+    points = tmp_path / "pts.csv"
+    points.write_text("0.1,0.2\n0.3,0.8\n0.5,0.5\n")
+    assert loaded_after(cli_run("disc", "--input", str(points))) == SAMPLING
+
+
+@pytest.mark.parametrize("s, combinat", [(1, set()), (2, {"ecss.combinat"})])  # alpha_s enters the s >= 2 bound
+def test_experiment_loads_combinat_only_for_the_multi_bound(tmp_path, s, combinat):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": s,
+                                  "n_grid": [8, 16], "samples": 2, "delta": 1.0, "seed": 1}))
+    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING | {"ecss.experiments"} | combinat
 
 
 def test_public_names_resolve_to_their_modules():
