@@ -14,14 +14,13 @@ _EXPORTS = {
                 "walk_count",
     "curve": "INFINITY CurveParams CurvePoint WeightVector add enumerate_points is_on_curve negate point_table "
              "scalar_mul validate_curve x_coord",
-    "discrepancy": "BoundInputs DiscrepancyReport discrepancy_bound_1d discrepancy_bound_multi elmahassni_bound "
-                   "exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
+    "discrepancy": "BoundInputs DiscrepancyReport PointSet discrepancy_bound_1d discrepancy_bound_multi "
+                   "elmahassni_bound exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
     "errors": "ScaleGuardError ValidationError",
     "experiments": "ExperimentConfig SweepRow bound_crossover discrepancy_sweep sample_weight_vectors slope_fit",
     "expsum": "ComplexSum additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 "
               "koksma_szusz_rhs orthogonality_sum",
-    "generator": "GeneratorConfig PointSet ResidueWeights ec_subset_sum ec_subset_sum_stream output_normalized "
-                 "s_tuples subset_sum_residue",
+    "generator": "GeneratorConfig ec_subset_sum ec_subset_sum_stream output_normalized s_tuples",
     "gf2": "BinaryPoly BitSequenceSource LfsrSource PeriodicSource poly_is_irreducible sequence_period "
            "windows_distinct",
 }

@@ -6,37 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleGuardError, ValidationError, validate_int
+from .errors import ScaleGuardError, ValidationError, is_prime, validate_int
 
 MAX_FIELD = 1 << 31  # modular products stay desk-scale; no big-field tricks
 MAX_ENUMERATION_P = 1 << 20  # point enumeration builds an O(p) residue table
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; witnesses {2, 7, 61} are exact below 4,759,123,141."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 7, 61):
-        if base % n == 0:
-            continue
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,43 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import is_prime
-from .errors import ScaleGuardError, ValidationError, finite_float, validate_positive_real, validate_seed
-from .generator import PointSet
+from .errors import ScaleGuardError, ValidationError, finite_float, is_prime, validate_positive_real, validate_seed
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
 EXACT_BLOCK_BUDGET = 2**14  # rows (128 KiB per float64 row vector) per block of the box scan
 
 EXACT = "exact"
 MC_LOWER_BOUND = "monte-carlo-lower-bound"
+
+
+@dataclass(frozen=True)
+class PointSet:
+    """N points in the half-open unit cube [0, 1)^s, stored as an (N, s) array."""
+
+    s: int
+    rows: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        rows = np.ascontiguousarray(np.atleast_2d(np.asarray(self.rows, dtype=float)))
+        if rows.ndim != 2 or rows.shape[1] != self.s:
+            raise ValidationError(f"rows must be (N, {self.s}), got {rows.shape}")
+        if rows.shape[0] < 1:
+            raise ValidationError("point set must be nonempty")
+        if self.s < 1:
+            raise ValidationError("dimension must be >= 1")
+        if not np.isfinite(rows).all():
+            raise ValidationError("coordinates must be finite")
+        if rows.size and (rows.min() < 0.0 or rows.max() >= 1.0):
+            raise ValidationError("coordinates must lie in [0, 1)")
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ class ExperimentConfig:
     samples: int
     delta: float
     seed: int
-    init: tuple[int, ...] = ()
+    init: tuple[int, ...] = field(init=False)  # the default register window, default_init(r)
     tau: int = field(init=False)  # the register period, computed from poly and init
 
     def __post_init__(self):
@@ -53,7 +53,7 @@ class ExperimentConfig:
             raise ValidationError(f"r = {self.r} does not match polynomial degree {self.poly.degree}")
         validate_positive_real(self.delta, "delta")
         validate_seed(self.seed)
-        object.__setattr__(self, "init", tuple(self.init) if self.init else default_init(self.r))
+        object.__setattr__(self, "init", default_init(self.r))
         # Degree-guarded, so first; its walk back to the start proves the tau windows (the states) distinct.
         object.__setattr__(self, "tau", sequence_period(self.poly, self.init))
         if not poly_is_irreducible(self.poly):

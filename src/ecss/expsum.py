@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import (CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points, is_on_curve,
-                    is_prime, negate, point_table, x_coord)
-from .errors import ScaleGuardError, ValidationError
-from .generator import GeneratorConfig, PointSet, WeightVector
-from .gf2 import packed_windows
+                    negate, point_table, x_coord)
+from .errors import ScaleGuardError, ValidationError, is_prime
+from .gf2 import LfsrSource, packed_windows
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WINDOW_BITS = 10**6  # N + r - 1 register bits, read and packed in Python
@@ -170,7 +169,8 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
         raise ValidationError("need r >= 1 and N >= 1")
     if count + r - 1 > MAX_AVG_WINDOW_BITS:
         raise ScaleGuardError(f"N + r - 1 = {count + r - 1} register bits exceed {MAX_AVG_WINDOW_BITS}")
-    GeneratorConfig(source=source, weights=WeightVector((INFINITY,) * r), curve=curve)  # validates the source
+    if isinstance(source, LfsrSource) and source.order != r:
+        raise ValidationError(f"weight length {r} does not match register order {source.order}")
     order = len(enumerate_points(curve))  # perfbench/traced_job.py learns #E from this call
     total = ComplexSum(1 + complex(curve_char_sums_all(curve)[a % curve.p]), order)
     mean = total.value / total.terms

@@ -1,47 +1,29 @@
-"""Subset-sum generators: residue-ring and elliptic-curve variants, plus s-tuple windows."""
+"""The elliptic-curve subset-sum generator V(n) = sum_j u(n+j) P_j, plus s-tuple windows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import CurveParams, CurvePoint, INFINITY, WeightVector, validate_weights
+from .discrepancy import PointSet
 from .errors import ScaleGuardError, ValidationError
 from .gf2 import BitSequenceSource, LfsrSource
 
 
 @dataclass(frozen=True)
-class ResidueWeights:
-    """Weight vector z_0..z_{r-1} over the residue ring Z_m."""
-
-    modulus: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValidationError("modulus must be >= 2")
-        if len(self.values) < 1:
-            raise ValidationError("weight vector needs at least one residue")
-        object.__setattr__(self, "values", tuple(v % self.modulus for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class GeneratorConfig:
-    """Bit source plus weights; the curve is required for the point-valued variant."""
+    """Bit source, weight points P_0..P_{r-1} and the curve they lie on."""
 
     source: BitSequenceSource
-    weights: WeightVector | ResidueWeights
-    curve: CurveParams | None = None
+    weights: WeightVector
+    curve: CurveParams
 
     def __post_init__(self):
-        if isinstance(self.weights, WeightVector):
-            if self.curve is None:
-                raise ValidationError("curve weights need curve parameters")
-            validate_weights(self.weights, self.curve)
+        if not isinstance(self.weights, WeightVector):
+            raise ValidationError("curve generator needs a WeightVector")
+        validate_weights(self.weights, self.curve)
         if isinstance(self.source, LfsrSource) and self.source.order != len(self.weights):
             raise ValidationError(
                 f"weight length {len(self.weights)} does not match register order "
@@ -51,26 +33,6 @@ class GeneratorConfig:
     @property
     def r(self) -> int:
         return len(self.weights)
-
-
-def subset_sum_residue(config: GeneratorConfig, ns) -> list[int]:
-    """Residue outputs sum_{j<r} u(n+j) z_j mod m for each requested index n."""
-    if not isinstance(config.weights, ResidueWeights):
-        raise ValidationError("residue generator needs ResidueWeights")
-    ns = list(ns)
-    if not ns:
-        return []
-    if min(ns) < 1:
-        raise ValidationError("indices start at 1")
-    r = config.r
-    z = config.weights.values
-    m = config.weights.modulus
-    stream = config.source.bits(max(ns) + r - 1)
-    out = []
-    for n in ns:
-        window = stream[n - 1 : n - 1 + r]
-        out.append(sum(u * w for u, w in zip(window, z)) % m)
-    return out
 
 
 LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers, and per slice of lane additions
@@ -250,8 +212,6 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
 
 def _curve_outputs(config: GeneratorConfig, first: int, count: int):
     """x, y and identity mask of the outputs n = first, ..., first + count - 1."""
-    if not isinstance(config.weights, WeightVector):
-        raise ValidationError("curve generator needs a WeightVector")
     if first < 1:
         raise ValidationError("indices start at 1")
     if count < 0:
@@ -286,32 +246,6 @@ def output_normalized(config: GeneratorConfig, count: int) -> list[float]:
     """Normalised x-coordinates x(V(n))/p for n = 1..count; values in [0, 1)."""
     x = _curve_outputs(config, 1, count)[0]
     return (x / config.curve.p).tolist()
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """N points in the half-open unit cube [0, 1)^s, stored as an (N, s) array."""
-
-    s: int
-    rows: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        rows = np.ascontiguousarray(np.atleast_2d(np.asarray(self.rows, dtype=float)))
-        if rows.ndim != 2 or rows.shape[1] != self.s:
-            raise ValidationError(f"rows must be (N, {self.s}), got {rows.shape}")
-        if rows.shape[0] < 1:
-            raise ValidationError("point set must be nonempty")
-        if self.s < 1:
-            raise ValidationError("dimension must be >= 1")
-        if not np.isfinite(rows).all():
-            raise ValidationError("coordinates must be finite")
-        if rows.size and (rows.min() < 0.0 or rows.max() >= 1.0):
-            raise ValidationError("coordinates must lie in [0, 1)")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
 
 
 def s_tuples(seq, s: int) -> PointSet:

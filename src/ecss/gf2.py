@@ -171,16 +171,16 @@ class PeriodicSource(BitSequenceSource):
         return [self.pattern[n % m] for n in range(count)]
 
 
-def packed_windows(stream, r: int, start: int = 0):
-    """Yield the windows stream[k:k+r] packed LSB-first (bit t = stream[k+t]), k = start, ...
+def packed_windows(stream, r: int):
+    """Yield the windows stream[k:k+r] packed LSB-first (bit t = stream[k+t]), k = 0, 1, ...
 
     Stops at the last full window; each step shifts in one new bit.
     """
     w = 0
     for t in range(r):
-        w |= stream[start + t] << t
+        w |= stream[t] << t
     yield w
-    for k in range(start + r, len(stream)):
+    for k in range(r, len(stream)):
         w = (w >> 1) | (stream[k] << (r - 1))
         yield w
 
@@ -220,7 +220,7 @@ def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
     if r < 1 or tau < 1:
         raise ValidationError("window length and tau must be >= 1")
     seen = set()
-    for w in packed_windows(src.bits(tau + r), r, start=1):
+    for w in packed_windows(src.bits(tau + r)[1:], r):
         if w in seen:
             return False
         seen.add(w)

@@ -25,14 +25,14 @@ from ecss.curve import (
     add,
     all_curve_orders,
     enumerate_points,
-    is_prime,
     validate_curve,
     x_coord,
 )
-from ecss.discrepancy import exact_extreme_1d, exact_extreme_multi, mc_box_lower_bound
+from ecss.discrepancy import PointSet, exact_extreme_1d, exact_extreme_multi, mc_box_lower_bound
+from ecss.errors import is_prime
 from ecss.experiments import ExperimentConfig, bound_crossover, discrepancy_sweep, slope_fit
 from ecss.expsum import curve_x_char_sum, dirichlet_l1, max_char_ratio_all_curves, orthogonality_sum
-from ecss.generator import GeneratorConfig, output_normalized, PointSet
+from ecss.generator import GeneratorConfig, output_normalized
 from ecss.gf2 import BinaryPoly, LfsrSource
 
 from test_discrepancy import oracle_extreme_1d

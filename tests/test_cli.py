@@ -453,16 +453,21 @@ class TestGenAndDisc:
         # r = 24 needs two comb chunks; adding all 2*10^6 lanes at once peaked at 437 MiB, and
         # LANE_BUDGET-lane slices peak at 163 MiB (measured with Python 3.11, numpy 2.4), about
         # what the one-chunk r = 10 run holds.
+        # A child's ru_maxrss starts from its parent's resident high-water mark, which survives the
+        # exec, so gen is started from a small launcher process rather than from this test process.
         out = tmp_path / "values.txt"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        child = subprocess.Popen([sys.executable, "-m", "ecss.cli", "gen", "--curve", "1009,1,1", "--poly",
-                                  "0x1000087", "--n", str(MAX_OUTPUTS), "--seed", "3", "--output", str(out)],
-                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        with child.stderr:
-            _, status, usage = os.wait4(child.pid, 0)  # the rusage of this child alone
-            assert os.waitstatus_to_exitcode(status) == 0, child.stderr.read()
+        launcher = ("import os, subprocess, sys\n"
+                    "child = subprocess.Popen(sys.argv[1:])\n"
+                    "_, status, usage = os.wait4(child.pid, 0)\n"
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "ecss.cli", "gen", "--curve",
+                               "1009,1,1", "--poly", "0x1000087", "--n", str(MAX_OUTPUTS), "--seed", "3",
+                               "--output", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        code, peak_kib = map(int, done.stdout.split())
+        assert done.returncode == 0 and code == 0, done.stderr
         assert sum(1 for _ in out.open()) == MAX_OUTPUTS
-        assert usage.ru_maxrss < 256 * 1024  # KiB
+        assert peak_kib < 256 * 1024
 
     def test_tuples_over_the_cap_exit_before_the_copy(self, capsys):
         # 3,000 outputs are cheap, but 1,501 tuples of dimension 1,500 exceed MAX_OUTPUTS coordinates.

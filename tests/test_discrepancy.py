@@ -15,6 +15,7 @@ from ecss.discrepancy import (
     BoundInputs,
     _exact_extreme,
     DiscrepancyReport,
+    PointSet,
     discrepancy_bound_1d,
     discrepancy_bound_multi,
     elmahassni_bound,
@@ -24,7 +25,6 @@ from ecss.discrepancy import (
     nontrivial_exponent,
 )
 from ecss.errors import ScaleGuardError, ValidationError
-from ecss.generator import PointSet
 
 
 def oracle_extreme_1d(pts):

@@ -5,9 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ecss.curve import (CurvePoint, INFINITY, add, enumerate_points, is_prime, negate, point_table, validate_curve,
-                        x_coord)
-from ecss.errors import ScaleGuardError, ValidationError
+from ecss.curve import CurvePoint, INFINITY, add, enumerate_points, negate, point_table, validate_curve, x_coord
+from ecss.discrepancy import PointSet
+from ecss.errors import ScaleGuardError, ValidationError, is_prime
 from ecss.expsum import (
     MAX_AVG_WINDOW_BITS,
     ComplexSum,
@@ -20,7 +20,6 @@ from ecss.expsum import (
     max_char_ratio_all_curves,
     orthogonality_sum,
 )
-from ecss.generator import PointSet
 from ecss.gf2 import BinaryPoly, LfsrSource, PeriodicSource
 
 F5 = validate_curve(5, 1, 1)

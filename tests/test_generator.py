@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from ecss.curve import (CurvePoint, INFINITY, WeightVector, add, enumerate_points, negate, validate_curve,
                         x_coord)
+from ecss.discrepancy import PointSet
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss import generator
 from ecss.generator import (
     MAX_OUTPUTS,
     GeneratorConfig,
-    PointSet,
-    ResidueWeights,
     _chunk_width,
     _lane_sums,
     _point_arrays,
@@ -21,7 +20,6 @@ from ecss.generator import (
     ec_subset_sum_stream,
     output_normalized,
     s_tuples,
-    subset_sum_residue,
 )
 from ecss.gf2 import BinaryPoly, LfsrSource, PeriodicSource
 
@@ -201,36 +199,6 @@ class TestChunkTables:
         assert _chunk_width(10, 101, 10) < 10  # small N does not pay for all 2^r subset sums
 
 
-class TestResidueGenerator:
-    def test_worked_trace(self):
-        config = GeneratorConfig(source=lfsr_x2x1(), weights=ResidueWeights(8, (3, 5)))
-        assert subset_sum_residue(config, range(1, 4)) == [3, 5, 0]
-
-    def test_zero_weights(self):
-        config = GeneratorConfig(source=lfsr_x2x1(), weights=ResidueWeights(8, (0, 0)))
-        assert subset_sum_residue(config, range(1, 6)) == [0] * 5
-
-    def test_zero_bits(self):
-        source = LfsrSource(BinaryPoly(0b111), (0, 0))
-        config = GeneratorConfig(source=source, weights=ResidueWeights(8, (3, 5)))
-        assert subset_sum_residue(config, range(1, 6)) == [0] * 5
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            GeneratorConfig(source=lfsr_x2x1(), weights=ResidueWeights(8, (3, 5, 7)))
-
-    def test_requires_residue_weights(self):
-        with pytest.raises(ValidationError):
-            subset_sum_residue(f5_config(), range(1, 3))
-
-    def test_modulus_validated(self):
-        with pytest.raises(ValidationError):
-            ResidueWeights(1, (0,))
-
-    def test_values_reduced(self):
-        assert ResidueWeights(8, (11, -3)).values == (3, 5)
-
-
 class TestEcGenerator:
     def test_worked_trace(self):
         config = f5_config()
@@ -259,6 +227,15 @@ class TestEcGenerator:
                 weights=WeightVector((CurvePoint(1, 1), CurvePoint(2, 1))),
                 curve=F5,
             )
+
+    def test_length_mismatch_rejected(self):
+        # The register has order 2; three weights do not fit its windows.
+        with pytest.raises(ValidationError):
+            GeneratorConfig(source=lfsr_x2x1(), weights=WeightVector((CurvePoint(0, 1),) * 3), curve=F5)
+
+    def test_non_point_weights_rejected(self):
+        with pytest.raises(ValidationError):
+            GeneratorConfig(source=lfsr_x2x1(), weights=(CurvePoint(0, 1), CurvePoint(2, 1)), curve=F5)
 
     def test_stream_matches_single_calls(self):
         config = f5_config()

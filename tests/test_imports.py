@@ -14,21 +14,20 @@ import ecss
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The public names, by defining module: the 64 exported when ecss/__init__.py imported every module,
-# and bad_pair_count.
+# and bad_pair_count, less the residue-ring generator ResidueWeights and subset_sum_residue.
 PUBLIC = {
     "combinat": "BadPairCount TransferMatrix WindowPattern alpha bad_count_bracket bad_pair_count bad_pair_upper_bound "
                 "beta brute_force_bad_count brute_force_bad_wrt_first is_s_good spectral_radius transfer_matrix "
                 "walk_count",
     "curve": "INFINITY CurveParams CurvePoint WeightVector add enumerate_points is_on_curve negate point_table "
              "scalar_mul validate_curve x_coord",
-    "discrepancy": "BoundInputs DiscrepancyReport discrepancy_bound_1d discrepancy_bound_multi elmahassni_bound "
-                   "exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
+    "discrepancy": "BoundInputs DiscrepancyReport PointSet discrepancy_bound_1d discrepancy_bound_multi "
+                   "elmahassni_bound exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
     "errors": "ScaleGuardError ValidationError",
     "experiments": "ExperimentConfig SweepRow bound_crossover discrepancy_sweep sample_weight_vectors slope_fit",
     "expsum": "ComplexSum additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 "
               "koksma_szusz_rhs orthogonality_sum",
-    "generator": "GeneratorConfig PointSet ResidueWeights ec_subset_sum ec_subset_sum_stream output_normalized "
-                 "s_tuples subset_sum_residue",
+    "generator": "GeneratorConfig ec_subset_sum ec_subset_sum_stream output_normalized s_tuples",
     "gf2": "BinaryPoly BitSequenceSource LfsrSource PeriodicSource poly_is_irreducible sequence_period "
            "windows_distinct",
 }
@@ -72,6 +71,16 @@ def test_expsum_check_loads_no_combinatorics_or_discrepancy():
     assert not loaded & {"ecss.combinat", "ecss.discrepancy", "ecss.experiments"}
 
 
+@pytest.mark.parametrize("code", [cli_run("expsum-check", "--curve", "13,2,0", "--all-a"),
+                                  "from ecss import curve, expsum, gf2\n"
+                                  "source = gf2.LfsrSource(gf2.BinaryPoly.from_hex('0x13'), (1, 0, 0, 0))\n"
+                                  "expsum.avg_square_sum_over_weights(curve.parse_curve('11,1,1'), 4, 3, 15, source)"],
+                         ids=["expsum-check", "avg_square"])
+def test_character_sums_load_no_generator(code):
+    loaded = loaded_after(code)
+    assert "ecss.expsum" in loaded and "ecss.generator" not in loaded
+
+
 def test_lfsr_info_loads_no_numpy():
     assert loaded_after(cli_run("lfsr-info", "--poly", "0x13")) == {"ecss", "ecss.cli", "ecss.errors", "ecss.gf2"}
 
@@ -84,14 +93,15 @@ def test_json_commands_load_no_csv(argv):
     assert "csv" not in loaded_after(cli_run(*argv))
 
 
-SAMPLING = {"ecss", "ecss.cli", "ecss.errors", "ecss.curve", "ecss.discrepancy", "ecss.generator", "ecss.gf2",
-            "numpy", "csv"}
-
-
 def test_disc_loads_no_combinatorics(tmp_path):
     points = tmp_path / "pts.csv"
     points.write_text("0.1,0.2\n0.3,0.8\n0.5,0.5\n")
-    assert loaded_after(cli_run("disc", "--input", str(points))) == SAMPLING
+    assert loaded_after(cli_run("disc", "--input", str(points))) == {"ecss", "ecss.cli", "ecss.errors",
+                                                                     "ecss.discrepancy", "numpy", "csv"}
+
+
+SAMPLING = {"ecss", "ecss.cli", "ecss.errors", "ecss.curve", "ecss.discrepancy", "ecss.experiments",
+            "ecss.generator", "ecss.gf2", "numpy"}
 
 
 @pytest.mark.parametrize("s, combinat", [(1, set()), (2, {"ecss.combinat"})])  # alpha_s enters the s >= 2 bound
@@ -99,7 +109,7 @@ def test_experiment_loads_combinat_only_for_the_multi_bound(tmp_path, s, combina
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": s,
                                   "n_grid": [8, 16], "samples": 2, "delta": 1.0, "seed": 1}))
-    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING | {"ecss.experiments"} | combinat
+    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING | combinat  # no csv
 
 
 def test_public_names_resolve_to_their_modules():
@@ -108,9 +118,17 @@ def test_public_names_resolve_to_their_modules():
         defining = importlib.import_module(f"ecss.{module}")
         for name in names.split():
             assert getattr(ecss, name) is getattr(defining, name), name
+    assert len(ecss.__all__) == 63
     namespace = {}
     exec("from ecss import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ecss.__all__)
     assert set(ecss.__all__) <= set(dir(ecss))
     with pytest.raises(AttributeError):
         ecss.no_such_name
+
+
+def test_moved_names_still_resolve_where_they_were():
+    from ecss import curve, discrepancy, errors, generator
+
+    assert generator.PointSet is discrepancy.PointSet
+    assert curve.is_prime is errors.is_prime
