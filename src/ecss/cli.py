@@ -36,26 +36,23 @@ def _output(path: str | None):
             yield handle
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _emit_json(payload: dict, path: str | None) -> None:
+    text = json.dumps({"version": VERSION, **payload}) + "\n"  # first, so a failure leaves no empty file
     with _output(path) as handle:
         handle.write(text)
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    payload = {"version": VERSION, **payload}
-    _write_text(json.dumps(payload) + "\n", path)
+def _write_table(path: str | None, header: list[str] | None, row: str, table) -> None:
+    """Write each row of a 2-D array through the % format row, one % and one write per CHUNK_ROWS rows.
 
-
-def _csv_head(header: list[str]) -> str:
-    """The version comment and the header row, in the csv.writer layout."""
-    return f"# version={VERSION}\n" + ",".join(header) + "\r\n"
-
-
-def _write_rows(handle, row: str, table) -> None:
-    """Write each row of a 2-D array through the % format row, one % and one write per CHUNK_ROWS rows."""
-    for start in range(0, len(table), CHUNK_ROWS):
-        chunk = table[start : start + CHUNK_ROWS]
-        handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    A header comes first, after the version comment, in the csv.writer layout; None writes neither.
+    """
+    with _output(path) as handle:
+        if header is not None:
+            handle.write(f"# version={VERSION}\n" + ",".join(header) + "\r\n")
+        for start in range(0, len(table), CHUNK_ROWS):
+            chunk = table[start : start + CHUNK_ROWS]
+            handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -83,14 +80,12 @@ def _cmd_gen(args) -> int:
     config = generator.GeneratorConfig(source=source, weights=weights, curve=params)
     values = generator.output_normalized(config, args.n)
     if args.s is None:
-        with _output(args.output) as handle:
-            _write_rows(handle, "%.17g\n", np.asarray(values)[:, None])
+        _write_table(args.output, None, "%.17g\n", values[:, None])
     else:
         window = generator.s_tuples(values, args.s)
         table = np.column_stack((np.arange(1, window.n + 1), window.rows))  # %d renders the float n exactly
-        with _output(args.output) as handle:
-            handle.write(_csv_head(["n"] + [f"c{i}" for i in range(args.s)]))
-            _write_rows(handle, "%d" + ",%.17g" * args.s + "\r\n", table)  # the csv.writer layout
+        _write_table(args.output, ["n"] + [f"c{i}" for i in range(args.s)],
+                     "%d" + ",%.17g" * args.s + "\r\n", table)  # the csv.writer layout
     return EXIT_OK
 
 
@@ -262,9 +257,7 @@ def _cmd_expsum_check(args) -> int:
     sqrt_p = math.sqrt(p)
     row = f"{p},%d,%.12g,{sqrt_p:.12g},%.12g\r\n"  # the csv.writer layout, constants rendered once
     table = np.column_stack((a_values, magnitudes, magnitudes / sqrt_p))  # %d renders the float a exactly
-    with _output(args.output) as handle:
-        handle.write(_csv_head(["p", "a", "abs_sum", "sqrt_p", "ratio"]))
-        _write_rows(handle, row, table)
+    _write_table(args.output, ["p", "a", "abs_sum", "sqrt_p", "ratio"], row, table)
     return EXIT_OK
 
 
@@ -296,9 +289,8 @@ def _cmd_experiment(args) -> int:
         raise ValidationError(f"experiment config has a field of the wrong type: {exc}") from exc
     rows = experiments.discrepancy_sweep(config)
     table = np.array([[row.n, row.mean, row.median, row.q90, row.thm_bound, row.elma_bound] for row in rows])
-    with _output(args.output) as handle:
-        handle.write(_csv_head(["N", "mean", "median", "q90", "thm_bound", "elma_bound"]))
-        _write_rows(handle, "%d" + ",%.12g" * 5 + "\r\n", table)  # %d renders the float N exactly
+    _write_table(args.output, ["N", "mean", "median", "q90", "thm_bound", "elma_bound"],
+                 "%d" + ",%.12g" * 5 + "\r\n", table)  # %d renders the float N exactly
     return EXIT_OK
 
 
@@ -314,18 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of sequence values")
     gen.add_argument("--s", type=int, help="emit overlapping s-tuples as CSV instead")
     gen.add_argument("--seed", type=int, default=0, help="seed for sampled weights")
-    gen.add_argument("--output", help="output path (default stdout)")
     gen.set_defaults(func=_cmd_gen)
 
     info = sub.add_parser("curve-info", help="order and Hasse check of a curve")
     info.add_argument("--curve", required=True)
-    info.add_argument("--output")
     info.set_defaults(func=_cmd_curve_info)
 
     lfsr = sub.add_parser("lfsr-info", help="irreducibility, period and window report")
     lfsr.add_argument("--poly", required=True)
     lfsr.add_argument("--init")
-    lfsr.add_argument("--output")
     lfsr.set_defaults(func=_cmd_lfsr_info)
 
     disc = sub.add_parser("disc", help="discrepancy of a CSV point set")
@@ -333,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--method", choices=["exact", "mc"], default="exact")
     disc.add_argument("--trials", type=int)  # None: discrepancy.DEFAULT_MC_TRIALS
     disc.add_argument("--seed", type=int, default=0)
-    disc.add_argument("--output")
     disc.set_defaults(func=_cmd_disc)
 
     bounds = sub.add_parser("bounds", help="evaluate the closed-form bound expressions")
@@ -343,20 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--tau", type=int, required=True)
     bounds.add_argument("--delta", type=float, default=1.0)
     bounds.add_argument("--s", type=int)
-    bounds.add_argument("--output")
     bounds.set_defaults(func=_cmd_bounds)
 
     bad = sub.add_parser("badpairs", help="exact bad-pair counts from a flag automaton")
     bad.add_argument("--r", type=int, required=True)
     bad.add_argument("--s", type=int, required=True)
     bad.add_argument("--h", type=int)
-    bad.add_argument("--output")
     bad.set_defaults(func=_cmd_badpairs)
 
     beta = sub.add_parser("beta", help="observed bad-pair growth base via power iteration")
     beta.add_argument("--s", type=int, required=True)
     beta.add_argument("--tolerance", type=float, default=1e-9)
-    beta.add_argument("--output")
     beta.set_defaults(func=_cmd_beta)
 
     check = sub.add_parser("expsum-check", help="curve character-sum magnitudes as CSV")
@@ -366,15 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all-a", action="store_true", help="sweep every a in 1..p-1")
     group.add_argument("--samples", type=int, default=20)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--output")
     check.set_defaults(func=_cmd_expsum_check)
 
     exp = sub.add_parser("experiment", help="average-case discrepancy sweep from a JSON config")
     exp.add_argument("--config", required=True)
     exp.add_argument("--seed", type=int, help="override the config seed")
-    exp.add_argument("--output")
     exp.set_defaults(func=_cmd_experiment)
 
+    for command in sub.choices.values():  # last, as every subcommand's final argument
+        command.add_argument("--output", help="output path (default stdout)")
     return parser
 
 

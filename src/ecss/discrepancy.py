@@ -33,7 +33,7 @@ class PointSet:
             raise ValidationError("dimension must be >= 1")
         if not np.isfinite(rows).all():
             raise ValidationError("coordinates must be finite")
-        if rows.size and (rows.min() < 0.0 or rows.max() >= 1.0):
+        if rows.min() < 0.0 or rows.max() >= 1.0:
             raise ValidationError("coordinates must lie in [0, 1)")
         object.__setattr__(self, "rows", rows)
 
@@ -222,7 +222,7 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
         raise ScaleGuardError(f"trials * N * s = {trials * n_total * s} exceeds {MAX_MC_WORK}")
     rng = np.random.default_rng(seed)
     best = 0.0
-    chunk = max(1, min(trials, 10**6 // max(1, n_total * s)))
+    chunk = max(1, min(trials, 10**6 // (n_total * s)))
     done = 0
     while done < trials:
         m = min(chunk, trials - done)

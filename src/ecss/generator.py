@@ -37,7 +37,8 @@ class GeneratorConfig:
 
 LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers, and per slice of lane additions
 # Output index, or s-tuple coordinates, per call; at the cap `ecss gen` peaks at about
-# 160 MiB RSS for r = 10 (one comb chunk) and 165-200 MiB for r = 24..300 (chunk additions).
+# 115 MiB RSS for r = 10 (one comb chunk) and r = 24 (chunk additions), plain or with --s 1,
+# 130 MiB for r = 64 and 185-191 MiB for r = 150..300, whose comb tables grow with the chunks.
 MAX_OUTPUTS = 2 * 10**6
 
 
@@ -242,17 +243,16 @@ def ec_subset_sum_stream(config: GeneratorConfig, count: int) -> list[CurvePoint
             for xi, yi, i in zip(x.tolist(), y.tolist(), inf.tolist())]
 
 
-def output_normalized(config: GeneratorConfig, count: int) -> list[float]:
-    """Normalised x-coordinates x(V(n))/p for n = 1..count; values in [0, 1)."""
-    x = _curve_outputs(config, 1, count)[0]
-    return (x / config.curve.p).tolist()
+def output_normalized(config: GeneratorConfig, count: int) -> np.ndarray:
+    """Normalised x-coordinates x(V(n))/p for n = 1..count, as a float64 array; values in [0, 1)."""
+    return _curve_outputs(config, 1, count)[0] / config.curve.p
 
 
 def s_tuples(seq, s: int) -> PointSet:
-    """Overlapping windows (seq[n], ..., seq[n+s-1]) as rows of a PointSet."""
+    """Overlapping windows (seq[n], ..., seq[n+s-1]) of a list or array, as rows of a PointSet."""
     if s < 1:
         raise ValidationError("dimension must be >= 1")
-    arr = np.asarray(list(seq), dtype=float)
+    arr = np.asarray(seq, dtype=float)
     if arr.ndim != 1:
         raise ValidationError("sequence must be one-dimensional")
     if len(arr) < s:

@@ -63,7 +63,7 @@ def _gf2_degree(a: int) -> int:
 
 def _gf2_mod(a: int, f: int) -> int:
     df = _gf2_degree(f)
-    while a.bit_length() - 1 >= df and a:
+    while a.bit_length() - 1 >= df:
         a ^= f << (a.bit_length() - 1 - df)
     return a
 

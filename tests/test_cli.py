@@ -449,10 +449,13 @@ class TestGenAndDisc:
         assert code == 3 and out == "" and err.startswith("scale guard:")
         assert peak < 2**20  # far below the 80-250 B per output that generating holds
 
-    def test_two_chunk_register_at_the_cap_adds_in_lane_slices(self, tmp_path):
-        # r = 24 needs two comb chunks; adding all 2*10^6 lanes at once peaked at 437 MiB, and
-        # LANE_BUDGET-lane slices peak at 163 MiB (measured with Python 3.11, numpy 2.4), about
-        # what the one-chunk r = 10 run holds.
+    @pytest.mark.parametrize("poly, extra, head_lines", [("0x1000087", [], 0), ("0x409", ["--s", "1"], 2)],
+                             ids=["r24-plain", "r10-s1"])
+    def test_two_chunk_register_at_the_cap_adds_in_lane_slices(self, tmp_path, poly, extra, head_lines):
+        # r = 24 needs two comb chunks; adding all 2*10^6 lanes at once peaked at 437 MiB. In
+        # LANE_BUDGET-lane slices, with the kernel's array written as it is, r = 24 plain and r = 10
+        # --s 1 both peak at about 116 MiB (measured with Python 3.11, numpy 2.4); a list of Python
+        # floats between the kernel and the writer takes them to 162 and 175 MiB.
         # A child's ru_maxrss starts from its parent's resident high-water mark, which survives the
         # exec, so gen is started from a small launcher process rather than from this test process.
         out = tmp_path / "values.txt"
@@ -462,12 +465,12 @@ class TestGenAndDisc:
                     "_, status, usage = os.wait4(child.pid, 0)\n"
                     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
         done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "ecss.cli", "gen", "--curve",
-                               "1009,1,1", "--poly", "0x1000087", "--n", str(MAX_OUTPUTS), "--seed", "3",
+                               "1009,1,1", "--poly", poly, "--n", str(MAX_OUTPUTS), "--seed", "3", *extra,
                                "--output", str(out)], env=env, capture_output=True, text=True, timeout=300)
         code, peak_kib = map(int, done.stdout.split())
         assert done.returncode == 0 and code == 0, done.stderr
-        assert sum(1 for _ in out.open()) == MAX_OUTPUTS
-        assert peak_kib < 256 * 1024
+        assert sum(1 for _ in out.open()) == head_lines + MAX_OUTPUTS
+        assert peak_kib < 150 * 1024
 
     def test_tuples_over_the_cap_exit_before_the_copy(self, capsys):
         # 3,000 outputs are cheap, but 1,501 tuples of dimension 1,500 exceed MAX_OUTPUTS coordinates.

@@ -293,14 +293,16 @@ class TestEcGenerator:
 
 class TestOutputNormalized:
     def test_worked_trace(self):
-        assert output_normalized(f5_config(), 3) == [0.0, 0.4, 0.6]
+        values = output_normalized(f5_config(), 3)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.tolist() == [0.0, 0.4, 0.6]
 
     def test_all_zero_source(self):
         source = LfsrSource(BinaryPoly(0b111), (0, 0))
         config = GeneratorConfig(
             source=source, weights=WeightVector((CurvePoint(0, 1), CurvePoint(2, 1))), curve=F5
         )
-        assert output_normalized(config, 4) == [0.0] * 4
+        assert output_normalized(config, 4).tolist() == [0.0] * 4
 
     def test_range(self):
         values = output_normalized(f5_config(), 50)
@@ -349,4 +351,4 @@ class TestSTuples:
         weights = WeightVector((CurvePoint(0, 1), CurvePoint(2, 1), CurvePoint(3, 4)))
         config = GeneratorConfig(source=source, weights=weights, curve=F5)
         values = output_normalized(config, 14)
-        assert values[7:] == values[:-7]
+        assert values[7:].tolist() == values[:-7].tolist()
