@@ -74,7 +74,7 @@ def _cmd_gen(args) -> int:
     source = gf2.LfsrSource(poly, init)
     if args.weights:
         points = (curve.parse_point(part) for part in args.weights.split(";") if part.strip())
-        weights = curve.WeightVector(tuple(points))
+        weights = tuple(points)
     else:
         weights = experiments.sample_weight_vectors(params, poly.degree, 1, args.seed)[0]
     config = generator.GeneratorConfig(source=source, weights=weights, curve=params)
@@ -199,7 +199,7 @@ def _cmd_badpairs(args) -> int:
     from . import combinat
 
     if args.h is not None:
-        combinat.WindowPattern(args.s, args.h)
+        combinat.validate_pattern(args.s, args.h)
     tally = combinat.bad_pair_count(args.r, args.s)
     bound = combinat.bad_pair_upper_bound(args.r, args.s)  # a float: overflows (exit 2) past r = 520-650
     per_h = list(tally.per_h) if args.h is None else [tally.per_h[args.h - 1]]

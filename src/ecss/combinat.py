@@ -46,21 +46,10 @@ def bad_pair_upper_bound(r: int, s: int) -> float:
     return 2.0 * s * 4.0 ** (s - 1) * alpha(s) ** r
 
 
-@dataclass(frozen=True)
-class WindowPattern:
-    """Forbidden window pair (e_h, 0_s): basis vector against the zero window."""
-
-    s: int
-    h: int
-
-    def __post_init__(self):
-        if not 1 <= self.h <= self.s:
-            raise ValidationError(f"need 1 <= h <= s, got h={self.h}, s={self.s}")
-
-    @property
-    def basis_window(self) -> int:
-        """e_h packed LSB-first: coordinate t of the window is bit t."""
-        return 1 << (self.h - 1)
+def validate_pattern(s: int, h: int) -> None:
+    """Reject a forbidden window pair (e_h, 0_s), basis vector against the zero window, unless 1 <= h <= s."""
+    if not 1 <= h <= s:
+        raise ValidationError(f"need 1 <= h <= s, got h={h}, s={s}")
 
 
 def _as_bits(vec) -> tuple[int, ...]:
@@ -126,7 +115,7 @@ def brute_force_bad_wrt_first(r: int, s: int, h: int) -> int:
     import numpy as np
 
     _check_brute_force_guard(r, s)
-    WindowPattern(s, h)
+    validate_pattern(s, h)
     zero, basis = _occurrence_masks(r, s)
     eh = basis[h - 1]
     total = 0
@@ -269,7 +258,7 @@ class TransferMatrix:
     @property
     def forbidden(self) -> int:
         """Packed index v << s | w of the cut state (e_h, 0_s); state i > forbidden has index i - 1."""
-        return WindowPattern(self.s, self.h).basis_window << self.s
+        return 1 << (self.h - 1) << self.s  # e_h packed LSB-first: coordinate t of a window is bit t
 
     @cached_property
     def gather(self):
@@ -300,7 +289,7 @@ def transfer_matrix(s: int, h: int) -> TransferMatrix:
         raise ValidationError("s must be >= 1")
     if s > MAX_SPAN:
         raise ScaleGuardError(f"span capped at {MAX_SPAN} (dimension 4^s - 1)")
-    WindowPattern(s, h)
+    validate_pattern(s, h)
     return TransferMatrix(s=s, h=h)
 
 

@@ -191,27 +191,12 @@ def x_coord(point: CurvePoint) -> int:
     return 0 if point.is_infinity else point.x
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Tuple of r curve points, the weights averaged over in the analysis."""
-
-    points: tuple[CurvePoint, ...]
-
-    def __post_init__(self):
-        if len(self.points) < 1:
-            raise ValidationError("weight vector needs at least one point")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-
-def validate_weights(weights: WeightVector, curve: CurveParams) -> None:
+def validate_weights(weights: tuple[CurvePoint, ...], curve: CurveParams) -> None:
+    """Reject anything but a nonempty tuple of CurvePoints on the curve: the weights P_0..P_{r-1}."""
+    if not isinstance(weights, tuple) or not all(isinstance(point, CurvePoint) for point in weights):
+        raise ValidationError("weights must be a tuple of CurvePoints")
+    if not weights:
+        raise ValidationError("weight vector needs at least one point")
     for point in weights:
         if not is_on_curve(point, curve):
             raise ValidationError(f"weight point {format_point(point)} is not on the curve")

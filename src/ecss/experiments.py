@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import INFINITY, CurveParams, CurvePoint, WeightVector, point_table
+from .curve import INFINITY, CurveParams, CurvePoint, point_table
 from .discrepancy import (
     DEFAULT_MC_TRIALS,
     EXACT,
@@ -24,9 +24,9 @@ from .discrepancy import (
 )
 from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real, validate_seed
 from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period
-from .generator import LANE_BUDGET, _lane_sums, _point_arrays
+from .generator import LANE_BUDGET, _lane_sums
 
-MAX_SAMPLES = 10**5  # weight vectors per sweep, each a spawned RNG stream and r CurvePoints up front
+MAX_SAMPLES = 10**5  # weight vectors per sweep, each a spawned RNG stream and r table rows up front
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ class SweepRow:
     method: str
 
 
-def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> list[WeightVector]:
-    """Uniform independent draws from the r-fold point set; reproducible per seed.
+def _weight_rows(table_size: int, r: int, count: int, seed: int) -> np.ndarray:
+    """Uniform independent draws of r rows of a point table, as a (count, r) int64 array.
 
     Each sample index gets its own spawned RNG stream, so the draw is
     independent of batching or execution order.
@@ -99,13 +99,21 @@ def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> 
     if count > MAX_SAMPLES:
         raise ScaleGuardError(f"{count} samples exceed the cap of {MAX_SAMPLES}")
     validate_seed(seed)
+    rows = np.empty((count, r), dtype=np.int64)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
+        rows[i] = np.random.default_rng(child).integers(0, table_size, size=r)
+    return rows
+
+
+def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> list[tuple[CurvePoint, ...]]:
+    """Uniform independent draws from the r-fold point set, as tuples of points; reproducible per seed.
+
+    These are the point_table rows discrepancy_sweep draws with the same seed.
+    """
     table = point_table(curve)
-    out = []
-    for child in np.random.SeedSequence(seed).spawn(count):
-        idx = np.random.default_rng(child).integers(0, len(table), size=r)
-        out.append(WeightVector(tuple(CurvePoint(x, y) if i else INFINITY
-                                      for i, (x, y) in zip(idx.tolist(), table[idx].tolist()))))
-    return out
+    rows = _weight_rows(len(table), r, count, seed)
+    return [tuple(CurvePoint(x, y) if i else INFINITY for i, (x, y) in zip(row, points))
+            for row, points in zip(rows.tolist(), table[rows].tolist())]
 
 
 def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
@@ -125,12 +133,13 @@ def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
     bound = discrepancy_bound_1d if config.s == 1 else discrepancy_bound_multi
     bounds = [(bound(i), elmahassni_bound(i)) for i in inputs]
     exact = [config.s == 1 or exact_fits_guard(n, config.s) for n in config.n_grid]
-    weights = sample_weight_vectors(config.curve, config.r, config.samples, config.seed)
+    table = point_table(config.curve)
+    rows = _weight_rows(len(table), config.r, config.samples, config.seed)
     mc_seeds = [] if all(exact) else [
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence((config.seed, 1)).spawn(config.samples)]
     count = config.n_grid[-1] + config.s - 1
     bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
-    wx, wy, winf = _point_arrays(weights)
+    wx, wy, winf = table[rows, 0], table[rows, 1], rows == 0  # row 0, the identity, is stored as (0, 0)
     block = max(1, LANE_BUDGET // count)
     matrix = np.empty((config.samples, len(config.n_grid)))
     for start in range(0, config.samples, block):

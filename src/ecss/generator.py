@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveParams, CurvePoint, INFINITY, WeightVector, validate_weights
+from .curve import CurveParams, CurvePoint, INFINITY, validate_weights
 from .discrepancy import PointSet
 from .errors import ScaleGuardError, ValidationError
 from .gf2 import BitSequenceSource, LfsrSource
@@ -17,12 +17,10 @@ class GeneratorConfig:
     """Bit source, weight points P_0..P_{r-1} and the curve they lie on."""
 
     source: BitSequenceSource
-    weights: WeightVector
+    weights: tuple[CurvePoint, ...]
     curve: CurveParams
 
     def __post_init__(self):
-        if not isinstance(self.weights, WeightVector):
-            raise ValidationError("curve generator needs a WeightVector")
         validate_weights(self.weights, self.curve)
         if isinstance(self.source, LfsrSource) and self.source.order != len(self.weights):
             raise ValidationError(
@@ -38,8 +36,11 @@ class GeneratorConfig:
 LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers, and per slice of lane additions
 # Output index, or s-tuple coordinates, per call; at the cap `ecss gen` peaks at about
 # 115 MiB RSS for r = 10 (one comb chunk) and r = 24 (chunk additions), plain or with --s 1,
-# 130 MiB for r = 64 and 185-191 MiB for r = 150..300, whose comb tables grow with the chunks.
+# and 118-119 MiB for r = 64..300, whose comb tables MAX_TABLE_ENTRIES bounds.
 MAX_OUTPUTS = 2 * 10**6
+# Comb table entries per weight vector: at the output cap, r = 300 otherwise takes 16-bit chunks
+# and 1.2 M entries in each of six table arrays.
+MAX_TABLE_ENTRIES = 1 << 16
 
 
 def _point_arrays(vectors):
@@ -127,7 +128,9 @@ def _chunk_width(r: int, n_lanes: int, n_vectors: int) -> int:
     2 max(N, 2r) entries per weight vector are not considered.  So once
     N >= 2r the tables never outgrow twice the lanes, which the batched
     callers keep within LANE_BUDGET (256 KiB per int64 table array), and
-    below that they hold at most 4r entries, four per weight.
+    below that they hold at most 4r entries, four per weight.  Nor are widths
+    whose tables exceed max(MAX_TABLE_ENTRIES, 2r) entries, 2r being the size
+    at k = 1, so at the output cap a large r takes more, narrower chunks.
     """
 
     def cost(k):
@@ -135,7 +138,8 @@ def _chunk_width(r: int, n_lanes: int, n_vectors: int) -> int:
         lane_passes = chunks * (chunks > 1)
         return 300 * (k + lane_passes) + n_vectors * ((2 * chunks << k) + lane_passes * n_lanes)
 
-    return min((k for k in range(1, r + 1) if -(-r // k) << k <= 2 * max(n_lanes, 2 * r)), key=cost)
+    ceiling = min(2 * max(n_lanes, 2 * r), max(MAX_TABLE_ENTRIES, 2 * r))
+    return min((k for k in range(1, r + 1) if -(-r // k) << k <= ceiling), key=cost)
 
 
 def _chunk_tables(wx, wy, winf, k: int, curve: CurveParams):
@@ -168,9 +172,10 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
 
     Lane (l, n) holds the output at index n + 1 of weight vector l, whose
     window is bits[n : n + r]; bits is shared by all L weight vectors, so
-    N = len(bits) - r + 1.  wx, wy, winf are the (L, r) weights from
-    _point_arrays.  Returns the affine x and y and the identity mask, each
-    (L, N); identity lanes read x = y = 0.
+    N = len(bits) - r + 1.  wx, wy, winf are the (L, r) weights, gathered
+    from point_table rows or from CurvePoints by _point_arrays.  Returns the
+    affine x and y and the identity mask, each (L, N); identity lanes read
+    x = y = 0.
 
     V(n) depends on n only through its window, so this is Lim and Lee's
     fixed-base comb: the window is cut into chunks of k bits, each chunk

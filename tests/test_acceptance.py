@@ -21,7 +21,6 @@ from ecss.combinat import (
 from ecss.curve import (
     INFINITY,
     CurvePoint,
-    WeightVector,
     add,
     all_curve_orders,
     enumerate_points,
@@ -204,7 +203,7 @@ def test_criterion_11_generator_correctness():
     src = LfsrSource(BinaryPoly(0b111), (1, 0))
     config = GeneratorConfig(
         source=src,
-        weights=WeightVector((CurvePoint(0, 1), CurvePoint(2, 1))),
+        weights=(CurvePoint(0, 1), CurvePoint(2, 1)),
         curve=validate_curve(5, 1, 1),
     )
     trace = output_normalized(config, 3)
@@ -220,7 +219,7 @@ def test_criterion_11_generator_correctness():
         poly = BinaryPoly((1 << r) | int(rng.integers(0, 1 << r)))
         init = tuple(int(b) for b in rng.integers(0, 2, size=r))
         source = LfsrSource(poly, init)
-        weights = WeightVector(tuple(points[i] for i in rng.integers(0, len(points), size=r)))
+        weights = tuple(points[i] for i in rng.integers(0, len(points), size=r))
         gen = GeneratorConfig(source=source, weights=weights, curve=curve)
         count = int(rng.integers(1, 13))
         stream = output_normalized(gen, count)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ecss import cli, experiments, gf2
 from ecss.cli import MAX_CHECK_SAMPLES, main
 from ecss.combinat import bad_pair_count, transfer_matrix, walk_count
-from ecss.curve import CurvePoint, WeightVector, enumerate_points, parse_curve, point_table, validate_curve
+from ecss.curve import CurvePoint, enumerate_points, parse_curve, point_table, validate_curve
 from ecss.discrepancy import MAX_MC_TRIALS, exact_extreme_1d
 from ecss.experiments import MAX_SAMPLES, ExperimentConfig, discrepancy_sweep
 from ecss.expsum import curve_char_sums_all
@@ -262,7 +262,7 @@ class TestGenAndDisc:
         src = LfsrSource(BinaryPoly(0x7), (1, 0))
         config = GeneratorConfig(
             source=src,
-            weights=WeightVector((CurvePoint(0, 1), CurvePoint(2, 1))),
+            weights=(CurvePoint(0, 1), CurvePoint(2, 1)),
             curve=validate_curve(5, 1, 1),
         )
         expected = output_normalized(config, 3)
@@ -449,13 +449,15 @@ class TestGenAndDisc:
         assert code == 3 and out == "" and err.startswith("scale guard:")
         assert peak < 2**20  # far below the 80-250 B per output that generating holds
 
-    @pytest.mark.parametrize("poly, extra, head_lines", [("0x1000087", [], 0), ("0x409", ["--s", "1"], 2)],
-                             ids=["r24-plain", "r10-s1"])
+    @pytest.mark.parametrize("poly, extra, head_lines",
+                             [("0x1000087", [], 0), ("0x409", ["--s", "1"], 2), (hex(1 << 150 | 3), [], 0)],
+                             ids=["r24-plain", "r10-s1", "r150-plain"])
     def test_two_chunk_register_at_the_cap_adds_in_lane_slices(self, tmp_path, poly, extra, head_lines):
         # r = 24 needs two comb chunks; adding all 2*10^6 lanes at once peaked at 437 MiB. In
         # LANE_BUDGET-lane slices, with the kernel's array written as it is, r = 24 plain and r = 10
         # --s 1 both peak at about 116 MiB (measured with Python 3.11, numpy 2.4); a list of Python
-        # floats between the kernel and the writer takes them to 162 and 175 MiB.
+        # floats between the kernel and the writer takes them to 162 and 175 MiB. At r = 150 comb
+        # tables bounded only by twice the lanes (17-bit chunks) took it to 184 MiB.
         # A child's ru_maxrss starts from its parent's resident high-water mark, which survives the
         # exec, so gen is started from a small launcher process rather than from this test process.
         out = tmp_path / "values.txt"
@@ -844,7 +846,7 @@ class TestExperiment:
         def never(*_):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(experiments, "sample_weight_vectors", never)
+        monkeypatch.setattr(experiments, "_weight_rows", never)
         monkeypatch.setattr(experiments, "_lane_sums", never)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**self.CONFIG, "delta": 1e-320}))

@@ -8,7 +8,6 @@ from ecss.combinat import (
     MIN_TOLERANCE,
     BadPairCount,
     SpectralRadiusEstimate,
-    WindowPattern,
     alpha,
     bad_count_bracket,
     bad_pair_count,
@@ -36,9 +35,8 @@ def int_bits(value, r):
 
 def scalar_successors(s, h):
     """The state-by-state successor loop that transfer_matrix replaced, kept as its oracle."""
-    pattern = WindowPattern(s, h)
     size = 1 << s
-    forbidden = (pattern.basis_window << s) | 0
+    forbidden = (1 << (h - 1) << s) | 0
     top = 1 << (s - 1)
 
     def index(state):
@@ -360,8 +358,10 @@ class TestTransferMatrix:
             transfer_matrix(9, 1)
 
     def test_pattern_validation(self):
-        with pytest.raises(ValidationError):
-            WindowPattern(2, 3)
+        for h in (0, 3):
+            for check in (combinat.validate_pattern, transfer_matrix, lambda s, h: brute_force_bad_wrt_first(4, s, h)):
+                with pytest.raises(ValidationError, match=f"need 1 <= h <= s, got h={h}, s=2"):
+                    check(2, h)
 
 
 class TestWalkCount:

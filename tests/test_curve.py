@@ -9,7 +9,6 @@ from ecss import curve as curve_module
 from ecss.curve import (
     INFINITY,
     CurvePoint,
-    WeightVector,
     add,
     all_curve_orders,
     enumerate_points,
@@ -310,13 +309,13 @@ class TestSerialization:
             CurvePoint(3, None)
 
 
-class TestWeightVector:
+class TestValidateWeights:
     def test_length_validated(self):
-        with pytest.raises(ValidationError):
-            WeightVector(())
+        with pytest.raises(ValidationError, match="at least one point"):
+            validate_weights((), F5)
 
     def test_points_checked_against_curve(self):
-        weights = WeightVector((CurvePoint(0, 1), CurvePoint(1, 1)))
+        weights = (CurvePoint(0, 1), CurvePoint(1, 1))
         with pytest.raises(ValidationError):
             validate_weights(weights, F5)
-        validate_weights(WeightVector((CurvePoint(0, 1), INFINITY)), F5)
+        validate_weights((CurvePoint(0, 1), INFINITY), F5)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ecss import experiments, generator
 
-from ecss.curve import INFINITY, add, enumerate_points, validate_curve, x_coord
+from ecss.curve import INFINITY, add, enumerate_points, point_table, validate_curve, x_coord
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.experiments import (
     MAX_SAMPLES,
@@ -178,6 +178,33 @@ class TestSampleWeightVectors:
         assert chi2 < dof + 5 * np.sqrt(2 * dof)
 
 
+class TestWeightRows:
+    """The sweep's draw: point-table rows, the same draws sample_weight_vectors turns into points."""
+
+    F5 = validate_curve(5, 1, 1)  # 9 points, so 60 draws take the identity, row 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_rows_are_the_sampled_points(self, seed):
+        table = point_table(self.F5)
+        rows = experiments._weight_rows(len(table), 3, 20, seed)
+        x, y, inf = generator._point_arrays(sample_weight_vectors(self.F5, 3, 20, seed))
+        assert rows.shape == (20, 3) and rows.dtype == np.int64 and (rows == 0).any()
+        assert np.array_equal(table[rows, 0], x) and np.array_equal(table[rows, 1], y)
+        assert np.array_equal(rows == 0, inf)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_each_sample_has_its_own_stream(self, seed):
+        streams = np.random.SeedSequence(seed).spawn(6)
+        expected = [np.random.default_rng(child).integers(0, 9, size=4) for child in streams]
+        assert np.array_equal(experiments._weight_rows(9, 4, 6, seed), expected)
+
+    def test_order_and_count_guards(self):
+        # The sample cap and the seed are checked through sample_weight_vectors above.
+        for r, count in ((0, 2), (3, -1)):
+            with pytest.raises(ValidationError):
+                experiments._weight_rows(9, r, count, 1)
+
+
 class TestDiscrepancySweep:
     def test_single_sample_row(self):
         config = small_config(samples=1, n_grid=(31,))
@@ -214,7 +241,7 @@ class TestDiscrepancySweep:
         def never(*_):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(experiments, "sample_weight_vectors", never)
+        monkeypatch.setattr(experiments, "_weight_rows", never)
         monkeypatch.setattr(experiments, "_lane_sums", never)
         with pytest.raises(ValidationError, match="overflows a float"):
             discrepancy_sweep(small_config(delta=1e-320))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecss.curve import (CurvePoint, INFINITY, WeightVector, add, enumerate_points, negate, validate_curve,
+from ecss.curve import (CurvePoint, INFINITY, add, enumerate_points, negate, validate_curve,
                         x_coord)
 from ecss.discrepancy import PointSet
 from ecss.errors import ScaleGuardError, ValidationError
@@ -31,7 +31,7 @@ def lfsr_x2x1():
 
 
 def f5_config():
-    weights = WeightVector((CurvePoint(0, 1), CurvePoint(2, 1)))
+    weights = (CurvePoint(0, 1), CurvePoint(2, 1))
     return GeneratorConfig(source=lfsr_x2x1(), weights=weights, curve=F5)
 
 
@@ -108,7 +108,7 @@ class TestLaneKernel:
             assert y * y % p == rhs
             points.append(CurvePoint(x, max(y, p - y)))
         p0, p1, p2, p3 = points
-        weights = WeightVector((p0, p1, p0, negate(p1, curve), p2, p2, negate(p0, curve), p3))
+        weights = (p0, p1, p0, negate(p1, curve), p2, p2, negate(p0, curve), p3)
         source = LfsrSource(BinaryPoly(0x11D), (1,) + (0,) * 7)  # primitive: every nonzero window
         config = GeneratorConfig(source=source, weights=weights, curve=curve)
         assert ec_subset_sum_stream(config, 255) == scalar_fold(source.bits(262), weights, curve)
@@ -194,6 +194,14 @@ class TestChunkTables:
             assert 1 <= k <= r
             assert -(-r // k) << k <= 2 * max(n_lanes, 2 * r), (r, n_lanes, n_vectors)
 
+    def test_tables_stay_within_the_ceiling_at_the_output_cap(self):
+        # Bounded by twice the lanes only, r = 300 took 16-bit chunks: 1.2 M entries per table array.
+        for r in (64, 150, 300):
+            k = _chunk_width(r, MAX_OUTPUTS, 1)
+            assert -(-r // k) << k <= 1 << 16, (r, k)
+        k = _chunk_width(40000, 10, 1)  # past the ceiling the 2r entries of k = 1 stay admissible
+        assert -(-40000 // k) << k <= 2 * 40000
+
     def test_widths_at_the_sweep_shapes(self):
         assert _chunk_width(10, 1023, 16) == 10  # the README sweep: one lookup per lane
         assert _chunk_width(10, 101, 10) < 10  # small N does not pay for all 2^r subset sums
@@ -216,7 +224,7 @@ class TestEcGenerator:
     def test_empty_window_gives_identity(self):
         source = LfsrSource(BinaryPoly(0b111), (0, 0))
         config = GeneratorConfig(
-            source=source, weights=WeightVector((CurvePoint(0, 1), CurvePoint(2, 1))), curve=F5
+            source=source, weights=(CurvePoint(0, 1), CurvePoint(2, 1)), curve=F5
         )
         assert ec_subset_sum(config, 1) == INFINITY
 
@@ -224,18 +232,20 @@ class TestEcGenerator:
         with pytest.raises(ValidationError):
             GeneratorConfig(
                 source=lfsr_x2x1(),
-                weights=WeightVector((CurvePoint(1, 1), CurvePoint(2, 1))),
+                weights=(CurvePoint(1, 1), CurvePoint(2, 1)),
                 curve=F5,
             )
 
     def test_length_mismatch_rejected(self):
         # The register has order 2; three weights do not fit its windows.
         with pytest.raises(ValidationError):
-            GeneratorConfig(source=lfsr_x2x1(), weights=WeightVector((CurvePoint(0, 1),) * 3), curve=F5)
+            GeneratorConfig(source=lfsr_x2x1(), weights=(CurvePoint(0, 1),) * 3, curve=F5)
 
     def test_non_point_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            GeneratorConfig(source=lfsr_x2x1(), weights=(CurvePoint(0, 1), CurvePoint(2, 1)), curve=F5)
+        # Weights are a tuple of CurvePoints: a list of them, or a tuple holding a bare pair, is rejected.
+        for weights in ([CurvePoint(0, 1), CurvePoint(2, 1)], (CurvePoint(0, 1), (2, 1))):
+            with pytest.raises(ValidationError, match="weights must be a tuple of CurvePoints"):
+                GeneratorConfig(source=lfsr_x2x1(), weights=weights, curve=F5)
 
     def test_stream_matches_single_calls(self):
         config = f5_config()
@@ -283,7 +293,7 @@ class TestEcGenerator:
             poly = BinaryPoly((1 << r) | int(rng.integers(0, 1 << r)))
             init = tuple(int(b) for b in rng.integers(0, 2, size=r))
             source = LfsrSource(poly, init)
-            weights = WeightVector(tuple(points[i] for i in rng.integers(0, len(points), size=r)))
+            weights = tuple(points[i] for i in rng.integers(0, len(points), size=r))
             config = GeneratorConfig(source=source, weights=weights, curve=curve)
             count = int(rng.integers(1, 25))
             stream = ec_subset_sum_stream(config, count)
@@ -300,7 +310,7 @@ class TestOutputNormalized:
     def test_all_zero_source(self):
         source = LfsrSource(BinaryPoly(0b111), (0, 0))
         config = GeneratorConfig(
-            source=source, weights=WeightVector((CurvePoint(0, 1), CurvePoint(2, 1))), curve=F5
+            source=source, weights=(CurvePoint(0, 1), CurvePoint(2, 1)), curve=F5
         )
         assert output_normalized(config, 4).tolist() == [0.0] * 4
 
@@ -348,7 +358,7 @@ class TestSTuples:
     def test_generic_source_works(self):
         # arbitrary pattern source with distinct windows feeds the generator too
         source = PeriodicSource((1, 1, 0, 1, 0, 0, 0))
-        weights = WeightVector((CurvePoint(0, 1), CurvePoint(2, 1), CurvePoint(3, 4)))
+        weights = (CurvePoint(0, 1), CurvePoint(2, 1), CurvePoint(3, 4))
         config = GeneratorConfig(source=source, weights=weights, curve=F5)
         values = output_normalized(config, 14)
         assert values[7:].tolist() == values[:-7].tolist()

@@ -20,7 +20,6 @@ def test_no_assert_statements_in_src():
 PRIVATE_IMPORTS = {
     ("experiments", "discrepancy", "_exact_extreme"),
     ("experiments", "generator", "_lane_sums"),
-    ("experiments", "generator", "_point_arrays"),
     ("expsum", "curve", "_root_counts_by_a"),
 }
 
