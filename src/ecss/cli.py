@@ -121,7 +121,8 @@ def _cmd_lfsr_info(args) -> int:
     return EXIT_OK
 
 
-def _read_point_rows(path: str) -> np.ndarray:
+def _read_point_rows(path: str):
+    """The (N, s) float array of a point CSV file, or of standard input for '-'."""
     import csv
 
     import numpy as np
@@ -164,12 +165,9 @@ def _cmd_disc(args) -> int:
     arr = _read_point_rows(args.input)
     s = arr.shape[1]
     if args.method == "exact":
-        if s == 1:
-            report = discrepancy.exact_extreme_1d(arr)
-        elif s in (2, 3):
-            report = discrepancy.exact_extreme_multi(arr, s)
-        else:
+        if s > 3:
             raise ValidationError("exact discrepancy supports s <= 3; use --method mc")
+        report = discrepancy.exact_extreme_1d(arr) if s == 1 else discrepancy.exact_extreme_multi(arr, s)
     else:
         trials = discrepancy.DEFAULT_MC_TRIALS if args.trials is None else args.trials
         report = discrepancy.mc_box_lower_bound(arr, trials, args.seed)

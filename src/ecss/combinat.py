@@ -38,11 +38,15 @@ def alpha(s: int) -> float:
     return (4.0**s - 1.0) ** (1.0 / s)
 
 
+def _validate_r_s(r: int, s: int) -> None:
+    if s < 1 or r < s:
+        raise ValidationError("need r >= s >= 1")
+
+
 @finite_float
 def bad_pair_upper_bound(r: int, s: int) -> float:
     """Explicit upper bound 2s 4^(s-1) alpha_s^r on the number of s-bad pairs."""
-    if s < 1 or r < s:
-        raise ValidationError("need r >= s >= 1")
+    _validate_r_s(r, s)
     return 2.0 * s * 4.0 ** (s - 1) * alpha(s) ** r
 
 
@@ -66,8 +70,7 @@ def is_s_good(x, y, s: int) -> bool:
     if len(xb) != len(yb):
         raise ValidationError("vectors must have equal length")
     r = len(xb)
-    if s < 1 or r < s:
-        raise ValidationError("need r >= s >= 1")
+    _validate_r_s(r, s)
     for h in range(1, s + 1):
         target = tuple(1 if t == h - 1 else 0 for t in range(s))
         zero = (0,) * s
@@ -104,8 +107,7 @@ def _occurrence_masks(r: int, s: int):
 
 
 def _check_brute_force_guard(r: int, s: int) -> None:
-    if s < 1 or r < s:
-        raise ValidationError("need r >= s >= 1")
+    _validate_r_s(r, s)
     if 2 * r >= MAX_BRUTE_FORCE_PAIRS.bit_length():  # 4^r > the cap, without building 4^r for a huge r
         raise ScaleGuardError(f"enumeration of 4^{r} pairs exceeds {MAX_BRUTE_FORCE_PAIRS}")
 
@@ -169,8 +171,7 @@ def brute_force_bad_count(r: int, s: int) -> BadPairCount:
 
 
 def _check_automaton_guard(r: int, s: int) -> None:
-    if s < 1 or r < s:
-        raise ValidationError("need r >= s >= 1")
+    _validate_r_s(r, s)
     # 16^s alone is past the cap once 4s exceeds its bit length, so 16^s is built only for s <= 6
     if 4 * s > MAX_AUTOMATON_WORK.bit_length() or 16**s * (r - s + 1) * (2 * r // 64 + 1) > MAX_AUTOMATON_WORK:
         raise ScaleGuardError(f"bad-pair automaton at r = {r}, s = {s}: 16^s states x (r - s + 1) steps "
@@ -402,7 +403,6 @@ def bad_count_bracket(r: int, s: int) -> tuple[int, int]:
     lower bound, and the union over patterns and the two vector roles gives
     the upper bound.  bad_pair_count gives f_s(r) itself; the bracket checks it.
     """
-    if s < 1 or r < s:
-        raise ValidationError("need r >= s >= 1")
+    _validate_r_s(r, s)
     counts = [walk_count(transfer_matrix(s, h), r - s) for h in range(1, s + 1)]
     return max(counts), 2 * sum(counts)

@@ -10,6 +10,7 @@ from .errors import ScaleGuardError, ValidationError, is_prime, validate_int
 
 MAX_FIELD = 1 << 31  # modular products stay desk-scale; no big-field tricks
 MAX_ENUMERATION_P = 1 << 20  # point enumeration builds an O(p) residue table
+MAX_ALL_CURVES_P = 2000  # the whole-prime (a, b) sweeps: ~p^3 work and (p, p) int64 tables
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,8 @@ def all_curve_orders(p: int) -> np.ndarray:
     """
     if not is_prime(p) or p <= 3:
         raise ValidationError(f"p = {p} must be a prime above 3")
-    if p >= MAX_ENUMERATION_P:
-        raise ScaleGuardError(f"curve-order sweep capped at p < 2^20, got {p}")
+    if p > MAX_ALL_CURVES_P:
+        raise ScaleGuardError(f"curve-order sweep capped at p <= {MAX_ALL_CURVES_P}, got {p}")
     orders = np.empty((p, p), dtype=np.int64)
     for a, roots, nonsingular in _root_counts_by_a(p):
         orders[a] = np.where(nonsingular, 1 + roots.sum(axis=0), -1)

@@ -63,8 +63,8 @@ def _as_rows(points) -> np.ndarray:
 
 
 def exact_fits_guard(n: int, s: int) -> bool:
-    """True iff an exact multi-dimensional scan of N points in dimension s is within budget."""
-    return n ** (2 * s) <= MAX_EXACT_MULTI_WORK
+    """True iff the exact kernel takes N points in dimension s: any N at s = 1, N^(2s) <= 1e8 at s = 2, 3."""
+    return s == 1 or (s in (2, 3) and n ** (2 * s) <= MAX_EXACT_MULTI_WORK)
 
 
 def exact_group_size(n: int, s: int) -> int:
@@ -132,20 +132,26 @@ def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool) -> np.nd
 
 
 def _exact_extreme(samples: np.ndarray) -> np.ndarray:
-    """Exact sup over half-open boxes [a, b) of |count/N - volume| of each (N, s) sample of a (B, N, s) batch.
+    """Exact sup over half-open boxes [a, b) of |count/N - volume| of each (N, s) sample of a (B, N, s) batch."""
+    group = exact_group_size(*samples.shape[1:])  # callers keep to exact_fits_guard, so s = 1..3
+    return np.concatenate([_exact_group(samples[i : i + group]) for i in range(0, len(samples), group)])
+
+
+def _exact_group(samples: np.ndarray) -> np.ndarray:
+    """_exact_extreme of one group of samples.
 
     Per-axis box candidates are a sample's distinct coordinates plus 0 and 1.
     Face inclusion is resolved by evaluating the closed-box limit for the
     excess and the open-box limit for the deficit; their max over the
     candidate family equals the true sup over half-open boxes.  Each sample's
-    candidates are padded with copies of 1.0 to the batch's widest, and these
+    candidates are padded with copies of 1.0 to the group's widest, and these
     hold no point: a box reaching a padded candidate repeats a box ending at
     the sample's own 1.0, and one starting there has volume and count 0, so
     no value changes.  The tally is cumulated along every axis once.  At
     s = 1 the value is max_l (share[l+1] - v_l) + max_k (v_k - share[k]): the
     (k, l) term is the closed box for k <= l and the open one for k > l, and
     rounding is monotone, so this is the max over both, bit for bit.  At
-    s >= 2, _box_scan streams every slab row of the batch along the last axis.
+    s >= 2, _box_scan streams every slab row of the group along the last axis.
     """
     n_samples, n_total, s = samples.shape
     batch = np.arange(n_samples)[:, None]
@@ -175,27 +181,26 @@ def _exact_extreme(samples: np.ndarray) -> np.ndarray:
     return np.maximum(*(_box_scan(cum, cands, n_total, closed) for closed in (True, False)))
 
 
-def exact_extreme_1d(points) -> DiscrepancyReport:
-    """Exact sup over intervals [a, b) of |count/N - (b - a)|, by one O(N log N) scan."""
-    rows = _as_rows(points)
-    if rows.shape[1] != 1:
-        raise ValidationError("one-dimensional routine got multi-column points")
-    value = float(_exact_extreme(rows[None])[0])
-    return DiscrepancyReport(rows.shape[0], 1, value, EXACT)
-
-
-def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
-    """Exact extreme discrepancy in dimension 2 or 3; guarded by N^(2s) <= 1e8."""
-    if s not in (2, 3):
-        raise ValidationError("exact multi-dimensional discrepancy supports s in {2, 3}")
+def _exact_report(points, s: int) -> DiscrepancyReport:
+    """The exact extreme discrepancy of points with s columns, within exact_fits_guard."""
     rows = _as_rows(points)
     if rows.shape[1] != s:
         raise ValidationError(f"points have {rows.shape[1]} columns, expected {s}")
-    n_total = rows.shape[0]
-    if not exact_fits_guard(n_total, s):
-        raise ScaleGuardError(f"N^(2s) = {n_total ** (2 * s)} exceeds {MAX_EXACT_MULTI_WORK}")
-    value = float(_exact_extreme(rows[None])[0])
-    return DiscrepancyReport(n_total, s, value, EXACT)
+    if not exact_fits_guard(len(rows), s):
+        raise ScaleGuardError(f"N^(2s) = {len(rows) ** (2 * s)} exceeds {MAX_EXACT_MULTI_WORK}")
+    return DiscrepancyReport(*rows.shape, float(_exact_extreme(rows[None])[0]), EXACT)
+
+
+def exact_extreme_1d(points) -> DiscrepancyReport:
+    """Exact sup over intervals [a, b) of |count/N - (b - a)|, by one O(N log N) scan."""
+    return _exact_report(points, 1)
+
+
+def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
+    """Exact extreme discrepancy in dimension 2 or 3, within exact_fits_guard."""
+    if s not in (2, 3):
+        raise ValidationError("exact multi-dimensional discrepancy supports s in {2, 3}")
+    return _exact_report(points, s)
 
 
 DEFAULT_MC_TRIALS = 4000  # boxes per mc_box_lower_bound call in the sweep and `ecss disc --method mc`
@@ -294,8 +299,6 @@ def elmahassni_bound(inputs: BoundInputs) -> float:
 
 def nontrivial_exponent(s: int) -> float:
     """Exponent gamma_s = log(alpha_s) / (2 log 2); below 1 for every s."""
-    from .combinat import alpha
+    from .combinat import alpha  # raises for s < 1
 
-    if s < 1:
-        raise ValidationError("s must be >= 1")
     return math.log(alpha(s)) / (2.0 * math.log(2.0))

@@ -19,7 +19,6 @@ from .discrepancy import (
     discrepancy_bound_multi,
     elmahassni_bound,
     exact_fits_guard,
-    exact_group_size,
     mc_box_lower_bound,
 )
 from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real, validate_seed
@@ -121,18 +120,16 @@ def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
 
     Every sample shares one register, so the bits are generated once and the
     samples' outputs are computed in blocks of lanes; each block's D values
-    are taken before the next block is summed.  Within the guard, one exact
-    kernel call takes as many of a block's samples as fill one block of its
-    box scan (exact_group_size): the whole block when s = 1, since a block
-    holds at most LANE_BUDGET samples and the two budgets are equal.  Past
-    the guard each sample gets a Monte-Carlo lower bound.  The bounds are
+    are taken before the next block is summed.  Within exact_fits_guard one
+    exact kernel call takes a block's samples at each N; past it, and always
+    at s >= 4, each sample gets a Monte-Carlo lower bound.  The bounds are
     evaluated first, so an overflow stops the run before any sample is drawn.
     """
     inputs = [BoundInputs(n=n, p=config.curve.p, r=config.r, tau=config.tau, delta=config.delta,
                           s=config.s if config.s >= 2 else None) for n in config.n_grid]
     bound = discrepancy_bound_1d if config.s == 1 else discrepancy_bound_multi
     bounds = [(bound(i), elmahassni_bound(i)) for i in inputs]
-    exact = [config.s == 1 or exact_fits_guard(n, config.s) for n in config.n_grid]
+    exact = [exact_fits_guard(n, config.s) for n in config.n_grid]
     table = point_table(config.curve)
     rows = _weight_rows(len(table), config.r, config.samples, config.seed)
     mc_seeds = [] if all(exact) else [
@@ -149,9 +146,7 @@ def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
         for col, n in enumerate(config.n_grid):
             tuples = np.lib.stride_tricks.sliding_window_view(outputs[:, : n + config.s - 1], config.s, axis=1)
             if exact[col]:
-                group = exact_group_size(n, config.s)
-                for first in range(0, len(tuples), group):
-                    values[first : first + group, col] = _exact_extreme(tuples[first : first + group])
+                values[:, col] = _exact_extreme(tuples)
             else:
                 for row, (sample, mc_seed) in enumerate(zip(tuples, mc_seeds[part])):
                     values[row, col] = mc_box_lower_bound(sample, DEFAULT_MC_TRIALS, mc_seed).value

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points, is_on_curve,
-                    negate, point_table, x_coord)
+from .curve import (MAX_ALL_CURVES_P, CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points,
+                    is_on_curve, negate, point_table, x_coord)
 from .errors import ScaleGuardError, ValidationError, is_prime
 from .gf2 import LfsrSource, packed_windows
 
@@ -111,8 +111,8 @@ def max_char_ratio_all_curves(p: int) -> float:
     """
     if not is_prime(p) or p <= 3:
         raise ValidationError(f"p = {p} must be a prime above 3")
-    if p > 2000:
-        raise ScaleGuardError("whole-curve character sweep capped at p <= 2000")
+    if p > MAX_ALL_CURVES_P:
+        raise ScaleGuardError(f"whole-curve character sweep capped at p <= {MAX_ALL_CURVES_P}")
     best = 0.0
     for _, roots, nonsingular in _root_counts_by_a(p):
         mags = np.abs(np.fft.rfft(roots.astype(np.float64), axis=0)[1:, :])  # roots: (x value, b)
@@ -121,8 +121,8 @@ def max_char_ratio_all_curves(p: int) -> float:
     return best / math.sqrt(p)
 
 
-def koksma_szusz_rhs(points: PointSet, L: int) -> float:
-    """Frequency-sum side of the Koksma-Szusz inequality for a point set.
+def koksma_szusz_rhs(points, L: int) -> float:
+    """Frequency-sum side of the Koksma-Szusz inequality for a PointSet.
 
     1/L + (1/N) sum over integer vectors a with 0 < |a| < L of
     |sum_n e(a . x_n)| / weight(a).  Enumerates the full frequency box, so

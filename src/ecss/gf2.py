@@ -80,7 +80,7 @@ def _gf2_mulmod(a: int, b: int, f: int) -> int:
         a <<= 1
         if a & top:
             a ^= f
-    return _gf2_mod(acc, f)
+    return acc  # a XOR of values of a, each already reduced below degree f
 
 
 def _gf2_gcd(a: int, b: int) -> int:

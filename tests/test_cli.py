@@ -586,6 +586,11 @@ class TestBounds:
         code, _, _ = run_cli(capsys, "bounds", "--n", "0", "--p", "5", "--r", "1", "--tau", "3")
         assert code == 2
 
+    def test_strong_pseudoprime_is_validation_error(self, capsys):
+        # 4,759,123,141 = 48,781 * 97,561 passes Miller-Rabin to the bases 2, 7 and 61.
+        code, out, err = run_cli(capsys, "bounds", "--n", "1", "--p", "4759123141", "--r", "1", "--tau", "1")
+        assert code == 2 and out == "" and "not prime" in err
+
     @pytest.mark.parametrize("extra", [("--r", "5000"), ("--r", "2", "--s", "5000"), ("--r", "2", "--delta", "1e-320")])
     def test_float_overflow_is_validation_error(self, capsys, extra):
         code, out, err = run_cli(capsys, "bounds", "--n", "5", "--p", "11", "--tau", "10", *extra)
@@ -783,6 +788,19 @@ class TestExperiment:
         for row, exp in zip(rows, expected):
             assert int(row[0]) == exp.n
             assert abs(float(row[1]) - exp.mean) < 1e-9
+
+    @pytest.mark.parametrize("s, n_grid", [(4, [3, 6, 10, 11]), (8, [1, 2])])
+    def test_s4_and_up_runs_monte_carlo(self, capsys, tmp_path, s, n_grid):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "s": s, "n_grid": n_grid, "samples": 3}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 0 and err == ""
+        expected = discrepancy_sweep(ExperimentConfig(curve=validate_curve(101, 1, 1), poly=BinaryPoly(0x25), r=5,
+                                                      s=s, n_grid=tuple(n_grid), samples=3, delta=1.0, seed=1))
+        assert {row.method for row in expected} == {"monte-carlo-lower-bound"}
+        assert [[float(v) for v in row] for row in parse_csv(out)[1]] == [
+            [float(f"{v:.12g}") for v in (row.n, row.mean, row.median, row.q90, row.thm_bound, row.elma_bound)]
+            for row in expected]
 
     def test_missing_field_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -250,7 +250,7 @@ AUTOMATON_EDGE = {1: 4464, 2: 1117, 3: 273, 4: 63, 5: 13}
 
 
 class TestBadPairAutomaton:
-    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_matches_brute_force(self, s):
         for r in range(s, 11):
             assert bad_pair_count(r, s) == brute_force_bad_count(r, s)

@@ -84,6 +84,13 @@ class TestValidateCurve:
 
         assert all(is_prime(n) == naive(n) for n in range(2000))
 
+    def test_is_prime_rejects_strong_pseudoprimes_to_few_bases(self):
+        # 4,759,123,141 = 48,781 * 97,561 is a strong pseudoprime to 2, 7 and 61; 3,215,031,751 to 2, 3, 5
+        # and 7; 3,825,123,056,546,413,051 to every prime base up to 23.
+        for n in (4_759_123_141, 3_215_031_751, 3_825_123_056_546_413_051):
+            assert not is_prime(n)
+        assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+
 
 class TestGroupLaw:
     def test_identity(self):
@@ -262,6 +269,11 @@ class TestAllCurveOrders:
                     assert orders[a, b] == -1
                 else:
                     assert orders[a, b] == len(enumerate_points(validate_curve(p, a, b)))
+
+    def test_guard_past_p_2000(self):
+        # Each a takes ~p^2 work and (p, p) int64 tables, so the cap is checked before the (p, p) result.
+        with pytest.raises(ScaleGuardError):
+            all_curve_orders(2003)
 
     def test_matches_enumeration_sampled_larger(self):
         rng = np.random.default_rng(3)

@@ -299,6 +299,13 @@ class TestExactExtremeMulti:
         with pytest.raises(ValidationError):
             exact_extreme_multi(PointSet(s=4, rows=rng.random((5, 4))), 4)
 
+    def test_one_guard_rule(self):
+        # Any N at s = 1, N^(2s) <= 1e8 at s = 2 and 3, and never from s = 4, where the box scan has no case.
+        fits = discrepancy.exact_fits_guard
+        assert [fits(n, s) for n, s in [(10**6, 1), (100, 2), (101, 2), (21, 3), (22, 3)]] == [
+            True, True, False, True, False]
+        assert not any(fits(n, s) for n, s in [(1, 4), (2, 4), (1, 5), (3, 5), (1, 8)])
+
 
 @st.composite
 def sample_batches(draw, max_n=(40, 8, 3)):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecss import experiments, generator
+from ecss import discrepancy, experiments, generator
 
 from ecss.curve import INFINITY, add, enumerate_points, point_table, validate_curve, x_coord
 from ecss.errors import ScaleGuardError, ValidationError
@@ -246,6 +246,13 @@ class TestDiscrepancySweep:
         with pytest.raises(ValidationError, match="overflows a float"):
             discrepancy_sweep(small_config(delta=1e-320))
 
+    @pytest.mark.parametrize("s, n_grid", [(4, (3, 6, 10, 11)), (8, (1, 2))])
+    def test_every_column_is_monte_carlo_from_s4(self, s, n_grid):
+        # The box scan covers s <= 3 only, so no N in the grid may reach the exact kernel.
+        rows = discrepancy_sweep(small_config(s=s, n_grid=n_grid, samples=3))
+        assert [row.n for row in rows] == list(n_grid)
+        assert all(row.method == "monte-carlo-lower-bound" and 0 <= row.mean <= 1 for row in rows)
+
     def test_monte_carlo_rows_past_the_guard(self):
         config = small_config(s=2, n_grid=(10, 101), samples=3, curve=validate_curve(1009, 1, 1),
                               poly=BinaryPoly(0x409), r=10)
@@ -263,14 +270,14 @@ class TestDiscrepancySweep:
     # N = 100, so three fill a 2^14-row block of the box scan; 36^2 = 1,296 at s = 3, N = 6, so twelve.
     @pytest.mark.parametrize("s, n_grid, samples, sizes", [(2, (25, 100), 7, [7, 3, 3, 1]), (3, (6,), 13, [12, 1])])
     def test_exact_groups_fill_a_block_and_equal_one_sample_calls(self, monkeypatch, s, n_grid, samples, sizes):
-        kernel, calls = experiments._exact_extreme, []
+        kernel, calls = discrepancy._exact_group, []
 
         def recording(batch):
             values = kernel(batch)
             calls.append((len(batch), values, np.concatenate([kernel(sample[None]) for sample in batch])))
             return values
 
-        monkeypatch.setattr(experiments, "_exact_extreme", recording)
+        monkeypatch.setattr(discrepancy, "_exact_group", recording)
         discrepancy_sweep(small_config(s=s, n_grid=n_grid, samples=samples, curve=validate_curve(1009, 1, 1),
                                        poly=BinaryPoly(0x409), r=10))
         assert [size for size, _, _ in calls] == sizes

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,3 +38,21 @@ def test_private_imports_match_the_allowlist():
         if alias.name.startswith("_")
     }
     assert len(paths) >= 10 and found == PRIVATE_IMPORTS
+
+
+def test_annotations_resolve():
+    # typing.get_type_hints raises NameError on an annotation naming a type its module does not bind.
+    unresolved = []
+    for path in sorted((SRC / "ecss").glob("*.py")):
+        module = importlib.import_module(f"ecss.{path.stem}".removesuffix(".__init__"))
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            for attr, member in vars(value).items() if inspect.isclass(value) else [("", value)]:
+                member = getattr(member, "__func__", getattr(member, "fget", member))  # methods, properties
+                if inspect.isfunction(member):
+                    try:
+                        typing.get_type_hints(member)
+                    except NameError as exc:
+                        unresolved.append(f"{module.__name__}.{name}.{attr}: {exc}")
+    assert unresolved == []
