@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
-from .errors import ScaleGuardError, ValidationError, finite_float
+from .errors import ScaleGuardError, ValidationError, alpha, finite_float
 
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
 # 16^s automaton states x (r - s + 1) steps x 64-bit words of a count (about 2r bits); excludes s >= 6
@@ -28,14 +28,6 @@ MIN_TOLERANCE = 1e-13
 MAX_POWER_ITERATIONS = 1000
 TIE_GAP = 1e-6  # radii this close to the top count as dominant
 _BLOCK = 1 << 17  # pair-matrix entries per block; small blocks keep the temporaries in cache
-
-
-@finite_float
-def alpha(s: int) -> float:
-    """Growth base (4^s - 1)^(1/s) of the explicit bad-pair upper bound."""
-    if s < 1:
-        raise ValidationError("s must be >= 1")
-    return (4.0**s - 1.0) ** (1.0 / s)
 
 
 def _validate_r_s(r: int, s: int) -> None:

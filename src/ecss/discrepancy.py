@@ -7,10 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScaleGuardError, ValidationError, finite_float, is_prime, validate_positive_real, validate_seed
+from .errors import (
+    ScaleGuardError, ValidationError, alpha, finite_float, is_prime, validate_positive_real, validate_seed,
+)
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
 EXACT_BLOCK_BUDGET = 2**14  # rows (128 KiB per float64 row vector) per block of the box scan
+PRUNE_MARGIN = 2.0**-40  # the box scan drops a slab when its bound + PRUNE_MARGIN < its grid's floor
 
 EXACT = "exact"
 MC_LOWER_BOUND = "monte-carlo-lower-bound"
@@ -76,17 +79,30 @@ def exact_group_size(n: int, s: int) -> int:
     return max(1, EXACT_BLOCK_BUDGET // ((n + 2) * (n + 3) // 2) ** (s - 1))
 
 
-def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool) -> np.ndarray:
-    """Best closed (or open) box of each cumulative count grid cum[b], for s = 2 or 3.
+def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool, found: np.ndarray) -> None:
+    """Raise found[b] to the best closed (or open) box of cumulative count grid cum[b], for s = 2 or 3.
 
     cands[a][b] are grid b's candidates on axis a.  cum[b] counts, per axis,
     the points at candidates below each index, so along an axis the closed
     slab between candidates i <= j holds cum[j+1] - cum[i] points and the
     open one between i < j holds cum[j] - cum[i+1].  A row is one slab on
-    every leading axis.  All rows stream along the last axis, each carrying
+    every leading axis.  Rows stream along the last axis, each carrying
     a running max `left` over its left faces and its `best` box.  Blocks hold
     whole units, a grid (s = 2) or a grid's first-axis slab (s = 3), and at
     most EXACT_BLOCK_BUDGET rows unless one unit has more.
+
+    found[b] is grid b's floor: -inf or a box value the scan has produced,
+    raised after each block.  A closed box's excess is at most the point
+    share of a slab holding it, and an open box's deficit at most the slab's
+    volume, so a unit's bound is its point share or first-axis width, and a
+    row's its point share or cross-section area.  Units are visited in
+    decreasing order of bound, and a unit before its block, then a row of a
+    block, is dropped when bound + PRUNE_MARGIN (2^-40) < floor.  A computed
+    box value passes its bound by a few ulps at most, far below the margin,
+    so every dropped box is below a value the scan produced, and found ends
+    as the same float as the full scan's max.  A unit's row over the whole
+    penultimate axis has exactly the unit's bound, so no kept unit loses
+    all its rows.
     """
     shift = int(closed)  # a closed slab also holds the points at both end candidates
     table = np.moveaxis(cum, -1, 0).astype(float, order="C")  # table[l]: counts below last-axis candidate l
@@ -94,31 +110,49 @@ def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool) -> np.nd
     lo, hi = np.triu_indices(pen.shape[1], k=1 - shift)
     upper, runs = hi + shift, np.bincount(lo)  # the rows of one left index are consecutive
     lower = slice(1 - shift, len(runs) + 1 - shift)
-    width = pen[:, hi] - pen[:, lo]
-    unit_grid, unit_width = np.arange(len(cum)), np.ones(len(cum))
-    if lead:
+    width = np.take(pen, hi, axis=1) - np.take(pen, lo, axis=1)  # C order, as the row vectors
+    step = max(1, EXACT_BLOCK_BUDGET // len(lo))
+
+    def shares(col, up, counts):
+        """Each row's point share below one last-axis index, from a block's counts there."""
+        above = np.take(col, up, axis=1) - np.repeat(col[:, lower], counts, axis=1)
+        above /= n_total
+        return above
+
+    def blocks():
+        """Each block's grid per unit, its units' count table and their rows' areas."""
+        if not lead:  # a grid's bound, 1, passes every floor
+            for start in range(0, len(cum), step):
+                u = slice(start, start + step)
+                yield np.arange(len(cum))[u], table[:, u], width[u]
+            return
         i, j = np.triu_indices(lead[0].shape[1], k=1 - shift)
-        unit_grid = np.repeat(unit_grid, len(i))
+        unit_grid = np.repeat(np.arange(len(cum)), len(i))
         i, j = np.tile(i, len(cum)), np.tile(j, len(cum))
         unit_width = lead[0][unit_grid, j] - lead[0][unit_grid, i]
-    found = np.full(len(cum), -np.inf)
-    step = max(1, EXACT_BLOCK_BUDGET // len(lo))
-    for start in range(0, len(unit_grid), step):
-        u = slice(start, start + step)
-        b = unit_grid[u]
-        if lead:
+        if closed:  # the unit's point share: its counts below the top index of both later axes
+            top = table[-1, :, :, -1]
+            bound = (top[unit_grid, j + shift] - top[unit_grid, i + 1 - shift]) / n_total
+        else:
+            bound = unit_width
+        rest = np.argsort(-bound, kind="stable")
+        # The loop below raises found after each block, so the filter runs again before the next.
+        while len(rest := rest[bound[rest] + PRUNE_MARGIN >= found[unit_grid[rest]]]):
+            u, rest = rest[:step], rest[step:]
+            b = unit_grid[u]
             block = table[:, b, j[u] + shift]
             block -= table[:, b, i[u] + 1 - shift]
-        else:
-            block = table[:, u]
-        w = unit_width[u, None] * width[b]
-        vals = last[b[0]] if b[0] == b[-1] else last[b].T[:, :, None]  # one grid's candidates as scalars
+            yield b, block, unit_width[u, None] * width[b]
+
+    for b, block, w in blocks():
+        # A row stays if its point share (closed) or area (open) can reach the floor of a unit in the block.
+        keep = ((shares(block[-1], upper, runs) if closed else w) + PRUNE_MARGIN >= found[b, None]).any(axis=0)
+        up, kept_runs, w = upper[keep], np.bincount(lo[keep], minlength=len(runs)), np.compress(keep, w, axis=1)
+        vals = last[b[0]] if (b == b[0]).all() else last[b].T[:, :, None]  # one grid's candidates as scalars
         left, best = np.full(w.shape, -np.inf), np.full(w.shape, -np.inf)
         below = 0.0  # index 0 of every axis is the zero pad
         for l in range(last.shape[1]):
-            col = block[l + 1]
-            above = np.take(col, upper, axis=1) - np.repeat(col[:, lower], runs, axis=1)
-            above /= n_total
+            above = shares(block[l + 1], up, kept_runs)
             wv = w * vals[l]
             if closed:  # the closed box [vals[i], vals[l]] holds above - below_i points
                 np.maximum(left, wv - below, out=left)
@@ -128,7 +162,6 @@ def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool) -> np.nd
                 np.maximum(left, above - wv, out=left)
             below = above
         np.maximum.at(found, b, best.max(axis=1))
-    return found
 
 
 def _exact_extreme(samples: np.ndarray) -> np.ndarray:
@@ -151,7 +184,11 @@ def _exact_group(samples: np.ndarray) -> np.ndarray:
     s = 1 the value is max_l (share[l+1] - v_l) + max_k (v_k - share[k]): the
     (k, l) term is the closed box for k <= l and the open one for k > l, and
     rounding is monotone, so this is the max over both, bit for bit.  At
-    s >= 2, _box_scan streams every slab row of the group along the last axis.
+    s >= 2, _box_scan streams the group's slab rows along the last axis,
+    closed boxes first and then open ones from the closed values as floors.
+    It skips every slab whose bound (point share for an excess, volume for a
+    deficit) plus PRUNE_MARGIN = 2^-40 is below its grid's floor, which is a
+    value the scan produced, so each sample's value is the full scan's float.
     """
     n_samples, n_total, s = samples.shape
     batch = np.arange(n_samples)[:, None]
@@ -178,7 +215,10 @@ def _exact_group(samples: np.ndarray) -> np.ndarray:
     if s == 1:
         share, vals = cum / n_total, cands[0]
         return (share[:, 1:] - vals).max(axis=1) + (vals - share[:, :-1]).max(axis=1)
-    return np.maximum(*(_box_scan(cum, cands, n_total, closed) for closed in (True, False)))
+    found = np.full(n_samples, -np.inf)
+    for closed in (True, False):  # the open scan starts from the closed one's floors
+        _box_scan(cum, cands, n_total, closed, found)
+    return found
 
 
 def _exact_report(points, s: int) -> DiscrepancyReport:
@@ -281,8 +321,6 @@ def discrepancy_bound_multi(inputs: BoundInputs) -> float:
     """s-dimensional bound with the alpha_s^(r/2) term; requires s >= 2."""
     if inputs.s is None or inputs.s < 2:
         raise ValidationError("multi-dimensional bound needs s >= 2")
-    from .combinat import alpha  # only here: the s = 1 sweep and `disc` do not load combinat
-
     n, p, r, s = inputs.n, inputs.p, inputs.r, inputs.s
     lp = math.log(p)
     core = n**-0.5 * lp + p**-0.5 * lp + alpha(s) ** (r / 2.0) / n * lp**s
@@ -299,6 +337,4 @@ def elmahassni_bound(inputs: BoundInputs) -> float:
 
 def nontrivial_exponent(s: int) -> float:
     """Exponent gamma_s = log(alpha_s) / (2 log 2); below 1 for every s."""
-    from .combinat import alpha  # raises for s < 1
-
     return math.log(alpha(s)) / (2.0 * math.log(2.0))

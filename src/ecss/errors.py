@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the input rules every entry point shares."""
+"""Exception types and input rules shared across the package, and alpha_s, which combinat and discrepancy share."""
 
 import functools
 import math
@@ -77,3 +77,11 @@ def finite_float(fn):
         return value
 
     return checked
+
+
+@finite_float
+def alpha(s: int) -> float:
+    """Growth base (4^s - 1)^(1/s) of the explicit bad-pair upper bound."""
+    if s < 1:
+        raise ValidationError("s must be >= 1")
+    return (4.0**s - 1.0) ** (1.0 / s)

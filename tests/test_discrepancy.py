@@ -360,6 +360,23 @@ def zero_tie_batches(draw):
     return np.array(samples)
 
 
+@st.composite
+def interleaved_batches(draw):
+    """A (B, N, 3) batch, B = 2..4 and N <= 10, whose samples snap a drawn
+    share of their coordinates to a 1/7 grid, so their candidate counts
+    differ and the box scan's bound order mixes their first-axis slabs in
+    one block.  Coordinates come from a drawn seed, as in zero_tie_batches."""
+    n = draw(st.integers(1, 10))
+    samples = []
+    for _ in range(draw(st.integers(2, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = rng.random((n, 3))
+        tied = rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        rows[tied] = np.floor(rows[tied] * 7) / 7
+        samples.append(rows)
+    return np.array(samples)
+
+
 class TestBatchedExactKernel:
     @settings(max_examples=80, deadline=None)
     @given(sample_batches())
@@ -379,6 +396,14 @@ class TestBatchedExactKernel:
     @example(np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.25]]]))
     @example(np.array([[[0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.5, 0.0, 0.75]]]))
     def test_batch_is_bit_identical_to_reference_scan(self, batch):
+        values = _exact_extreme(batch)
+        assert values.tolist() == [reference_exact_extreme(sample) for sample in batch]
+
+    @settings(max_examples=100, deadline=None)
+    @given(interleaved_batches())
+    @example(np.array([[[0.5, 0.25, 0.75]] * 4, [[0.0, 0.0, 0.0]] * 4, [[3 / 7, 1 / 7, 0.5]] * 4]))  # all equal
+    @example(np.array([[[0.5, 0.25, 0.75]], [[0.0, 0.0, 0.0]]]))  # a single point
+    def test_grids_mixed_in_a_block_are_bit_identical_to_reference_scan(self, batch):
         values = _exact_extreme(batch)
         assert values.tolist() == [reference_exact_extreme(sample) for sample in batch]
 
@@ -403,15 +428,17 @@ class TestBatchedExactKernel:
 class TestExactKernelMemory:
     """Peak traced allocation of one exact kernel call at the guard edge.
 
-    The streaming scan holds a block's row vectors and its first-axis slab
-    table, one gathered copy with the lower faces subtracted in place:
-    1.72 MiB at s = 3, N = 21 (1.98 as the difference of two copies) and
-    0.65 / 0.88 MiB for the one-sample N = 100 and six-sample N = 50 shapes
+    The streaming scan holds a block's kept row vectors and its first-axis
+    slab table, one gathered copy with the lower faces subtracted in place:
+    1.69 MiB at s = 3, N = 21 (1.98 as the difference of two copies) and
+    0.70 / 0.90 MiB for the one-sample N = 100 and six-sample N = 50 shapes
     (numpy 2.4, Python 3.11).  The sweep's s = 2 groups, sized by
-    exact_group_size to fill one block, take 1.71 MiB (three at N = 100) and
-    1.59 MiB (eleven at N = 50).  A table of every row's counts at every
+    exact_group_size to fill one block, take 1.76 MiB (three at N = 100) and
+    1.60 MiB (eleven at N = 50).  A table of every row's counts at every
     last-axis candidate would need 4.4 MiB at s = 2, N = 100, 3.6 MiB for six
-    samples at N = 50 and about 7 MiB unblocked at s = 3.
+    samples at N = 50 and about 7 MiB unblocked at s = 3.  The pruned scan
+    takes its row bounds per block: one float per unit and row at s = 3,
+    N = 21 would add 0.58 MiB (276 x 276 x 8 bytes).
     """
 
     @pytest.mark.parametrize("s, n, samples, limit_mib", [

@@ -105,12 +105,18 @@ SAMPLING = {"ecss", "ecss.cli", "ecss.errors", "ecss.curve", "ecss.discrepancy",
             "ecss.generator", "ecss.gf2", "numpy"}
 
 
-@pytest.mark.parametrize("s, combinat", [(1, set()), (2, {"ecss.combinat"})])  # alpha_s enters the s >= 2 bound
-def test_experiment_loads_combinat_only_for_the_multi_bound(tmp_path, s, combinat):
+@pytest.mark.parametrize("s", [1, 2])  # alpha_s, in the s >= 2 bound, lives in errors
+def test_experiment_loads_no_combinat(tmp_path, s):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": s,
                                   "n_grid": [8, 16], "samples": 2, "delta": 1.0, "seed": 1}))
-    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING | combinat  # no csv
+    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING  # no csv
+
+
+@pytest.mark.parametrize("s", [[], ["--s", "2"]], ids=["s1", "s2"])
+def test_bounds_loads_only_discrepancy(s):
+    argv = ("bounds", "--n", "100", "--p", "1009", "--r", "10", "--tau", "1023", *s)
+    assert loaded_after(cli_run(*argv)) == {"ecss", "ecss.cli", "ecss.errors", "ecss.discrepancy", "numpy"}
 
 
 def test_public_names_resolve_to_their_modules():
@@ -129,7 +135,8 @@ def test_public_names_resolve_to_their_modules():
 
 
 def test_moved_names_still_resolve_where_they_were():
-    from ecss import curve, discrepancy, errors, generator
+    from ecss import combinat, curve, discrepancy, errors, generator
 
     assert generator.PointSet is discrepancy.PointSet
     assert curve.is_prime is errors.is_prime
+    assert ecss.alpha is combinat.alpha is errors.alpha
