@@ -198,8 +198,11 @@ def _cmd_badpairs(args) -> int:
 
     if args.h is not None:
         combinat.validate_pattern(args.s, args.h)
-    tally = combinat.bad_pair_count(args.r, args.s)
-    bound = combinat.bad_pair_upper_bound(args.r, args.s)  # a float: overflows (exit 2) past r = 520-650
+    tally = combinat.bad_pair_count(args.r, args.s)  # validates r and s first
+    try:
+        bound = combinat.bad_pair_upper_bound(args.r, args.s)
+    except ValidationError:  # the float overflows past r = 520-650; f and per_h stay exact
+        bound = None
     per_h = list(tally.per_h) if args.h is None else [tally.per_h[args.h - 1]]
     _emit_json(
         {

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 
 from .errors import ScaleGuardError, ValidationError, alpha, finite_float
@@ -61,20 +60,11 @@ def is_s_good(x, y, s: int) -> bool:
     yb = _as_bits(y)
     if len(xb) != len(yb):
         raise ValidationError("vectors must have equal length")
-    r = len(xb)
-    _validate_r_s(r, s)
-    for h in range(1, s + 1):
-        target = tuple(1 if t == h - 1 else 0 for t in range(s))
-        zero = (0,) * s
-        fwd = any(
-            xb[i : i + s] == target and yb[i : i + s] == zero for i in range(r - s + 1)
-        )
-        rev = any(
-            xb[j : j + s] == zero and yb[j : j + s] == target for j in range(r - s + 1)
-        )
-        if not (fwd and rev):
-            return False
-    return True
+    _validate_r_s(len(xb), s)
+    seen = {(xb[i : i + s], yb[i : i + s]) for i in range(len(xb) - s + 1)}
+    zero = (0,) * s
+    basis = (zero[:h] + (1,) + zero[h + 1 :] for h in range(s))
+    return all((e, zero) in seen and (zero, e) in seen for e in basis)
 
 
 def _occurrence_masks(r: int, s: int):
@@ -106,18 +96,8 @@ def _check_brute_force_guard(r: int, s: int) -> None:
 
 def brute_force_bad_wrt_first(r: int, s: int, h: int) -> int:
     """Exhaustive count of pairs with no position where x shows e_h against y's 0_s."""
-    import numpy as np
-
-    _check_brute_force_guard(r, s)
     validate_pattern(s, h)
-    zero, basis = _occurrence_masks(r, s)
-    eh = basis[h - 1]
-    total = 0
-    rows = max(1, _BLOCK >> r)
-    for lo in range(0, 1 << r, rows):
-        block = eh[lo : lo + rows, None] & zero[None, :]
-        total += int(np.count_nonzero(block == 0))
-    return total
+    return brute_force_bad_count(r, s).per_h[h - 1]
 
 
 @dataclass(frozen=True)
@@ -135,8 +115,8 @@ def brute_force_bad_count(r: int, s: int) -> BadPairCount:
 
     The pair predicate is evaluated for every (x, y), vectorised in blocks of
     x; there is no combinatorial shortcut here, which is what makes this the
-    oracle for the walk-counting route.  The per-h counts of
-    brute_force_bad_wrt_first come from the same blocks.
+    oracle for the walk-counting route.  brute_force_bad_wrt_first reads
+    its per-h counts from here.
     """
     import numpy as np
 
@@ -235,10 +215,7 @@ class TransferMatrix:
     bad-with-respect-to-x count.
 
     The matrix is never stored: _matvec applies it to a vector over all 4^s
-    window pairs by reshaping.  gather is the (dim, 4) successor table, built
-    on first access only: row i lists the successors of state i in
-    increasing order, padded with dim where the forbidden state was cut.  It
-    is read-only.
+    window pairs by reshaping; _successor_gather builds its successor table.
     """
 
     s: int
@@ -252,21 +229,6 @@ class TransferMatrix:
     def forbidden(self) -> int:
         """Packed index v << s | w of the cut state (e_h, 0_s); state i > forbidden has index i - 1."""
         return 1 << (self.h - 1) << self.s  # e_h packed LSB-first: coordinate t of a window is bit t
-
-    @cached_property
-    def gather(self):
-        """The (dim, 4) successor table described above; no solve or count reads it."""
-        import numpy as np
-
-        s, dim, forbidden = self.s, self.dim, self.forbidden
-        top = 1 << (s - 1)
-        states = np.delete(np.arange(dim + 1, dtype=np.int64), forbidden)
-        base = ((states >> s) >> 1 << s) | ((states & ((1 << s) - 1)) >> 1)
-        nxt = base[:, None] + np.array([0, top, top << s, (top << s) | top], dtype=np.int64)
-        index = np.where(nxt == forbidden, dim, nxt - (nxt > forbidden))
-        index.sort(axis=1)  # the pad slot dim moves to the end of its row
-        index.flags.writeable = False
-        return index
 
 
 def transfer_matrix(s: int, h: int) -> TransferMatrix:
@@ -292,10 +254,11 @@ def _matvec(full, s: int):
     The successors of (v, w) are (v >> 1 | b top, w >> 1 | c top), so viewed
     as (2, n/2, 2, n/2) the four quarter blocks of x are the four successor
     sets, and (M x)(v, w) is their sum at (v >> 1, w >> 1).  The blocks are
-    added in the increasing successor order of gather's rows, which is the
-    order the floats were always summed in; a cut successor adds the 0 at
-    its own place.  The result holds a value at the forbidden state too,
-    which callers drop.  Works on float and on Python-int object arrays.
+    added in the increasing successor order of _successor_gather's rows,
+    which is the order the floats were always summed in; a cut successor
+    adds the 0 at its own place.  The result holds a value at the forbidden
+    state too, which callers drop.  Works on float and on Python-int object
+    arrays.
     """
     half = 1 << (s - 1)
     y = full.reshape(2, half, 2, half)
@@ -327,8 +290,20 @@ class SpectralRadiusEstimate:
 
 
 def _successor_gather(matrix: TransferMatrix):
-    """The (dim, 4) padded successor table; the pad slot dim holds 0."""
-    return matrix.gather
+    """The (dim, 4) table of each state's successors in increasing order, padded with dim at the cut state.
+
+    It is built on each call, for the benchmark checker and the tests; no solve or count reads it.
+    """
+    import numpy as np
+
+    s, dim, forbidden = matrix.s, matrix.dim, matrix.forbidden
+    top = 1 << (s - 1)
+    states = np.delete(np.arange(dim + 1, dtype=np.int64), forbidden)
+    base = ((states >> s) >> 1 << s) | ((states & ((1 << s) - 1)) >> 1)
+    nxt = base[:, None] + np.array([0, top, top << s, (top << s) | top], dtype=np.int64)
+    index = np.where(nxt == forbidden, dim, nxt - (nxt > forbidden))
+    index.sort(axis=1)  # the pad slot dim moves to the end of its row
+    return index
 
 
 def spectral_radius(matrix: TransferMatrix, tolerance: float = 1e-9) -> SpectralRadiusEstimate:

@@ -79,17 +79,18 @@ def exact_group_size(n: int, s: int) -> int:
     return max(1, EXACT_BLOCK_BUDGET // ((n + 2) * (n + 3) // 2) ** (s - 1))
 
 
-def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool, found: np.ndarray) -> None:
-    """Raise found[b] to the best closed (or open) box of cumulative count grid cum[b], for s = 2 or 3.
+def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found: np.ndarray) -> None:
+    """Raise found[b] to the best closed (or open) box of grid b, for s = 2 or 3.
 
-    cands[a][b] are grid b's candidates on axis a.  cum[b] counts, per axis,
-    the points at candidates below each index, so along an axis the closed
-    slab between candidates i <= j holds cum[j+1] - cum[i] points and the
-    open one between i < j holds cum[j] - cum[i+1].  A row is one slab on
-    every leading axis.  Rows stream along the last axis, each carrying
-    a running max `left` over its left faces and its `best` box.  Blocks hold
-    whole units, a grid (s = 2) or a grid's first-axis slab (s = 3), and at
-    most EXACT_BLOCK_BUDGET rows unless one unit has more.
+    cands[a][b] are grid b's candidates on axis a.  table[l, b] is grid b's
+    cumulative count cum at last-axis index l, as floats, and is only read.
+    cum counts, per axis, the points at candidates below each index, so along
+    an axis the closed slab between candidates i <= j holds cum[j+1] - cum[i]
+    points and the open one between i < j holds cum[j] - cum[i+1].  A row is
+    one slab on every leading axis.  Rows stream along the last axis, each
+    carrying a running max `left` over its left faces and its `best` box.
+    Blocks hold whole units, a grid (s = 2) or a grid's first-axis slab
+    (s = 3), and at most EXACT_BLOCK_BUDGET rows unless one unit has more.
 
     found[b] is grid b's floor: -inf or a box value the scan has produced,
     raised after each block.  A closed box's excess is at most the point
@@ -105,7 +106,7 @@ def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool, found: n
     all its rows.
     """
     shift = int(closed)  # a closed slab also holds the points at both end candidates
-    table = np.moveaxis(cum, -1, 0).astype(float, order="C")  # table[l]: counts below last-axis candidate l
+    grids = table.shape[1]
     *lead, pen, last = cands
     lo, hi = np.triu_indices(pen.shape[1], k=1 - shift)
     upper, runs = hi + shift, np.bincount(lo)  # the rows of one left index are consecutive
@@ -122,13 +123,13 @@ def _box_scan(cum: np.ndarray, cands: list, n_total: int, closed: bool, found: n
     def blocks():
         """Each block's grid per unit, its units' count table and their rows' areas."""
         if not lead:  # a grid's bound, 1, passes every floor
-            for start in range(0, len(cum), step):
+            for start in range(0, grids, step):
                 u = slice(start, start + step)
-                yield np.arange(len(cum))[u], table[:, u], width[u]
+                yield np.arange(grids)[u], table[:, u], width[u]
             return
         i, j = np.triu_indices(lead[0].shape[1], k=1 - shift)
-        unit_grid = np.repeat(np.arange(len(cum)), len(i))
-        i, j = np.tile(i, len(cum)), np.tile(j, len(cum))
+        unit_grid = np.repeat(np.arange(grids), len(i))
+        i, j = np.tile(i, grids), np.tile(j, grids)
         unit_width = lead[0][unit_grid, j] - lead[0][unit_grid, i]
         if closed:  # the unit's point share: its counts below the top index of both later axes
             top = table[-1, :, :, -1]
@@ -215,9 +216,10 @@ def _exact_group(samples: np.ndarray) -> np.ndarray:
     if s == 1:
         share, vals = cum / n_total, cands[0]
         return (share[:, 1:] - vals).max(axis=1) + (vals - share[:, :-1]).max(axis=1)
+    table = np.moveaxis(cum, -1, 0).astype(float, order="C")  # table[l]: counts below last-axis candidate l
     found = np.full(n_samples, -np.inf)
     for closed in (True, False):  # the open scan starts from the closed one's floors
-        _box_scan(cum, cands, n_total, closed, found)
+        _box_scan(table, cands, n_total, closed, found)
     return found
 
 

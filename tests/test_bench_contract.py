@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecss import combinat, curve
@@ -43,7 +44,11 @@ def test_every_traced_name_resolves(traced_job):
 
 def test_checker_and_counter_names_exist():
     tm = combinat.transfer_matrix(2, 1)
-    assert combinat._successor_gather(tm) is tm.gather
+    pad = combinat._successor_gather(tm)  # checks.beta_bracket gathers a padded iterate through it
+    assert pad.shape == (tm.dim, 4) and pad.dtype == np.int64
+    x = np.arange(1.0, tm.dim + 1)
+    mx = np.delete(combinat._matvec(np.insert(x, tm.forbidden, 0.0), tm.s), tm.forbidden)
+    assert np.array_equal(np.append(x, 0.0)[pad].sum(axis=1), mx)
     fields = {f.name for f in dataclasses.fields(combinat.SpectralRadiusEstimate)}
     assert {"iterations", "method"} <= fields
     estimate = combinat.spectral_radius(tm)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ecss import cli, experiments, gf2
 from ecss.cli import MAX_CHECK_SAMPLES, main
-from ecss.combinat import bad_pair_count, transfer_matrix, walk_count
+from ecss.combinat import bad_pair_count, bad_pair_upper_bound, transfer_matrix, walk_count
 from ecss.curve import CurvePoint, enumerate_points, parse_curve, point_table, validate_curve
 from ecss.discrepancy import MAX_MC_TRIALS, exact_extreme_1d
 from ecss.experiments import MAX_SAMPLES, ExperimentConfig, discrepancy_sweep
@@ -227,9 +227,13 @@ class TestBadpairs:
         assert code == 0 and payload["f"] == bad_pair_count(40, 3).f
         assert payload["per_h"] == [walk_count(transfer_matrix(3, 2), 37)]
 
-    def test_overflowing_bound_is_validation_error(self, capsys):
-        code, out, err = run_cli(capsys, "badpairs", "--r", "700", "--s", "1")  # 3^700 overflows a float
-        assert code == 2 and out == "" and "overflows a float" in err
+    def test_overflowing_bound_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "badpairs", "--r", "700", "--s", "1")  # 3^700 overflows a float
+        payload = json.loads(out)
+        assert code == 0 and payload["f"] == bad_pair_count(700, 1).f and payload["bound"] is None
+        code, out, _ = run_cli(capsys, "badpairs", "--r", "645", "--s", "1")  # the last r with a finite bound
+        bound = json.loads(out)["bound"]
+        assert code == 0 and isinstance(bound, float) and bound == bad_pair_upper_bound(645, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(ints((-2, 13), (14, 2**70)), ints((-2, 10), (-2**70, 2**70)), st.none() | ints((-2, 10), (-2**70, 2**70)))

@@ -60,12 +60,12 @@ def scalar_successors(s, h):
 
 
 def gather_successors(tm):
-    """Each row of gather with the pad slot dropped."""
-    return tuple(tuple(j for j in row if j != tm.dim) for row in tm.gather.tolist())
+    """Each row of the successor table with the pad slot dropped."""
+    return tuple(tuple(j for j in row if j != tm.dim) for row in combinat._successor_gather(tm).tolist())
 
 
 def dense(tm):
-    """The 0/1 adjacency matrix spelled out from gather, for the dense eigensolver."""
+    """The 0/1 adjacency matrix spelled out from the successor table, for the dense eigensolver."""
     mat = np.zeros((tm.dim, tm.dim))
     for i, row in enumerate(gather_successors(tm)):
         mat[i, list(row)] = 1.0
@@ -76,9 +76,9 @@ def gather_power_iteration(tm, tolerance):
     """The power iteration that gathered through the successor table, kept as the oracle of the matvec.
 
     Returns (value, residual, iterations) as spectral_radius did before it
-    stopped reading gather.
+    stopped reading the successor table.
     """
-    pad = tm.gather
+    pad = combinat._successor_gather(tm)
     x = np.ones(tm.dim)
     x /= np.linalg.norm(x)
     prev = rayleigh = None
@@ -93,11 +93,12 @@ def gather_power_iteration(tm, tolerance):
 
 def gather_walk_totals(tm, steps):
     """walk_count(tm, t) for t = 0..steps, by gathering Python ints through the successor table."""
+    pad = combinat._successor_gather(tm)
     ext = np.ones(tm.dim + 1, dtype=object)
     ext[-1] = 0
     totals = [int(ext[:-1].sum())]
     for _ in range(steps):
-        ext[:-1] = ext[tm.gather].sum(axis=1)
+        ext[:-1] = ext[pad].sum(axis=1)
         totals.append(int(ext[:-1].sum()))
     return totals
 
@@ -206,7 +207,7 @@ class TestBruteForceCounts:
             assert f_values[0] <= f_values[1] <= f_values[2]
 
     @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_per_h_equals_wrt_first(self, s):
+    def test_per_h_equals_wrt_first(self, s):  # the h -> per_h[h - 1] mapping
         for r in range(s, 9):
             tally = brute_force_bad_count(r, s)
             assert tally.per_h == tuple(brute_force_bad_wrt_first(r, s, h) for h in range(1, s + 1))
@@ -313,7 +314,7 @@ class TestTransferMatrix:
     def test_s1_complete_graph(self):
         tm = transfer_matrix(1, 1)
         assert tm.dim == 3
-        assert tm.gather.tolist() == [[0, 1, 2, 3]] * 3  # three successors and the pad slot
+        assert combinat._successor_gather(tm).tolist() == [[0, 1, 2, 3]] * 3  # three successors and the pad slot
 
     def test_dimension(self):
         assert transfer_matrix(2, 1).dim == 15
@@ -341,17 +342,13 @@ class TestTransferMatrix:
                 expected[i, : len(succ)] = succ
             assert np.array_equal(pad, expected)
 
-    def test_gather_is_read_only(self):
-        with pytest.raises(ValueError):
-            transfer_matrix(2, 1).gather[0, 0] = 0
-
-    def test_gather_is_built_on_demand_and_kept(self):
-        tm = transfer_matrix(3, 2)
+    @pytest.mark.parametrize("s, h", [(1, 1), (3, 2), (5, 4)])
+    def test_matrix_holds_only_s_and_h(self, s, h):
+        tm = transfer_matrix(s, h)
         spectral_radius(tm)
         walk_count(tm, 5)
-        assert "gather" not in vars(tm)  # neither the solve nor the walk builds the table
-        assert tm.gather is tm.gather is combinat._successor_gather(tm)
-        assert "gather" in vars(tm)
+        combinat._successor_gather(tm)
+        assert vars(tm) == {"s": s, "h": h}  # nothing is cached on the matrix
 
     def test_guard(self):
         with pytest.raises(ScaleGuardError):
