@@ -74,7 +74,7 @@ def exact_group_size(n: int, s: int) -> int:
     """Samples of N points per exact kernel call: enough to fill one EXACT_BLOCK_BUDGET-row block of _box_scan.
 
     A sample has at most c = N + 2 candidates per axis and so at most
-    (c(c+1)/2)^(s-1) closed slab rows: one at s = 1, which has no scan.
+    (c(c+1)/2)^(s-1) closed slab rows, for s = 2, 3; s = 1 has no scan.
     """
     return max(1, EXACT_BLOCK_BUDGET // ((n + 2) * (n + 3) // 2) ** (s - 1))
 
@@ -166,13 +166,21 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
 
 
 def _exact_extreme(samples: np.ndarray) -> np.ndarray:
-    """Exact sup over half-open boxes [a, b) of |count/N - volume| of each (N, s) sample of a (B, N, s) batch."""
-    group = exact_group_size(*samples.shape[1:])  # callers keep to exact_fits_guard, so s = 1..3
+    """Exact sup over half-open boxes [a, b) of |count/N - volume| of each (N, s) sample of a (B, N, s) batch.
+
+    At s = 1 it is Niederreiter's max_t ((t+1)/N - v_t) + max_t (v_t - t/N) on each sorted sample v: the
+    maxima fall at the last and first element of a run of ties, and the faces 0 and 1 add only 0.0, so this
+    is the float of the candidate scan over distinct coordinates, bit for bit.
+    """
+    if samples.shape[2] == 1:
+        v, share = np.sort(samples[:, :, 0], axis=1), np.arange(samples.shape[1] + 1) / samples.shape[1]
+        return (share[1:] - v).max(axis=1) + (v - share[:-1]).max(axis=1)
+    group = exact_group_size(*samples.shape[1:])  # callers keep to exact_fits_guard, so s = 2, 3
     return np.concatenate([_exact_group(samples[i : i + group]) for i in range(0, len(samples), group)])
 
 
 def _exact_group(samples: np.ndarray) -> np.ndarray:
-    """_exact_extreme of one group of samples.
+    """_exact_extreme of one group of samples, at s = 2 or 3.
 
     Per-axis box candidates are a sample's distinct coordinates plus 0 and 1.
     Face inclusion is resolved by evaluating the closed-box limit for the
@@ -181,12 +189,9 @@ def _exact_group(samples: np.ndarray) -> np.ndarray:
     candidates are padded with copies of 1.0 to the group's widest, and these
     hold no point: a box reaching a padded candidate repeats a box ending at
     the sample's own 1.0, and one starting there has volume and count 0, so
-    no value changes.  The tally is cumulated along every axis once.  At
-    s = 1 the value is max_l (share[l+1] - v_l) + max_k (v_k - share[k]): the
-    (k, l) term is the closed box for k <= l and the open one for k > l, and
-    rounding is monotone, so this is the max over both, bit for bit.  At
-    s >= 2, _box_scan streams the group's slab rows along the last axis,
-    closed boxes first and then open ones from the closed values as floors.
+    no value changes.  The tally is cumulated along every axis once, and
+    _box_scan streams the group's slab rows along the last axis, closed
+    boxes first and then open ones from the closed values as floors.
     It skips every slab whose bound (point share for an excess, volume for a
     deficit) plus PRUNE_MARGIN = 2^-40 is below its grid's floor, which is a
     value the scan produced, so each sample's value is the full scan's float.
@@ -213,9 +218,6 @@ def _exact_group(samples: np.ndarray) -> np.ndarray:
     cum = np.bincount((flat + batch * math.prod(shape[1:])).ravel(), minlength=math.prod(shape)).reshape(shape)
     for axis in range(1, cum.ndim):
         cum = np.cumsum(cum, axis=axis)
-    if s == 1:
-        share, vals = cum / n_total, cands[0]
-        return (share[:, 1:] - vals).max(axis=1) + (vals - share[:, :-1]).max(axis=1)
     table = np.moveaxis(cum, -1, 0).astype(float, order="C")  # table[l]: counts below last-axis candidate l
     found = np.full(n_samples, -np.inf)
     for closed in (True, False):  # the open scan starts from the closed one's floors

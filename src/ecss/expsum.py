@@ -12,7 +12,6 @@ import numpy as np
 from .curve import (MAX_ALL_CURVES_P, CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points,
                     is_on_curve, negate, point_table, x_coord)
 from .errors import ScaleGuardError, ValidationError, is_prime
-from .gf2 import LfsrSource, packed_windows
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WINDOW_BITS = 10**6  # N + r - 1 register bits, read and packed in Python
@@ -165,6 +164,8 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
     the average is sum_w c_w^2 + (N'^2 - sum_{w != 0} c_w^2) |S|^2 + 2 z N' Re S.
     a = 0 is allowed as a calibration input (S = 1, so the result is N^2).
     """
+    from .gf2 import LfsrSource, packed_windows  # here, so expsum-check loads no gf2
+
     if r < 1 or count < 1:
         raise ValidationError("need r >= 1 and N >= 1")
     if count + r - 1 > MAX_AVG_WINDOW_BITS:

@@ -72,7 +72,8 @@ def _pow_mod(z: np.ndarray, e: int, p: int) -> np.ndarray:
 
 def _affine(X, Y, Z, p: int):
     """Affine x and y (0 and 0 at the identity) and non-identity mask of projective points."""
-    z_inv = _pow_mod(Z, p - 2, p)  # Fermat; 0 where Z = 0
+    # Fermat, 0 where Z = 0; once per residue and gathered when the entries are at least p
+    z_inv = _pow_mod(np.arange(p), p - 2, p)[Z] if Z.size >= p else _pow_mod(Z, p - 2, p)
     return _mod(X * z_inv, p), _mod(Y * z_inv, p), Z != 0
 
 

@@ -937,6 +937,26 @@ class TestPinnedOutputs:
         code, out, _ = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # At r = 10 and N = 5000 the comb is one 1024-entry table: p = 1009 inverts it through the table of
+    # all p residues, p = 10007 entry by entry.  Both digests are those of the per-entry inversion.
+    @pytest.mark.parametrize("p, digest", [
+        (1009, "5ff4646a9084a2f3ba83ef0f17997a5e91b3da638d336cd9b9fe57ee83c87e18"),
+        (10007, "2788d9e418ad0e88f975f913bdb32bc89061e5851b1a26ec6b4a0a576a86cd83"),
+    ])
+    def test_gen(self, capsys, p, digest):
+        code, out, _ = run_cli(capsys, "gen", "--curve", f"{p},1,1", "--poly", "0x409", "--n", "5000",
+                               "--seed", "7")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_disc_1d_ties(self, capsys, tmp_path):
+        # 1023 outputs over p = 101 tie heavily; the value is that of the candidate-box scan.
+        points = tmp_path / "points.txt"
+        code, _, _ = run_cli(capsys, "gen", "--curve", "101,1,1", "--poly", "0x409", "--n", "1023",
+                             "--seed", "11", "--output", str(points))
+        assert code == 0
+        assert run_cli(capsys, "disc", "--input", str(points)) == (
+            0, '{"version": 1, "n": 1023, "s": 1, "value": 0.11690523891098784, "method": "exact"}\n', "")
+
     def test_gen_s3(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", "23",
                                "--s", "3", "--seed", "7")

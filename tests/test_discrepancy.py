@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecss import discrepancy
+from ecss.curve import validate_curve
 from ecss.discrepancy import (
     EXACT,
     MC_LOWER_BOUND,
@@ -25,6 +26,9 @@ from ecss.discrepancy import (
     nontrivial_exponent,
 )
 from ecss.errors import ScaleGuardError, ValidationError
+from ecss.experiments import sample_weight_vectors
+from ecss.generator import GeneratorConfig, output_normalized
+from ecss.gf2 import BinaryPoly, LfsrSource, default_init
 
 
 def oracle_extreme_1d(pts):
@@ -274,6 +278,9 @@ class TestExactExtremeMulti:
     @example(np.array([[0.5]]))
     @example(np.array([[0.25, 0.75]] * 3))
     @example(np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.5, 0.0, 0.9375]]))
+    @example(np.array([[0.0], [0.375], [0.0], [0.8125]]))  # 1-D: a point at exactly 0.0, tied
+    @example(np.array([[0.3]] * 7))  # 1-D: all points equal
+    @example(np.array([[0.0]]))  # 1-D: N = 1
     def test_bit_identical_to_reference_scan(self, rows):
         assert exact_value(rows) == reference_exact_extreme(rows)
 
@@ -406,6 +413,17 @@ class TestBatchedExactKernel:
     def test_grids_mixed_in_a_block_are_bit_identical_to_reference_scan(self, batch):
         values = _exact_extreme(batch)
         assert values.tolist() == [reference_exact_extreme(sample) for sample in batch]
+
+    def test_readme_blocks_are_bit_identical_to_reference_scan(self):
+        # The README sweep's block of 16 samples (LANE_BUDGET // 1023) at each N of its grid.
+        curve, poly = validate_curve(1009, 1, 1), BinaryPoly(0x409)
+        source = LfsrSource(poly, default_init(poly.degree))
+        outputs = np.array([output_normalized(GeneratorConfig(source, weights, curve), 1023)
+                            for weights in sample_weight_vectors(curve, poly.degree, 16, 12345)])
+        assert len(np.unique(outputs)) < outputs.size  # the x-coordinates tie
+        for n in (64, 128, 256, 512, 1023):
+            batch = outputs[:, :n, None]
+            assert _exact_extreme(batch).tolist() == [reference_exact_extreme(sample) for sample in batch], n
 
     @pytest.mark.parametrize("s, n", [(1, 1023), (2, 60), (3, 12)])
     def test_tiered_batch_equals_per_sample_calls(self, s, n):

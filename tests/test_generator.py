@@ -207,6 +207,26 @@ class TestChunkTables:
         assert _chunk_width(10, 101, 10) < 10  # small N does not pay for all 2^r subset sums
 
 
+class TestAffine:
+    # Below p entries each Z is raised to p - 2; from p on, every residue is, once, and Z gathers.
+    @pytest.mark.parametrize("size, powered", [(100, (1, 100)), (101, (101,)), (102, (101,))])
+    def test_both_inversion_branches_match_python_pow(self, monkeypatch, size, powered):
+        p = 101
+        rng = np.random.default_rng(size)
+        X, Y, Z = rng.integers(0, p, (3, 1, size))
+        Z[0, : min(size, p)] = rng.permutation(p)[:size]  # every residue, 0 included, once p entries fit
+        Z[0, ::9] = 0  # identity lanes
+        shapes, pow_mod = [], generator._pow_mod
+        monkeypatch.setattr(generator, "_pow_mod", lambda z, *args: shapes.append(z.shape) or pow_mod(z, *args))
+        x, y, keep = generator._affine(X, Y, Z, p)
+        assert shapes == [powered]
+        inv = [pow(z, p - 2, p) for z in Z[0].tolist()]
+        assert x[0].tolist() == [a * i % p for a, i in zip(X[0].tolist(), inv)]
+        assert y[0].tolist() == [b * i % p for b, i in zip(Y[0].tolist(), inv)]
+        assert keep[0].tolist() == [z != 0 for z in Z[0].tolist()]
+        assert x.dtype == y.dtype == np.int64 and x.shape == y.shape == keep.shape == (1, size)
+
+
 class TestEcGenerator:
     def test_worked_trace(self):
         config = f5_config()
