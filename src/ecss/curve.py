@@ -98,20 +98,6 @@ def add(p0: CurvePoint, p1: CurvePoint, curve: CurveParams) -> CurvePoint:
     return CurvePoint(x2, y2)
 
 
-def scalar_mul(k: int, point: CurvePoint, curve: CurveParams) -> CurvePoint:
-    """k-fold group sum via double-and-add; scalar_mul(0, P) is the identity."""
-    if k < 0:
-        raise ValidationError("scalar must be nonnegative")
-    acc = INFINITY
-    addend = point
-    while k:
-        if k & 1:
-            acc = add(acc, addend, curve)
-        addend = add(addend, addend, curve)
-        k >>= 1
-    return acc
-
-
 def _square_root_table(p: int):
     """Return (nsol, ys, starts): ys[starts[t]:starts[t+1]] are the roots of y^2 = t, increasing.
 
@@ -201,10 +187,6 @@ def validate_weights(weights: tuple[CurvePoint, ...], curve: CurveParams) -> Non
     for point in weights:
         if not is_on_curve(point, curve):
             raise ValidationError(f"weight point {format_point(point)} is not on the curve")
-
-
-def format_curve(curve: CurveParams) -> str:
-    return f"{curve.p},{curve.a},{curve.b}"
 
 
 def parse_curve(text: str) -> CurveParams:

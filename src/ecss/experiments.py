@@ -179,15 +179,16 @@ def slope_fit(rows: list[SweepRow]) -> float:
     return float(np.polyfit(logs_n, logs_d, 1)[0])
 
 
-def bound_crossover(p: int, r: int, tau: int, delta: float = 1.0) -> int | None:
+def bound_crossover(p: int, r: int, tau: int) -> int | None:
     """Smallest N in [1, tau] where the window-pair bound beats El Mahassni's.
 
     The difference is monotone in N (the 3^(r/2)/N term decays), so a binary
     search suffices.  None when no crossover happens within the period.
+    Both bounds divide by delta, so the crossover does not depend on it.
     """
 
     def stronger(n: int) -> bool:
-        inputs = BoundInputs(n=n, p=p, r=r, tau=tau, delta=delta)
+        inputs = BoundInputs(n=n, p=p, r=r, tau=tau, delta=1.0)
         return discrepancy_bound_1d(inputs) < elmahassni_bound(inputs)
 
     if not stronger(tau):

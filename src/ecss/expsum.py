@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (MAX_ALL_CURVES_P, CurveParams, CurvePoint, INFINITY, _root_counts_by_a, add, enumerate_points,
-                    is_on_curve, negate, point_table, x_coord)
+from .curve import (MAX_ALL_CURVES_P, CurveParams, CurvePoint, _root_counts_by_a, add, enumerate_points, is_on_curve,
+                    negate, point_table, x_coord)
 from .errors import ScaleGuardError, ValidationError, is_prime
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
@@ -84,17 +84,15 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
     return ComplexSum(complex(values.sum()), values.size).value
 
 
-def curve_char_sums_all(curve: CurveParams, c: CurvePoint = INFINITY, points=None) -> np.ndarray:
+def curve_char_sums_all(curve: CurveParams, points=None) -> np.ndarray:
     """All sums S(a), a = 0..p-1, at once via an x-coordinate histogram and FFT.
 
     points is the whole-curve point table (row 0 the identity, as from
-    point_table; computed when None).  c is validated but cannot change the
-    value: P -> c + P permutes E(F_p), so the sum over P != -c of
-    e_p(a x(c + P)) is the sum over Q != O of e_p(a x(Q)).  Agrees with
+    point_table; computed when None).  The sums take no shift c, since c
+    cannot change them: P -> c + P permutes E(F_p), so the sum over P != -c
+    of e_p(a x(c + P)) is the sum over Q != O of e_p(a x(Q)).  Agrees with
     curve_x_char_sum entry by entry for every c (cross-checked in tests).
     """
-    if not is_on_curve(c, curve):
-        raise ValidationError("shift point must lie on the curve")
     if points is None:
         points = point_table(curve)
     hist = np.bincount(points[1:, 0], minlength=curve.p).astype(np.float64)  # x(Q) over Q != O

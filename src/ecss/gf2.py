@@ -155,22 +155,6 @@ class LfsrSource(BitSequenceSource):
         return out
 
 
-class PeriodicSource(BitSequenceSource):
-    """Repeats a fixed bit pattern: u(n) = pattern[(n-1) mod len(pattern)]."""
-
-    def __init__(self, pattern):
-        pattern = tuple(int(b) for b in pattern)
-        if not pattern:
-            raise ValidationError("pattern must be nonempty")
-        if any(b not in (0, 1) for b in pattern):
-            raise ValidationError("pattern bits must be 0 or 1")
-        self.pattern = pattern
-
-    def bits(self, count: int) -> list[int]:
-        m = len(self.pattern)
-        return [self.pattern[n % m] for n in range(count)]
-
-
 def packed_windows(stream, r: int):
     """Yield the windows stream[k:k+r] packed LSB-first (bit t = stream[k+t]), k = 0, 1, ...
 

@@ -192,7 +192,7 @@ def test_criterion_09_decay_law():
 
 def test_criterion_10_crossover():
     tau = 2**16 - 1
-    n_star = bound_crossover(p=65537, r=16, tau=tau, delta=1.0)
+    n_star = bound_crossover(p=65537, r=16, tau=tau)
     target = tau**0.79248
     assert n_star is not None
     assert target / 2.0 <= n_star <= target * 2.0

@@ -697,7 +697,7 @@ class TestExpsumCheck:
         code, out, _ = run_cli(capsys, "expsum-check", "--curve", "101,1,1", "--all-a",
                                "--c", f"{c.x},{c.y}")
         assert code == 0
-        assert out == self.csv_writer_rendering(101, range(1, 101), curve_char_sums_all(curve, c))
+        assert out == self.csv_writer_rendering(101, range(1, 101), curve_char_sums_all(curve))
         assert out.count("\r\n") == 101  # csv.writer's row terminator, header included
 
     def test_abs_sum_is_the_modulus_of_a_python_complex(self, capsys):
@@ -912,6 +912,21 @@ class TestParserBehaviour:
         _, out, _ = run_cli(capsys, "expsum-check", "--curve", "5,1,1", "--all-a")
         header, rows = parse_csv(out)
         assert all(len(r) == len(header) for r in rows)
+
+    # An empty value is rejected like a blank one, not read as the flag's absence.
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--curve", "5,1,1", "--poly", "0x7", "--n", "3", "--init", ""),
+        ("lfsr-info", "--poly", "0x7", "--init", ""),
+        ("gen", "--curve", "5,1,1", "--poly", "0x7", "--n", "3", "--weights", ""),
+        ("expsum-check", "--curve", "13,2,0", "--all-a", "--c", ""),
+    ], ids=["gen-init", "lfsr-info-init", "gen-weights", "expsum-check-c"])
+    def test_empty_value_is_validation_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_shift_off_the_curve_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "expsum-check", "--curve", "5,1,1", "--c", "1,1")
+        assert code == 2 and out == "" and err == "error: shift point must lie on the curve\n"
 
 
 README_CONFIG = {"curve": {"p": 1009, "a": 1, "b": 1}, "poly_hex": "0x409", "r": 10, "s": 1,

@@ -16,7 +16,6 @@ from ecss.combinat import (
     brute_force_bad_count,
     brute_force_bad_wrt_first,
     dominant_patterns,
-    is_s_good,
     pattern_radii,
     spectral_radius,
     transfer_matrix,
@@ -24,6 +23,7 @@ from ecss.combinat import (
 )
 from ecss.cli import main as cli_main
 from ecss.errors import ScaleGuardError, ValidationError
+from oracles import is_s_good
 
 ALPHA_TABLE = {2: 3.87298, 3: 3.97906, 4: 3.99609, 5: 3.99922, 6: 3.99984}
 BETA_TABLE = {2: 3.73205, 3: 3.93947, 4: 3.98444, 5: 3.99615, 6: 3.99903}

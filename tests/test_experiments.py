@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ecss import discrepancy, experiments, generator
 
-from ecss.curve import INFINITY, add, enumerate_points, point_table, validate_curve, x_coord
+from ecss.curve import enumerate_points, point_table, validate_curve, x_coord
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.experiments import (
     MAX_SAMPLES,
@@ -27,6 +27,7 @@ from ecss.discrepancy import (BoundInputs, discrepancy_bound_1d, elmahassni_boun
                               exact_extreme_multi)
 from ecss.generator import LANE_BUDGET, s_tuples
 from ecss.gf2 import BinaryPoly, LfsrSource
+from oracles import scalar_fold
 
 F101 = validate_curve(101, 1, 1)
 POLY5 = BinaryPoly(0b100101)  # X^5 + X^2 + 1, primitive
@@ -45,18 +46,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def scalar_outputs(bits, weights, curve, count):
-    """The first count outputs of one weight vector, by scalar group additions."""
-    outputs = []
-    for n in range(count):
-        acc = INFINITY
-        for j, point in enumerate(weights):
-            if bits[n + j]:
-                acc = add(acc, point, curve)
-        outputs.append(acc)
-    return outputs
 
 
 class TestExperimentConfig:
@@ -262,7 +251,7 @@ class TestDiscrepancySweep:
         bits = LfsrSource(config.poly, config.init).bits(102 + config.r - 1)
         d = []
         for weights, seed in zip(sample_weight_vectors(config.curve, config.r, 3, config.seed), seeds):
-            outputs = [x_coord(point) / config.curve.p for point in scalar_outputs(bits, weights, config.curve, 102)]
+            outputs = [x_coord(point) / config.curve.p for point in scalar_fold(bits, weights, config.curve)[:102]]
             d.append(experiments.mc_box_lower_bound(s_tuples(outputs, 2), experiments.DEFAULT_MC_TRIALS, seed).value)
         assert rows[1].mean == float(np.mean(d))
 
@@ -312,7 +301,7 @@ class TestDiscrepancySweep:
         bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
         matrix = []
         for weights in sample_weight_vectors(config.curve, config.r, config.samples, config.seed):
-            outputs = [x_coord(point) / config.curve.p for point in scalar_outputs(bits, weights, config.curve, count)]
+            outputs = [x_coord(point) / config.curve.p for point in scalar_fold(bits, weights, config.curve)[:count]]
             if config.s == 1:
                 matrix.append([exact_extreme_1d(outputs[:n]).value for n in config.n_grid])
             else:

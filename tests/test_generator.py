@@ -21,7 +21,8 @@ from ecss.generator import (
     output_normalized,
     s_tuples,
 )
-from ecss.gf2 import BinaryPoly, LfsrSource, PeriodicSource
+from ecss.gf2 import BinaryPoly, LfsrSource
+from oracles import PeriodicSource, scalar_fold
 
 F5 = validate_curve(5, 1, 1)
 
@@ -33,28 +34,6 @@ def lfsr_x2x1():
 def f5_config():
     weights = (CurvePoint(0, 1), CurvePoint(2, 1))
     return GeneratorConfig(source=lfsr_x2x1(), weights=weights, curve=F5)
-
-
-def naive_point_sum(source, weights, curve, n):
-    """From-scratch oracle: regenerate the bit prefix and fold the sum at index n."""
-    bits = source.bits(n + len(weights) - 1)
-    acc = INFINITY
-    for j, point in enumerate(weights):
-        if bits[n - 1 + j]:
-            acc = add(acc, point, curve)
-    return acc
-
-
-def scalar_fold(bits, weights, curve):
-    """Outputs of one weight vector over every window of bits, by scalar group additions."""
-    out = []
-    for n in range(len(bits) - len(weights) + 1):
-        acc = INFINITY
-        for j, point in enumerate(weights):
-            if bits[n + j]:
-                acc = add(acc, point, curve)
-        out.append(acc)
-    return out
 
 
 # (13, 2, 0) and (7, 0, 1) have the 2-torsion points (0, 0) and (6, 0).
@@ -318,7 +297,8 @@ class TestEcGenerator:
             count = int(rng.integers(1, 25))
             stream = ec_subset_sum_stream(config, count)
             for n in range(1, count + 1):
-                assert stream[n - 1] == naive_point_sum(source, weights, curve, n)
+                # from scratch: regenerate the bit prefix and fold the one window at index n
+                assert stream[n - 1] == scalar_fold(source.bits(n + r - 1)[n - 1 :], weights, curve)[0]
 
 
 class TestOutputNormalized:

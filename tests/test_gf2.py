@@ -4,12 +4,12 @@ from ecss.errors import ScaleGuardError, ValidationError
 from ecss.gf2 import (
     BinaryPoly,
     LfsrSource,
-    PeriodicSource,
     default_init,
     poly_is_irreducible,
     sequence_period,
     windows_distinct,
 )
+from oracles import PeriodicSource
 
 
 def all_polys(degree, constant_term=None):
