@@ -122,23 +122,38 @@ def point_table(curve: CurveParams) -> np.ndarray:
     points follow in (x, y) order.  Each x is repeated once per root of
     y^2 = x^3 + ax + b, gathered from one quadratic-residue table in
     increasing order, so the scan is O(p).  The Hasse inequality is checked
-    before returning.
+    before returning.  The build works in place and frees each p-sized array
+    once read; a caller that passes the table inline, as
+    curve_char_sums_all(curve, points=point_table(curve)), holds no copy.
     """
     p = curve.p
     if p >= MAX_ENUMERATION_P:
         raise ScaleGuardError(f"point enumeration capped at p < 2^20, got {p}")
     nsol, ys, starts = _square_root_table(p)
     x = np.arange(p, dtype=np.int64)
-    rhs = (x * x % p * x + curve.a * x + curve.b) % p
+    rhs = x * x  # x^3 + ax + b as (x^2 mod p + a) x + b, below 2^41 at the cap
+    rhs %= p
+    rhs += curve.a
+    rhs *= x
+    rhs += curve.b
+    rhs %= p
     counts = nsol[rhs]
+    del nsol
     order = 1 + int(counts.sum())
     if (order - p - 1) ** 2 > 4 * p:
         raise ValidationError(f"Hasse inequality violated: #E = {order} for p = {p}")
     # Point k is root k - first of its x's bucket, where first is the bucket's first point index.
-    shift = np.repeat(starts[rhs] - (np.cumsum(counts) - counts), counts)
+    offsets = starts[rhs]
+    del starts
+    offsets -= np.cumsum(counts, out=rhs)  # rhs is read; its buffer takes the running sum
+    del rhs
+    offsets += counts
+    index = np.repeat(offsets, counts)
+    del offsets
+    index += np.arange(order - 1)
     table = np.zeros((order, 2), dtype=np.int64)
     table[1:, 0] = np.repeat(x, counts)
-    table[1:, 1] = ys[np.arange(order - 1) + shift]
+    table[1:, 1] = ys[index]
     return table
 
 

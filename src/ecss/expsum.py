@@ -92,12 +92,18 @@ def curve_char_sums_all(curve: CurveParams, points=None) -> np.ndarray:
     cannot change them: P -> c + P permutes E(F_p), so the sum over P != -c
     of e_p(a x(c + P)) is the sum over Q != O of e_p(a x(Q)).  Agrees with
     curve_x_char_sum entry by entry for every c (cross-checked in tests).
+    The histogram is complex and transformed in place, and the table is
+    dropped before the FFT, so passing it inline (points=point_table(curve))
+    frees it early.
     """
     if points is None:
         points = point_table(curve)
-    hist = np.bincount(points[1:, 0], minlength=curve.p).astype(np.float64)  # x(Q) over Q != O
+    hist = np.bincount(points[1:, 0], minlength=curve.p).astype(np.complex128)  # x(Q) over Q != O
+    del points
     # S(a) = sum_v hist[v] exp(+2 pi i a v / p) = p * ifft(hist)[a]
-    return curve.p * np.fft.ifft(hist)
+    np.fft.ifft(hist, out=hist)
+    hist *= curve.p
+    return hist
 
 
 def max_char_ratio_all_curves(p: int) -> float:

@@ -1,11 +1,14 @@
 """Reference implementations the tests check the library against; no command or paper formula uses them.
 
 Each is the plain definition: a direct window scan, repeated doubling, a scalar
-group-law fold.  Tests import them with ``from oracles import ...``.
+group-law fold, or a build the library now does in place.  Tests import them
+with ``from oracles import ...``.
 """
 
+import numpy as np
+
 from ecss.combinat import _validate_r_s
-from ecss.curve import INFINITY, CurveParams, CurvePoint, add
+from ecss.curve import INFINITY, CurveParams, CurvePoint, _square_root_table, add
 from ecss.errors import ValidationError
 from ecss.gf2 import BitSequenceSource
 
@@ -74,3 +77,24 @@ def scalar_fold(bits, weights, curve):
                 acc = add(acc, point, curve)
         out.append(acc)
     return out
+
+
+def point_table_out_of_place(curve: CurveParams) -> np.ndarray:
+    """curve.point_table with every step a new array, as built before the in-place build (no guards)."""
+    p = curve.p
+    nsol, ys, starts = _square_root_table(p)
+    x = np.arange(p, dtype=np.int64)
+    rhs = (x * x % p * x + curve.a * x + curve.b) % p
+    counts = nsol[rhs]
+    order = 1 + int(counts.sum())
+    shift = np.repeat(starts[rhs] - (np.cumsum(counts) - counts), counts)
+    table = np.zeros((order, 2), dtype=np.int64)
+    table[1:, 0] = np.repeat(x, counts)
+    table[1:, 1] = ys[np.arange(order - 1) + shift]
+    return table
+
+
+def char_sums_out_of_place(curve: CurveParams, points: np.ndarray) -> np.ndarray:
+    """expsum.curve_char_sums_all as p times the inverse FFT of a float x-histogram, as before the in-place sweep."""
+    hist = np.bincount(points[1:, 0], minlength=curve.p).astype(np.float64)
+    return curve.p * np.fft.ifft(hist)

@@ -19,9 +19,7 @@ from ecss.combinat import (
     walk_count,
 )
 from ecss.curve import (
-    INFINITY,
     CurvePoint,
-    add,
     all_curve_orders,
     enumerate_points,
     validate_curve,
@@ -34,6 +32,7 @@ from ecss.expsum import curve_x_char_sum, dirichlet_l1, max_char_ratio_all_curve
 from ecss.generator import GeneratorConfig, output_normalized
 from ecss.gf2 import BinaryPoly, LfsrSource
 
+from oracles import scalar_fold
 from test_discrepancy import oracle_extreme_1d
 
 BETA_TABLE = {2: 3.73205, 3: 3.93947, 4: 3.98444, 5: 3.99615, 6: 3.99903}
@@ -225,9 +224,6 @@ def test_criterion_11_generator_correctness():
         stream = output_normalized(gen, count)
         bits = source.bits(count + r - 1)
         for n in range(1, count + 1):
-            acc = INFINITY
-            for j in range(r):
-                if bits[n - 1 + j]:
-                    acc = add(acc, weights[j], curve)
+            [acc] = scalar_fold(bits[n - 1 : n - 1 + r], weights, curve)
             assert stream[n - 1] == x_coord(acc) / curve.p
     _report(11, "worked trace matches; streaming equals from-scratch recomputation on 1000 random configs")

@@ -24,7 +24,7 @@ from ecss.curve import (
     x_coord,
 )
 from ecss.errors import ScaleGuardError, ValidationError
-from oracles import format_curve, scalar_mul
+from oracles import format_curve, point_table_out_of_place, scalar_mul
 
 F5 = validate_curve(5, 1, 1)
 
@@ -238,6 +238,14 @@ class TestPointTable:
         monkeypatch.setattr(curve_module, "_square_root_table", doubled)
         with pytest.raises(ValidationError, match="Hasse"):
             point_table(F5)
+
+    # p = 1048573 is the largest prime below the enumeration cap; (13, 2, 0) has the affine 2-torsion
+    # point (0, 0); (100003, 13445, 62554) is the curve of the benchmark's expsum-check job.
+    @pytest.mark.parametrize("curve", [validate_curve(*params) for params in (
+        (1009, 1, 1), (100003, 1, 1), (1048573, 1, 1), (13, 2, 0), (100003, 13445, 62554))], ids=format_curve)
+    def test_equals_the_out_of_place_build(self, curve):
+        got, want = point_table(curve), point_table_out_of_place(curve)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def argsort_square_root_table(p):

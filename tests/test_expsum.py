@@ -21,7 +21,7 @@ from ecss.expsum import (
     orthogonality_sum,
 )
 from ecss.gf2 import BinaryPoly, LfsrSource
-from oracles import PeriodicSource
+from oracles import PeriodicSource, char_sums_out_of_place, format_curve, point_table_out_of_place
 
 F5 = validate_curve(5, 1, 1)
 
@@ -157,6 +157,15 @@ class TestCurveCharSum:
         assert abs(sums[0] - (len(points) - 1)) < 1e-9
         for a in range(1, curve.p):
             assert abs(sums[a] - curve_x_char_sum(curve, a, c, points)) < 1e-9
+
+    # The largest prime below the enumeration cap, a curve with the affine 2-torsion point (0, 0) and
+    # the curve of the benchmark's expsum-check job, among others.
+    @pytest.mark.parametrize("curve", [validate_curve(*params) for params in (
+        (1009, 1, 1), (100003, 1, 1), (1048573, 1, 1), (13, 2, 0), (100003, 13445, 62554))], ids=format_curve)
+    def test_fft_sweep_equals_the_out_of_place_sweep(self, curve):
+        got = curve_char_sums_all(curve, points=point_table(curve))
+        want = char_sums_out_of_place(curve, point_table_out_of_place(curve))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @staticmethod
     def nonsingular_curves(p):
