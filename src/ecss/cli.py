@@ -151,6 +151,8 @@ def _read_point_rows(path: str):
         raise ValidationError("point input is empty")
     if len({len(row) for row in rows}) != 1:
         raise ValidationError("point input rows have differing column counts")
+    if header is not None and len(header) != len(rows[0]):
+        raise ValidationError(f"point input header has {len(header)} columns but its rows have {len(rows[0])}")
     arr = np.asarray(rows, dtype=float)
     if header and header[0] == "n":
         arr = arr[:, 1:]

@@ -79,6 +79,11 @@ def exact_group_size(n: int, s: int) -> int:
     return max(1, EXACT_BLOCK_BUDGET // ((n + 2) * (n + 3) // 2) ** (s - 1))
 
 
+def _coarse_stride(c: int) -> int:
+    """Stride of the box scan's coarse last-axis grid for c candidates, or 0 where the coarse stage does not pay."""
+    return round(math.sqrt(c)) if c >= 40 else 0
+
+
 def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found: np.ndarray) -> None:
     """Raise found[b] to the best closed (or open) box of grid b, for s = 2 or 3.
 
@@ -95,15 +100,18 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
     found[b] is grid b's floor: -inf or a box value the scan has produced,
     raised after each block.  A closed box's excess is at most the point
     share of a slab holding it, and an open box's deficit at most the slab's
-    volume, so a unit's bound is its point share or first-axis width, and a
-    row's its point share or cross-section area.  Units are visited in
-    decreasing order of bound, and a unit before its block, then a row of a
-    block, is dropped when bound + PRUNE_MARGIN (2^-40) < floor.  A computed
-    box value passes its bound by a few ulps at most, far below the margin,
-    so every dropped box is below a value the scan produced, and found ends
-    as the same float as the full scan's max.  A unit's row over the whole
-    penultimate axis has exactly the unit's bound, so no kept unit loses
-    all its rows.
+    volume, so a unit's bound is its point share or first-axis width.  Units
+    are visited in decreasing order of bound and dropped when bound +
+    PRUNE_MARGIN (2^-40) < floor.  Where _coarse_stride(c) = k > 0, a coarse
+    stage then streams the block's rows over the last-axis indices 0, k, 2k,
+    ..., c only: it brackets every box between coarse cells (Thiemard 2001)
+    for a bound per row, and the closed pass takes a floor from the boxes
+    with coarse faces.
+    Otherwise a row's bound is its point share or cross-section area.  Only
+    the rows whose bound + PRUNE_MARGIN reaches their grid's floor stream
+    exactly.  A computed box value passes its bound by a few ulps at most,
+    far below the margin, and a coarse floor is never written into found,
+    so found ends as the same float as the full scan's max.
     """
     shift = int(closed)  # a closed slab also holds the points at both end candidates
     grids = table.shape[1]
@@ -113,12 +121,52 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
     lower = slice(1 - shift, len(runs) + 1 - shift)
     width = np.take(pen, hi, axis=1) - np.take(pen, lo, axis=1)  # C order, as the row vectors
     step = max(1, EXACT_BLOCK_BUDGET // len(lo))
+    stride = _coarse_stride(last.shape[1])
 
-    def shares(col, up, counts):
+    def shares(col, out=None):
         """Each row's point share below one last-axis index, from a block's counts there."""
-        above = np.take(col, up, axis=1) - np.repeat(col[:, lower], counts, axis=1)
-        above /= n_total
-        return above
+        out = np.take(col, upper, axis=1, out=out, mode="clip")  # in range; "clip" fills out unbuffered
+        out -= np.repeat(col[:, lower], runs, axis=1)
+        out /= n_total
+        return out
+
+    def coarse(block, w, vals):
+        """Each row's bound and each unit's floor from the cells [t, t') between consecutive coarse indices.
+
+        With S[t] a row's point share below index t, a closed box [i, l]
+        with i in cell a and l in cell b holds at most S[t_(b+1)] - S[t_a]
+        and, when a < b, spans at least y[t_b] - y[t_(a+1) - 1], one cell in
+        from each end.  An open box (i, l) spans at most y[t_(b+1) - 1] -
+        y[t_a], grown to the cells' outer candidates, and holds at least the
+        S[t_b] - S[t_(a+1)] of the cells between.  The closed floor's boxes
+        run from a cell's first candidate to a later cell's last and are
+        computed as the exact stream computes them; the open pass starts
+        from the closed values and takes no floor of its own.
+        """
+        bound, inner, outer = (np.full(w.shape, -np.inf) for _ in range(3))
+        floor = np.full(len(w), -np.inf)
+        share, below, tail, tmp = np.empty(w.shape), np.zeros(w.shape), np.empty(w.shape), np.empty(w.shape)
+        head = w * vals[0]  # w y at the cell's first candidate, and below is S there
+        for t in (*range(stride, len(vals), stride), len(vals)):
+            shares(block[t], out=share)
+            np.multiply(w, vals[t - 1], out=tail)  # w y at the cell's last candidate
+            if closed:
+                np.maximum(bound, np.subtract(share, below, out=tmp), out=bound)  # a = b
+                np.add(np.subtract(share, head, out=tmp), inner, out=tmp)  # a < b
+                np.maximum(bound, tmp, out=bound)
+                np.maximum(inner, np.subtract(tail, below, out=tmp), out=inner)
+                np.maximum(outer, np.subtract(head, below, out=tmp), out=outer)
+                np.add(np.subtract(share, tail, out=tmp), outer, out=tmp)
+                np.maximum(floor, tmp.max(axis=1), out=floor)
+            else:
+                np.add(np.subtract(tail, below, out=tmp), inner, out=tmp)  # a < b
+                np.maximum(bound, tmp, out=bound)
+                np.maximum(bound, np.subtract(tail, head, out=tmp), out=bound)  # a = b
+                np.maximum(inner, np.subtract(share, head, out=tmp), out=inner)
+            if t < len(vals):
+                np.multiply(w, vals[t], out=head)
+            share, below = below, share
+        return bound, floor
 
     def blocks():
         """Each block's grid per unit, its units' count table and their rows' areas."""
@@ -145,24 +193,43 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
             block -= table[:, b, i[u] + 1 - shift]
             yield b, block, unit_width[u, None] * width[b]
 
-    for b, block, w in blocks():
-        # A row stays if its point share (closed) or area (open) can reach the floor of a unit in the block.
-        keep = ((shares(block[-1], upper, runs) if closed else w) + PRUNE_MARGIN >= found[b, None]).any(axis=0)
-        up, kept_runs, w = upper[keep], np.bincount(lo[keep], minlength=len(runs)), np.compress(keep, w, axis=1)
-        vals = last[b[0]] if (b == b[0]).all() else last[b].T[:, :, None]  # one grid's candidates as scalars
+    def stream(b, block, w):
+        """Raise found by the block's rows whose bound + PRUNE_MARGIN reaches their grid's floor."""
+        one_grid = (b == b[0]).all()
+        vals = last[b[0]] if one_grid else last[b].T[:, :, None]  # one grid's candidates as scalars
+        floor = found.copy()
+        if stride:
+            bound, unit_floor = coarse(block, w, vals)
+            np.maximum.at(floor, b, unit_floor)
+        else:
+            bound = shares(block[-1]) if closed else w
+        # The kept rows of all units form one vector, unit by unit and in row order.
+        unit, row = np.divmod(np.flatnonzero(bound + PRUNE_MARGIN >= floor[b, None]), len(lo))
+        w = w[unit, row]
+        up = unit * block.shape[2] + upper[row]
+        kept_runs = np.bincount(unit * len(runs) + lo[row], minlength=len(b) * len(runs))
+        per_unit = np.bincount(unit, minlength=len(b))
+        del bound, unit, row
         left, best = np.full(w.shape, -np.inf), np.full(w.shape, -np.inf)
-        below = 0.0  # index 0 of every axis is the zero pad
+        above, below, wv = np.empty(w.shape), np.zeros(w.shape), np.empty(w.shape)
         for l in range(last.shape[1]):
-            above = shares(block[l + 1], up, kept_runs)
-            wv = w * vals[l]
+            col = block[l + 1]
+            np.take(col, up, out=above, mode="clip")
+            above -= np.repeat(col[:, lower], kept_runs)
+            above /= n_total
+            np.multiply(w, vals[l] if one_grid else np.repeat(vals[l], per_unit), out=wv)
+            np.subtract(wv, below, out=below)  # below is not read again, so it takes the difference
             if closed:  # the closed box [vals[i], vals[l]] holds above - below_i points
-                np.maximum(left, wv - below, out=left)
-                np.maximum(best, above - wv + left, out=best)
+                np.maximum(left, below, out=left)
+                np.maximum(best, np.add(np.subtract(above, wv, out=wv), left, out=wv), out=best)
             else:  # the open box (vals[i], vals[l]) holds below - above_i points
-                np.maximum(best, wv - below + left, out=best)
-                np.maximum(left, above - wv, out=left)
-            below = above
-        np.maximum.at(found, b, best.max(axis=1))
+                np.maximum(best, np.add(below, left, out=below), out=best)
+                np.maximum(left, np.subtract(above, wv, out=wv), out=left)
+            above, below = below, above
+        np.maximum.at(found, np.repeat(b, per_unit), best)
+
+    for block in blocks():
+        stream(*block)
 
 
 def _exact_extreme(samples: np.ndarray) -> np.ndarray:

@@ -401,6 +401,18 @@ class TestGenAndDisc:
         code, _, _ = run_cli(capsys, "disc", "--input", str(points_file))
         assert code == 2
 
+    @pytest.mark.parametrize("body, header_width, row_width", [
+        ("n,c0,c1\n1,0.5\n", 3, 2),  # would read s = 1
+        ("n,c0\n0,0.25,0.5\n1,0.75,0.125\n", 2, 3),  # would read s = 2
+    ])
+    def test_disc_header_width_differing_from_the_rows_is_validation_error(
+            self, capsys, tmp_path, body, header_width, row_width):
+        points_file = tmp_path / "pts.csv"
+        points_file.write_text(body)
+        code, out, err = run_cli(capsys, "disc", "--input", str(points_file))
+        assert code == 2 and out == ""
+        assert err == f"error: point input header has {header_width} columns but its rows have {row_width}\n"
+
     def test_disc_four_columns_needs_mc(self, capsys, tmp_path):
         points_file = tmp_path / "pts.csv"
         points_file.write_text("0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")

@@ -2,6 +2,7 @@ import bisect
 import math
 import tracemalloc
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +138,12 @@ def point_sets(draw):
 def guard_edge_rows(s, n, seed, tied):
     rows = np.random.default_rng(seed).random((n, s))
     return (np.round(rows * 8) / 8) % 1.0 if tied else rows
+
+
+# Stride rules for the box scan's coarse stage: every last-axis index coarse, the smallest stride
+# whose cells hold two candidates, the default rule, and no coarse stage.
+STRIDE_RULES = {"one": lambda c: 1, "two": lambda c: 2, "default": discrepancy._coarse_stride, "none": lambda c: 0}
+SMALLEST_STRIDE = STRIDE_RULES["two"]
 
 
 class TestExactExtreme1d:
@@ -299,6 +306,30 @@ class TestExactExtremeMulti:
             values[budget] = exact_value(rows)
         assert len(set(values.values())) == 1, values
 
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets())
+    def test_bit_identical_to_reference_scan_at_the_smallest_coarse_stride(self, rows):
+        # point_sets draws N <= 14 at s = 2, where the default rule skips the coarse stage.
+        with mock.patch.object(discrepancy, "_coarse_stride", SMALLEST_STRIDE):
+            assert exact_value(rows) == reference_exact_extreme(rows)
+
+    @pytest.mark.parametrize("s, n", [(2, 100), (3, 21)])
+    def test_coarse_stride_does_not_change_the_value(self, monkeypatch, s, n):
+        rows = guard_edge_rows(s, n, 30 + s, tied=False)
+        values = {}
+        for name, rule in STRIDE_RULES.items():
+            monkeypatch.setattr(discrepancy, "_coarse_stride", rule)
+            values[name] = exact_value(rows)
+        assert len(set(values.values())) == 1, values
+
+    def test_coarse_stage_engages_at_the_sweep_sizes(self, monkeypatch):
+        # The exact_boxes sweep's s = 2 groups at N = 50 and 100 (c = N + 2 candidates) take the coarse stage.
+        rule, strides = discrepancy._coarse_stride, {}
+        monkeypatch.setattr(discrepancy, "_coarse_stride", lambda c: strides.setdefault(c, rule(c)))
+        for n in (50, 100):
+            _exact_extreme(guard_edge_rows(2, n, 40, tied=False)[None])
+        assert strides == {52: 7, 102: 10}
+
     def test_guard(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ScaleGuardError):
@@ -425,6 +456,25 @@ class TestBatchedExactKernel:
             batch = outputs[:, :n, None]
             assert _exact_extreme(batch).tolist() == [reference_exact_extreme(sample) for sample in batch], n
 
+    @settings(max_examples=150, deadline=None)
+    @given(zero_tie_batches())
+    @example(np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.25]]]))
+    @example(np.array([[[0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.5, 0.0, 0.75]]]))
+    def test_batch_is_bit_identical_to_reference_scan_at_the_smallest_coarse_stride(self, batch):
+        with mock.patch.object(discrepancy, "_coarse_stride", SMALLEST_STRIDE):
+            values = _exact_extreme(batch)
+        assert values.tolist() == [reference_exact_extreme(sample) for sample in batch]
+
+    def test_s2_sweep_blocks_are_bit_identical_to_reference_scan(self):
+        # The exact_boxes experiment's s = 2 tuples of the README generator: 10 samples at each N of its grid.
+        curve, poly = validate_curve(1009, 1, 1), BinaryPoly(0x409)
+        source = LfsrSource(poly, default_init(poly.degree))
+        outputs = np.array([output_normalized(GeneratorConfig(source, weights, curve), 101)
+                            for weights in sample_weight_vectors(curve, poly.degree, 10, 12345)])
+        for n in (25, 50, 100):
+            batch = np.lib.stride_tricks.sliding_window_view(outputs[:, : n + 1], 2, axis=1)
+            assert _exact_extreme(batch).tolist() == [reference_exact_extreme(sample) for sample in batch], n
+
     @pytest.mark.parametrize("s, n", [(1, 1023), (2, 60), (3, 12)])
     def test_tiered_batch_equals_per_sample_calls(self, s, n):
         batch = tiered_batch(s, n, 40 + s)
@@ -442,21 +492,32 @@ class TestBatchedExactKernel:
             values.add(tuple(_exact_extreme(batch).tolist()))
         assert len(values) == 1, values
 
+    @pytest.mark.parametrize("s, n", [(2, 30), (3, 8)])
+    def test_coarse_stride_does_not_change_the_batch(self, monkeypatch, s, n):
+        batch = tiered_batch(s, n, 50 + s)
+        values = set()
+        for rule in STRIDE_RULES.values():
+            monkeypatch.setattr(discrepancy, "_coarse_stride", rule)
+            values.add(tuple(_exact_extreme(batch).tolist()))
+        assert len(values) == 1, values
+
 
 class TestExactKernelMemory:
     """Peak traced allocation of one exact kernel call at the guard edge.
 
-    The streaming scan holds a block's kept row vectors and its first-axis
-    slab table, one gathered copy with the lower faces subtracted in place:
-    1.69 MiB at s = 3, N = 21 (1.98 as the difference of two copies) and
-    0.70 / 0.90 MiB for the one-sample N = 100 and six-sample N = 50 shapes
-    (numpy 2.4, Python 3.11).  The sweep's s = 2 groups, sized by
-    exact_group_size to fill one block, take 1.76 MiB (three at N = 100) and
-    1.60 MiB (eleven at N = 50).  A table of every row's counts at every
-    last-axis candidate would need 4.4 MiB at s = 2, N = 100, 3.6 MiB for six
-    samples at N = 50 and about 7 MiB unblocked at s = 3.  The pruned scan
-    takes its row bounds per block: one float per unit and row at s = 3,
-    N = 21 would add 0.58 MiB (276 x 276 x 8 bytes).
+    The streaming scan holds a block's count table (at s = 3 its first-axis
+    slab table, one gathered copy with the lower faces subtracted in place)
+    and the vectors of the block's kept rows: 1.64 MiB at s = 3, N = 21,
+    where no coarse stage runs, and 0.70 / 0.95 MiB for the one-sample
+    N = 100 and six-sample N = 50 shapes (numpy 2.4, Python 3.11).  The
+    sweep's s = 2 groups, sized by exact_group_size to fill one block, take
+    1.84 MiB (three at N = 100) and 1.71 MiB (eleven at N = 50; 1.72 and
+    1.60 without the coarse stage), and there the coarse stage's eight
+    vectors over all of the block's rows set the peak.  A table of every
+    row's counts at every last-axis candidate would need 4.4 MiB at s = 2,
+    N = 100, 3.6 MiB for six samples at N = 50 and about 7 MiB unblocked at
+    s = 3.  The pruned scan takes its row bounds per block: one float per
+    unit and row at s = 3, N = 21 would add 0.58 MiB (276 x 276 x 8 bytes).
     """
 
     @pytest.mark.parametrize("s, n, samples, limit_mib", [
