@@ -71,10 +71,11 @@ def exact_fits_guard(n: int, s: int) -> bool:
 
 
 def exact_group_size(n: int, s: int) -> int:
-    """Samples of N points per exact kernel call: enough to fill one EXACT_BLOCK_BUDGET-row block of _box_scan.
+    """Samples of N points per exact kernel call: as many as fit one EXACT_BLOCK_BUDGET-row block of _box_scan.
 
     A sample has at most c = N + 2 candidates per axis and so at most
     (c(c+1)/2)^(s-1) closed slab rows, for s = 2, 3; s = 1 has no scan.
+    So a group of two or more fits one block, and _box_scan streams an s = 2 group as one.
     """
     return max(1, EXACT_BLOCK_BUDGET // ((n + 2) * (n + 3) // 2) ** (s - 1))
 
@@ -95,23 +96,23 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
     one slab on every leading axis.  Rows stream along the last axis, each
     carrying a running max `left` over its left faces and its `best` box.
     Blocks hold whole units, a grid (s = 2) or a grid's first-axis slab
-    (s = 3), and at most EXACT_BLOCK_BUDGET rows unless one unit has more.
+    (s = 3).  An s = 2 group is one block, as exact_group_size sizes it; an
+    s = 3 block holds at most EXACT_BLOCK_BUDGET rows unless one unit has more.
 
-    found[b] is grid b's floor: -inf or a box value the scan has produced,
-    raised after each block.  A closed box's excess is at most the point
-    share of a slab holding it, and an open box's deficit at most the slab's
-    volume, so a unit's bound is its point share or first-axis width.  Units
-    are visited in decreasing order of bound and dropped when bound +
+    found[b] is grid b's only floor.  A closed box's excess is at most the
+    point share of a slab holding it, and an open box's deficit at most the
+    slab's volume, so a unit's bound is its point share or first-axis width.
+    Units are visited in decreasing order of bound and dropped when bound +
     PRUNE_MARGIN (2^-40) < floor.  Where _coarse_stride(c) = k > 0, a coarse
     stage then streams the block's rows over the last-axis indices 0, k, 2k,
     ..., c only: it brackets every box between coarse cells (Thiemard 2001)
-    for a bound per row, and the closed pass takes a floor from the boxes
-    with coarse faces.
-    Otherwise a row's bound is its point share or cross-section area.  Only
-    the rows whose bound + PRUNE_MARGIN reaches their grid's floor stream
-    exactly.  A computed box value passes its bound by a few ulps at most,
-    far below the margin, and a coarse floor is never written into found,
-    so found ends as the same float as the full scan's max.
+    for a bound per row, and the closed pass raises found by the boxes with
+    coarse faces.  Otherwise a row's bound is its point share or cross-section
+    area.  Only the rows whose bound + PRUNE_MARGIN reaches the floor stream
+    exactly, into found.  Every value found takes is a box of one row computed
+    with the exact stream's float expressions, so found never passes the full
+    scan's max, which passes its row's bound by a few ulps at most, far below
+    the margin: that row always streams, and found ends as the same float.
     """
     shift = int(closed)  # a closed slab also holds the points at both end candidates
     grids = table.shape[1]
@@ -120,7 +121,6 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
     upper, runs = hi + shift, np.bincount(lo)  # the rows of one left index are consecutive
     lower = slice(1 - shift, len(runs) + 1 - shift)
     width = np.take(pen, hi, axis=1) - np.take(pen, lo, axis=1)  # C order, as the row vectors
-    step = max(1, EXACT_BLOCK_BUDGET // len(lo))
     stride = _coarse_stride(last.shape[1])
 
     def shares(col, out=None):
@@ -170,11 +170,10 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
 
     def blocks():
         """Each block's grid per unit, its units' count table and their rows' areas."""
-        if not lead:  # a grid's bound, 1, passes every floor
-            for start in range(0, grids, step):
-                u = slice(start, start + step)
-                yield np.arange(grids)[u], table[:, u], width[u]
+        if not lead:  # a grid's bound, 1, passes every floor, and exact_group_size fits the grids in one block
+            yield np.arange(grids), table, width
             return
+        step = max(1, EXACT_BLOCK_BUDGET // len(lo))
         i, j = np.triu_indices(lead[0].shape[1], k=1 - shift)
         unit_grid = np.repeat(np.arange(grids), len(i))
         i, j = np.tile(i, grids), np.tile(j, grids)
@@ -194,17 +193,16 @@ def _box_scan(table: np.ndarray, cands: list, n_total: int, closed: bool, found:
             yield b, block, unit_width[u, None] * width[b]
 
     def stream(b, block, w):
-        """Raise found by the block's rows whose bound + PRUNE_MARGIN reaches their grid's floor."""
+        """Raise found by the block's coarse floors, then by its rows whose bound + PRUNE_MARGIN reaches it."""
         one_grid = (b == b[0]).all()
         vals = last[b[0]] if one_grid else last[b].T[:, :, None]  # one grid's candidates as scalars
-        floor = found.copy()
         if stride:
             bound, unit_floor = coarse(block, w, vals)
-            np.maximum.at(floor, b, unit_floor)
+            np.maximum.at(found, b, unit_floor)
         else:
             bound = shares(block[-1]) if closed else w
         # The kept rows of all units form one vector, unit by unit and in row order.
-        unit, row = np.divmod(np.flatnonzero(bound + PRUNE_MARGIN >= floor[b, None]), len(lo))
+        unit, row = np.divmod(np.flatnonzero(bound + PRUNE_MARGIN >= found[b, None]), len(lo))
         w = w[unit, row]
         up = unit * block.shape[2] + upper[row]
         kept_runs = np.bincount(unit * len(runs) + lo[row], minlength=len(b) * len(runs))
@@ -286,6 +284,7 @@ def _exact_group(samples: np.ndarray) -> np.ndarray:
     for axis in range(1, cum.ndim):
         cum = np.cumsum(cum, axis=axis)
     table = np.moveaxis(cum, -1, 0).astype(float, order="C")  # table[l]: counts below last-axis candidate l
+    del cum
     found = np.full(n_samples, -np.inf)
     for closed in (True, False):  # the open scan starts from the closed one's floors
         _box_scan(table, cands, n_total, closed, found)

@@ -492,6 +492,23 @@ class TestBatchedExactKernel:
             values.add(tuple(_exact_extreme(batch).tolist()))
         assert len(values) == 1, values
 
+    @settings(max_examples=100, deadline=None)
+    @given(interleaved_batches())
+    def test_coarse_floors_of_one_unit_blocks_are_bit_identical_to_reference_scan(self, batch):
+        # One first-axis slab per block, each with a coarse stage whose floor raises found for the later blocks.
+        with mock.patch.object(discrepancy, "EXACT_BLOCK_BUDGET", 1), \
+                mock.patch.object(discrepancy, "_coarse_stride", SMALLEST_STRIDE):
+            values = _exact_extreme(batch)
+        assert values.tolist() == [reference_exact_extreme(sample) for sample in batch]
+
+    @pytest.mark.parametrize("budget", [1, 2**14, 2**30])
+    def test_s2_groups_fit_one_block(self, monkeypatch, budget):
+        # _box_scan streams an s = 2 group as one block; a one-sample group may pass the budget.
+        monkeypatch.setattr(discrepancy, "EXACT_BLOCK_BUDGET", budget)
+        for n in range(1, 101):
+            group = discrepancy.exact_group_size(n, 2)
+            assert group == 1 or group * (n + 2) * (n + 3) // 2 <= budget, n
+
     @pytest.mark.parametrize("s, n", [(2, 30), (3, 8)])
     def test_coarse_stride_does_not_change_the_batch(self, monkeypatch, s, n):
         batch = tiered_batch(s, n, 50 + s)
@@ -505,24 +522,25 @@ class TestBatchedExactKernel:
 class TestExactKernelMemory:
     """Peak traced allocation of one exact kernel call at the guard edge.
 
-    The streaming scan holds a block's count table (at s = 3 its first-axis
-    slab table, one gathered copy with the lower faces subtracted in place)
-    and the vectors of the block's kept rows: 1.64 MiB at s = 3, N = 21,
-    where no coarse stage runs, and 0.70 / 0.95 MiB for the one-sample
-    N = 100 and six-sample N = 50 shapes (numpy 2.4, Python 3.11).  The
-    sweep's s = 2 groups, sized by exact_group_size to fill one block, take
-    1.84 MiB (three at N = 100) and 1.71 MiB (eleven at N = 50; 1.72 and
-    1.60 without the coarse stage), and there the coarse stage's eight
-    vectors over all of the block's rows set the peak.  A table of every
-    row's counts at every last-axis candidate would need 4.4 MiB at s = 2,
-    N = 100, 3.6 MiB for six samples at N = 50 and about 7 MiB unblocked at
-    s = 3.  The pruned scan takes its row bounds per block: one float per
-    unit and row at s = 3, N = 21 would add 0.58 MiB (276 x 276 x 8 bytes).
+    The streaming scan holds the group's count table (at s = 3 a block's
+    first-axis slab table, one gathered copy with the lower faces subtracted
+    in place) and the vectors of the block's kept rows: 1.54 MiB at s = 3,
+    N = 21, where no coarse stage runs, and 0.62 / 0.82 MiB for the
+    one-sample N = 100 and six-sample N = 50 shapes (numpy 2.4, Python 3.11).
+    The sweep's s = 2 groups, sized by exact_group_size to fill one block,
+    take 1.60 MiB (three at N = 100), 1.48 MiB (eleven at N = 50) and
+    1.49 MiB (43 at N = 25, with no coarse stage); at N = 50 and 100 the
+    coarse stage's eight vectors over all of the block's rows set the peak.
+    A table of every row's counts at every last-axis candidate would need
+    4.4 MiB at s = 2, N = 100, 3.6 MiB for six samples at N = 50 and about
+    7 MiB unblocked at s = 3.  The pruned scan takes its row bounds per
+    block: one float per unit and row at s = 3, N = 21 would add 0.58 MiB
+    (276 x 276 x 8 bytes).
     """
 
     @pytest.mark.parametrize("s, n, samples, limit_mib", [
-        (3, 21, 1, 3.0), (2, 100, 1, 1.0), (2, 50, 6, 1.5),
-        (3, 21, 1, 1.85), (2, 100, 3, 2.0), (2, 50, 11, 2.0),
+        (3, 21, 1, 1.6), (2, 100, 1, 0.66), (2, 50, 6, 0.9),
+        (2, 25, 43, 1.6), (2, 100, 3, 1.7), (2, 50, 11, 1.6),
     ])
     def test_peak_allocation(self, s, n, samples, limit_mib):
         batch = np.random.default_rng(60 + s).random((samples, n, s))
