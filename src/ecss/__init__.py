@@ -11,8 +11,7 @@ import importlib
 _EXPORTS = {
     "combinat": "BadPairCount TransferMatrix alpha bad_count_bracket bad_pair_count bad_pair_upper_bound "
                 "beta brute_force_bad_count brute_force_bad_wrt_first spectral_radius transfer_matrix walk_count",
-    "curve": "INFINITY CurveParams CurvePoint add enumerate_points is_on_curve negate point_table validate_curve "
-             "x_coord",
+    "curve": "INFINITY CurveParams CurvePoint add enumerate_points is_on_curve negate point_table x_coord",
     "discrepancy": "BoundInputs DiscrepancyReport PointSet discrepancy_bound_1d discrepancy_bound_multi "
                    "elmahassni_bound exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
     "errors": "ScaleGuardError ValidationError",

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .errors import ScaleGuardError, ValidationError, validate_seed
+from .errors import ScaleGuardError, ValidationError, validate_int
 
 VERSION = 1
 
@@ -253,7 +253,7 @@ def _cmd_expsum_check(args) -> int:
     elif args.samples > MAX_CHECK_SAMPLES:
         raise ScaleGuardError(f"--samples {args.samples} exceeds {MAX_CHECK_SAMPLES} draws")
     else:
-        validate_seed(args.seed)
+        validate_int(args.seed, "seed", 0)
         rng = np.random.default_rng(args.seed)
         a_values = index = np.unique(rng.integers(1, p, size=args.samples))
     if not curve.is_on_curve(shift, params):
@@ -279,7 +279,7 @@ def _cmd_experiment(args) -> int:
         except ValueError as exc:
             raise ValidationError(f"experiment config is not valid JSON: {exc}") from exc
     try:
-        params = curve.validate_curve(raw["curve"]["p"], raw["curve"]["a"], raw["curve"]["b"])
+        params = curve.CurveParams(raw["curve"]["p"], raw["curve"]["a"], raw["curve"]["b"])
         config = experiments.ExperimentConfig(
             curve=params,
             poly=gf2.BinaryPoly.from_hex(raw["poly_hex"]),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from .errors import ScaleGuardError, ValidationError, alpha, finite_float
+from .errors import ScaleGuardError, ValidationError, alpha, finite_float, int_fields
 
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
 # 16^s automaton states x (r - s + 1) steps x 64-bit words of a count (about 2r bits); excludes s >= 6
@@ -134,7 +134,7 @@ def bad_pair_count(r: int, s: int) -> BadPairCount:
     """Exact s-bad tally from one pass of a flag automaton, in Python ints.
 
     A state is the window pair (v, w) of x and y, packed v << s | w as in
-    transfer_matrix, and 2s flags: flag h - 1 is set once x has shown e_h
+    TransferMatrix, and 2s flags: flag h - 1 is set once x has shown e_h
     against y's 0_s, flag s + h - 1 once y has shown e_h against x's 0_s.
     Each step reads one fresh bit per stream, so a state has four successors
     and the flags only grow.  A state with every flag set stays s-good, so
@@ -201,6 +201,14 @@ class TransferMatrix:
     s: int
     h: int
 
+    def __post_init__(self):
+        int_fields(self, "s", "h")
+        if self.s < 1:
+            raise ValidationError("s must be >= 1")
+        if self.s > MAX_SPAN:
+            raise ScaleGuardError(f"span capped at {MAX_SPAN} (dimension 4^s - 1)")
+        validate_pattern(self.s, self.h)
+
     @property
     def dim(self) -> int:
         return 4**self.s - 1
@@ -212,19 +220,7 @@ class TransferMatrix:
 
 
 def transfer_matrix(s: int, h: int) -> TransferMatrix:
-    """Adjacency structure of the pair-of-windows shift graph minus (e_h, 0_s).
-
-    State (v, w) packs to v << s | w.  Reading one fresh bit per stream
-    shifts both windows down, so the successors are
-    base + {0, top, top << s, top << s | top} with base = (v >> 1) << s | w >> 1
-    and top = 1 << (s - 1): already in increasing order.  Only s and h are
-    validated here; nothing of size 4^s is built.
-    """
-    if s < 1:
-        raise ValidationError("s must be >= 1")
-    if s > MAX_SPAN:
-        raise ScaleGuardError(f"span capped at {MAX_SPAN} (dimension 4^s - 1)")
-    validate_pattern(s, h)
+    """The TransferMatrix of (s, h), which validates them; nothing of size 4^s is built."""
     return TransferMatrix(s=s, h=h)
 
 

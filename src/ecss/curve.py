@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleGuardError, ValidationError, is_prime, validate_int
+from .errors import ScaleGuardError, ValidationError, int_fields, is_prime
 
 MAX_FIELD = 1 << 31  # modular products stay desk-scale; no big-field tricks
 MAX_ENUMERATION_P = 1 << 20  # point enumeration builds an O(p) residue table
@@ -15,33 +15,29 @@ MAX_ALL_CURVES_P = 2000  # the whole-prime (a, b) sweeps: ~p^3 work and (p, p) i
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Curve y^2 = x^3 + a*x + b over F_p; construction validates the parameters."""
+    """Curve y^2 = x^3 + a*x + b over F_p, and the one gate for curve parameters.
+
+    Construction checks p, a and b as integers and stores them as Python ints,
+    since numpy integers would overflow in 4a^3 + 27b^2.  It rejects p unless
+    it is a prime in (3, 2^31), reduces a and b mod p and rejects a singular curve.
+    """
 
     p: int
     a: int
     b: int
 
     def __post_init__(self):
+        int_fields(self, "p", "a", "b")
         if not is_prime(self.p):
             raise ValidationError(f"p = {self.p} is not prime")
         if self.p <= 3:
             raise ValidationError("p must exceed 3")
         if self.p >= MAX_FIELD:
             raise ValidationError(f"p must be below 2^31, got {self.p}")
-        if not (0 <= self.a < self.p and 0 <= self.b < self.p):
-            raise ValidationError("a and b must be reduced field elements")
+        for name in ("a", "b"):
+            object.__setattr__(self, name, getattr(self, name) % self.p)
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
             raise ValidationError("singular curve: 4a^3 + 27b^2 = 0 (mod p)")
-
-
-def validate_curve(p: int, a: int, b: int) -> CurveParams:
-    """Validate (p, a, b), reducing a and b mod p."""
-    for value, name in ((p, "p"), (a, "a"), (b, "b")):
-        validate_int(value, name)
-    p, a, b = int(p), int(a), int(b)  # numpy integers would overflow in 4a^3 + 27b^2
-    if not is_prime(p):
-        raise ValidationError(f"p = {p} is not prime")
-    return CurveParams(p, a % p, b % p)
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ def parse_curve(text: str) -> CurveParams:
         p, a, b = (int(v) for v in parts)
     except ValueError as exc:
         raise ValidationError(f"curve must be decimal 'p,a,b', got {text!r}") from exc
-    return validate_curve(p, a, b)
+    return CurveParams(p, a, b)
 
 
 def format_point(point: CurvePoint) -> str:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ScaleGuardError, ValidationError, alpha, finite_float, is_prime, validate_positive_real, validate_seed,
+    ScaleGuardError, ValidationError, alpha, finite_float, int_fields, is_prime, validate_int, validate_positive_real,
 )
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
@@ -330,7 +330,7 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
         raise ValidationError("trials must be >= 1")
     if trials > MAX_MC_TRIALS:
         raise ScaleGuardError(f"{trials} trials exceed the cap of {MAX_MC_TRIALS}")
-    validate_seed(seed)
+    validate_int(seed, "seed", 0)
     rows = _as_rows(points)
     n_total, s = rows.shape
     if trials * n_total * s > MAX_MC_WORK:
@@ -367,6 +367,7 @@ class BoundInputs:
     s: int | None = None
 
     def __post_init__(self):
+        int_fields(self, "n", "p", "r", "tau", *(() if self.s is None else ("s",)))
         if not 1 <= self.n <= self.tau:
             raise ValidationError("need 1 <= N <= tau")
         validate_positive_real(self.delta, "delta")

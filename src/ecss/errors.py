@@ -40,12 +40,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def validate_int(value, name: str, minimum: int | None = None) -> None:
-    """Reject anything but an integer (not a bool), and one below minimum when given."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+def is_int(value) -> bool:
+    """The one integer rule: an Integral, numpy integers included, that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def validate_int(value, name: str, minimum: int | None = None) -> int:
+    """Reject anything but an integer, and one below minimum when given; return it as a Python int."""
+    if not is_int(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def int_fields(record, *names: str) -> None:
+    """Check the named fields of a frozen dataclass record by validate_int, in order, and store Python ints."""
+    for name in names:
+        object.__setattr__(record, name, validate_int(getattr(record, name), name))
 
 
 def validate_positive_real(value, name: str) -> None:
@@ -56,11 +68,6 @@ def validate_positive_real(value, name: str) -> None:
         valid = False
     if not valid:
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
-
-
-def validate_seed(seed) -> None:
-    """Reject a seed numpy cannot take: it must be an integer (not a bool) and >= 0."""
-    validate_int(seed, "seed", 0)
 
 
 def finite_float(fn):

@@ -21,7 +21,7 @@ from .discrepancy import (
     exact_fits_guard,
     mc_box_lower_bound,
 )
-from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real, validate_seed
+from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real
 from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period
 from .generator import LANE_BUDGET, _lane_sums
 
@@ -51,7 +51,7 @@ class ExperimentConfig:
         if self.r != self.poly.degree:
             raise ValidationError(f"r = {self.r} does not match polynomial degree {self.poly.degree}")
         validate_positive_real(self.delta, "delta")
-        validate_seed(self.seed)
+        validate_int(self.seed, "seed", 0)
         object.__setattr__(self, "init", default_init(self.r))
         # Degree-guarded, so first; its walk back to the start proves the tau windows (the states) distinct.
         object.__setattr__(self, "tau", sequence_period(self.poly, self.init))
@@ -97,7 +97,7 @@ def _weight_rows(table_size: int, r: int, count: int, seed: int) -> np.ndarray:
         raise ValidationError("count must be >= 0")
     if count > MAX_SAMPLES:
         raise ScaleGuardError(f"{count} samples exceed the cap of {MAX_SAMPLES}")
-    validate_seed(seed)
+    validate_int(seed, "seed", 0)
     rows = np.empty((count, r), dtype=np.int64)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rows[i] = np.random.default_rng(child).integers(0, table_size, size=r)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .errors import ScaleGuardError, ValidationError
+from .errors import ScaleGuardError, ValidationError, int_fields, is_int
 
 # Exhaustive period search walks up to 2^r - 1 states; keep the register desk-sized.
 MAX_PERIOD_SEARCH_DEGREE = 24
@@ -22,6 +22,7 @@ class BinaryPoly:
     mask: int
 
     def __post_init__(self):
+        int_fields(self, "mask")
         if self.mask < 2:
             raise ValidationError("polynomial must have degree >= 1")
 
@@ -132,12 +133,12 @@ class LfsrSource(BitSequenceSource):
 
     def __init__(self, poly: BinaryPoly, init):
         init = tuple(init)
-        if any(b not in (0, 1) for b in init):
+        if not all(is_int(b) and b in (0, 1) for b in init):
             raise ValidationError(f"window bits must be 0 or 1, got {init!r}")
         if len(init) != poly.degree:
             raise ValidationError(f"initial window has {len(init)} bits, polynomial degree is {poly.degree}")
         self.poly = poly
-        self._init = sum(b << t for t, b in enumerate(init))  # packed LSB-first
+        self._init = sum(int(b) << t for t, b in enumerate(init))  # packed LSB-first
 
     @property
     def order(self) -> int:

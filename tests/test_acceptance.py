@@ -19,10 +19,10 @@ from ecss.combinat import (
     walk_count,
 )
 from ecss.curve import (
+    CurveParams,
     CurvePoint,
     all_curve_orders,
     enumerate_points,
-    validate_curve,
     x_coord,
 )
 from ecss.discrepancy import PointSet, exact_extreme_1d, exact_extreme_multi, mc_box_lower_bound
@@ -107,7 +107,7 @@ def test_criterion_05_hasse_interval():
         a, b = int(rng.integers(p)), int(rng.integers(p))
         if (4 * a**3 + 27 * b**2) % p == 0:
             continue
-        order = len(enumerate_points(validate_curve(p, a, b)))
+        order = len(enumerate_points(CurveParams(p, a, b)))
         assert (order - p - 1) ** 2 <= 4 * p
         done += 1
     elapsed = time.perf_counter() - start
@@ -127,7 +127,7 @@ def test_criterion_06_bombieri_ratio():
         a, b = int(rng.integers(p)), int(rng.integers(p))
         if (4 * a**3 + 27 * b**2) % p == 0:
             continue
-        curve = validate_curve(p, a, b)
+        curve = CurveParams(p, a, b)
         points = enumerate_points(curve)
         for _ in range(6):
             a_char = int(rng.integers(1, p))
@@ -171,7 +171,7 @@ def test_criterion_08_discrepancy_exactness():
 def test_criterion_09_decay_law():
     start = time.perf_counter()
     config = ExperimentConfig(
-        curve=validate_curve(1009, 1, 1),
+        curve=CurveParams(1009, 1, 1),
         poly=BinaryPoly(0x409),  # X^10 + X^3 + 1, primitive, tau = 1023
         r=10,
         s=1,
@@ -203,13 +203,13 @@ def test_criterion_11_generator_correctness():
     config = GeneratorConfig(
         source=src,
         weights=(CurvePoint(0, 1), CurvePoint(2, 1)),
-        curve=validate_curve(5, 1, 1),
+        curve=CurveParams(5, 1, 1),
     )
     trace = output_normalized(config, 3)
     assert max(abs(a - b) for a, b in zip(trace, [0.0, 0.4, 0.6])) < 1e-12
 
     rng = np.random.default_rng(404)
-    curves = [validate_curve(5, 1, 1), validate_curve(7, 3, 4), validate_curve(11, 1, 6), validate_curve(13, 2, 3)]
+    curves = [CurveParams(5, 1, 1), CurveParams(7, 3, 4), CurveParams(11, 1, 6), CurveParams(13, 2, 3)]
     points_by_curve = [enumerate_points(c) for c in curves]
     for _ in range(1000):
         pick = int(rng.integers(len(curves)))

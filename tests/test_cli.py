@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ecss import cli, experiments, gf2
 from ecss.cli import MAX_CHECK_SAMPLES, main
 from ecss.combinat import bad_pair_count, bad_pair_upper_bound, transfer_matrix, walk_count
-from ecss.curve import CurvePoint, enumerate_points, parse_curve, point_table, validate_curve
+from ecss.curve import CurveParams, CurvePoint, enumerate_points, parse_curve, point_table
 from ecss.discrepancy import MAX_MC_TRIALS, exact_extreme_1d
 from ecss.experiments import MAX_SAMPLES, ExperimentConfig, discrepancy_sweep
 from ecss.expsum import curve_char_sums_all
@@ -123,7 +123,7 @@ json_values = st.recursive(
 CONFIG_FIELDS = ["curve", "curve.p", "curve.a", "curve.b", "poly_hex", "r", "s", "n_grid", "samples", "delta", "seed"]
 
 
-GEN_CURVES = {text: enumerate_points(validate_curve(*map(int, text.split(","))))
+GEN_CURVES = {text: enumerate_points(CurveParams(*map(int, text.split(","))))
               for text in ("13,2,0", "101,1,1", "1009,1,1")}
 
 
@@ -285,7 +285,7 @@ class TestGenAndDisc:
         config = GeneratorConfig(
             source=src,
             weights=(CurvePoint(0, 1), CurvePoint(2, 1)),
-            curve=validate_curve(5, 1, 1),
+            curve=CurveParams(5, 1, 1),
         )
         expected = output_normalized(config, 3)
         assert max(abs(a - b) for a, b in zip(values, expected)) < 1e-12
@@ -713,7 +713,7 @@ class TestExpsumCheck:
         return buf.getvalue()
 
     def test_all_a_output_is_the_csv_writer_rendering(self, capsys):
-        curve = validate_curve(101, 1, 1)
+        curve = CurveParams(101, 1, 1)
         c = enumerate_points(curve)[5]
         code, out, _ = run_cli(capsys, "expsum-check", "--curve", "101,1,1", "--all-a",
                                "--c", f"{c.x},{c.y}")
@@ -723,13 +723,13 @@ class TestExpsumCheck:
 
     def test_abs_sum_is_the_modulus_of_a_python_complex(self, capsys):
         # At p = 10007, a = 9540 the modulus np.abs returns prints differently in the 12th digit.
-        curve = validate_curve(10007, 1, 1)
+        curve = CurveParams(10007, 1, 1)
         code, out, _ = run_cli(capsys, "expsum-check", "--curve", "10007,1,1", "--all-a")
         assert code == 0
         assert out == self.csv_writer_rendering(10007, range(1, 10007), curve_char_sums_all(curve))
 
     def test_sampled_output_is_the_csv_writer_rendering(self, capsys):
-        curve = validate_curve(101, 1, 1)
+        curve = CurveParams(101, 1, 1)
         code, out, _ = run_cli(capsys, "expsum-check", "--curve", "101,1,1", "--samples", "8",
                                "--seed", "3")
         assert code == 0
@@ -755,7 +755,7 @@ class TestExpsumCheck:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     def test_rows_in_whole_chunks_of_the_module_size(self, capsys, tmp_path, to_file):
-        curve = validate_curve(12289, 1, 1)  # p - 1 = 3 * 4096
+        curve = CurveParams(12289, 1, 1)  # p - 1 = 3 * 4096
         expected = self.csv_writer_rendering(12289, range(1, 12289), curve_char_sums_all(curve))
         self.check_rendering(capsys, tmp_path, ["--curve", "12289,1,1", "--all-a"], to_file, expected)
 
@@ -805,7 +805,7 @@ class TestExperiment:
 
         expected = discrepancy_sweep(
             ExperimentConfig(
-                curve=validate_curve(101, 1, 1),
+                curve=CurveParams(101, 1, 1),
                 poly=BinaryPoly(0x25),
                 r=5, s=1, n_grid=(4, 8, 16), samples=5, delta=1.0, seed=99,
             )
@@ -820,7 +820,7 @@ class TestExperiment:
         path.write_text(json.dumps({**self.CONFIG, "s": s, "n_grid": n_grid, "samples": 3}))
         code, out, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 0 and err == ""
-        expected = discrepancy_sweep(ExperimentConfig(curve=validate_curve(101, 1, 1), poly=BinaryPoly(0x25), r=5,
+        expected = discrepancy_sweep(ExperimentConfig(curve=CurveParams(101, 1, 1), poly=BinaryPoly(0x25), r=5,
                                                       s=s, n_grid=tuple(n_grid), samples=3, delta=1.0, seed=1))
         assert {row.method for row in expected} == {"monte-carlo-lower-bound"}
         assert [[float(v) for v in row] for row in parse_csv(out)[1]] == [

@@ -8,6 +8,7 @@ from ecss.combinat import (
     MIN_TOLERANCE,
     BadPairCount,
     SpectralRadiusEstimate,
+    TransferMatrix,
     alpha,
     bad_count_bracket,
     bad_pair_count,
@@ -353,6 +354,24 @@ class TestTransferMatrix:
     def test_guard(self):
         with pytest.raises(ScaleGuardError):
             transfer_matrix(9, 1)
+        with pytest.raises(ScaleGuardError):
+            TransferMatrix(9, 1)
+
+    @pytest.mark.parametrize("s, h, message", [
+        (3, 9, "need 1 <= h <= s, got h=9, s=3"),  # walk_count once raised IndexError on it
+        (0, 5, "s must be >= 1"),  # spectral_radius once raised ValueError on it
+        (2.0, 1, "s must be an integer"),
+        (2, 1.0, "h must be an integer"),
+    ])
+    def test_record_is_its_own_gate(self, s, h, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            TransferMatrix(s, h)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            transfer_matrix(s, h)
+
+    def test_numpy_span_becomes_python_int(self):
+        tm = TransferMatrix(np.int64(3), np.int64(2))
+        assert tm == transfer_matrix(3, 2) and type(tm.s) is int and type(tm.h) is int
 
     def test_pattern_validation(self):
         for h in (0, 3):

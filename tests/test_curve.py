@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ecss import curve as curve_module
 from ecss.curve import (
     INFINITY,
+    CurveParams,
     CurvePoint,
     add,
     all_curve_orders,
@@ -19,16 +21,15 @@ from ecss.curve import (
     parse_curve,
     parse_point,
     point_table,
-    validate_curve,
     validate_weights,
     x_coord,
 )
 from ecss.errors import ScaleGuardError, ValidationError
 from oracles import format_curve, point_table_out_of_place, scalar_mul
 
-F5 = validate_curve(5, 1, 1)
+F5 = CurveParams(5, 1, 1)
 
-SMALL_CURVES = [F5, validate_curve(7, 3, 4), validate_curve(11, 1, 6), validate_curve(13, 2, 3)]
+SMALL_CURVES = [F5, CurveParams(7, 3, 4), CurveParams(11, 1, 6), CurveParams(13, 2, 3)]
 
 
 @st.composite
@@ -37,7 +38,7 @@ def curve_with_points(draw):
     p = draw(st.sampled_from([q for q in range(5, 2000) if is_prime(q)]))
     a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
     assume((4 * a**3 + 27 * b**2) % p)
-    curve = validate_curve(p, a, b)
+    curve = CurveParams(p, a, b)
     table = point_table(curve)  # row 0 is the point at infinity
     rows = draw(st.lists(st.integers(0, len(table) - 1) | st.just(0), min_size=3, max_size=3))
     return curve, [CurvePoint(*map(int, table[k])) if k else INFINITY for k in rows]
@@ -45,37 +46,56 @@ def curve_with_points(draw):
 
 class TestValidateCurve:
     def test_valid(self):
-        c = validate_curve(5, 1, 1)
+        c = CurveParams(5, 1, 1)
         assert (c.p, c.a, c.b) == (5, 1, 1)
 
     def test_singular_rejected(self):
         with pytest.raises(ValidationError):
-            validate_curve(5, 0, 0)
+            CurveParams(5, 0, 0)
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValidationError):
-            validate_curve(6, 1, 1)
+            CurveParams(6, 1, 1)
 
     def test_small_prime_rejected(self):
         with pytest.raises(ValidationError):
-            validate_curve(3, 1, 1)
+            CurveParams(3, 1, 1)
 
     def test_reduction(self):
-        c = validate_curve(5, 6, -4)
+        c = CurveParams(5, 6, -4)
         assert (c.a, c.b) == (1, 1)
+        assert CurveParams(5, 7, 1) == CurveParams(5, 2, 1)
+        assert CurveParams(p=1009, a=-1, b=2018) == CurveParams(1009, 1008, 0)
 
-    @pytest.mark.parametrize("params", [(101.0, 1, 1), (101, 1.5, 1), (101, 1, 1e300), (101, True, 1), (101, 1, "1")])
+    # CurveParams(1009, 1.0, 1) was once accepted, and point_table then failed a numpy cast.
+    @pytest.mark.parametrize("params", [(101.0, 1, 1), (101, 1.5, 1), (101, 1, 1e300), (101, True, 1), (101, 1, "1"),
+                                        (1009, 1.0, 1), (1009, 1, np.float64(1.0))])
     def test_non_integer_rejected(self, params):
         with pytest.raises(ValidationError, match="must be an integer"):
-            validate_curve(*params)
+            CurveParams(*params)
 
     def test_numpy_integers_become_python_ints(self):
-        c = validate_curve(np.int64(2_147_483_629), np.int64(2_000_000_000), np.int64(7))
+        c = CurveParams(np.int64(2_147_483_629), np.int64(2_000_000_000), np.int64(7))
         assert all(type(v) is int for v in (c.p, c.a, c.b))
+        assert CurveParams(np.int64(1009), np.int64(500), 1) == CurveParams(1009, 500, 1)
+
+    @pytest.mark.parametrize("params, message", [
+        ((4, 1, 1), "p = 4 is not prime"),
+        ((3, 1, 1), "p must exceed 3"),
+        ((2_147_483_659, 1, 1), "p must be below 2^31, got 2147483659"),
+        ((1009, 0, 0), "singular curve: 4a^3 + 27b^2 = 0 (mod p)"),
+        ((1009, 1009, 2018), "singular curve"),  # reduced to (0, 0) first
+        (("1009", 1, 1), "p must be an integer, got '1009'"),
+        ((1009.0, 1.5, "x"), "p must be an integer"),  # p is checked before a and b
+        ((6, 1.5, 1), "a must be an integer"),  # the integer checks run before primality
+    ])
+    def test_messages(self, params, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            CurveParams(*params)
 
     def test_field_cap(self):
         with pytest.raises(ValidationError):
-            validate_curve(2_147_483_659, 1, 1)  # prime just above 2^31
+            CurveParams(2_147_483_659, 1, 1)  # prime just above 2^31
 
     def test_is_prime_matches_naive(self):
         def naive(n):
@@ -166,7 +186,7 @@ class TestEnumeratePoints:
         assert points[0] is INFINITY
 
     def test_x_zero_points_present(self):
-        points = enumerate_points(validate_curve(5, 0, 1))
+        points = enumerate_points(CurveParams(5, 0, 1))
         assert CurvePoint(0, 1) in points and CurvePoint(0, 4) in points
 
     def test_all_points_on_curve_no_dups(self):
@@ -184,14 +204,14 @@ class TestEnumeratePoints:
             a, b = int(rng.integers(p)), int(rng.integers(p))
             if (4 * a**3 + 27 * b**2) % p == 0:
                 continue
-            order = len(enumerate_points(validate_curve(p, a, b)))
+            order = len(enumerate_points(CurveParams(p, a, b)))
             assert (order - p - 1) ** 2 <= 4 * p
             done += 1
 
     @pytest.mark.parametrize("params", [(5, 1, 1), (7, 0, 1), (13, 2, 0), (11, 1, 6), (17, 0, 3),
                                         (31, 4, 2), (101, 1, 1)])
     def test_matches_double_loop(self, params):
-        curve = validate_curve(*params)
+        curve = CurveParams(*params)
         p, a, b = params
         expected = [INFINITY] + [CurvePoint(x, y) for x in range(p) for y in range(p)
                                  if (y * y - x**3 - a * x - b) % p == 0]
@@ -200,7 +220,7 @@ class TestEnumeratePoints:
     def test_scale_guard(self):
         for build in (point_table, enumerate_points):
             with pytest.raises(ScaleGuardError):
-                build(validate_curve(1_048_583, 1, 1))  # the least prime above 2^20
+                build(CurveParams(1_048_583, 1, 1))  # the least prime above 2^20
 
 
 class TestPointTable:
@@ -211,7 +231,7 @@ class TestPointTable:
             for b in range(p):
                 if (4 * a**3 + 27 * b**2) % p == 0:
                     continue
-                curve = validate_curve(p, a, b)
+                curve = CurveParams(p, a, b)
                 table = point_table(curve)
                 on_curve = (grid[None, :] ** 2 - grid[:, None] ** 3 - a * grid[:, None] - b) % p == 0
                 assert table.dtype == np.int64 and table.shape[1] == 2
@@ -222,7 +242,7 @@ class TestPointTable:
                 assert [(q.x, q.y) for q in points[1:]] == [tuple(row) for row in table[1:].tolist()]
 
     def test_identity_row_stays_first_when_origin_is_affine(self):
-        curve = validate_curve(13, 2, 0)  # b = 0, so (0, 0) is an affine 2-torsion point
+        curve = CurveParams(13, 2, 0)  # b = 0, so (0, 0) is an affine 2-torsion point
         table = point_table(curve)
         assert table[0].tolist() == [0, 0] and table[1].tolist() == [0, 0]
         assert len(table) == len(enumerate_points(curve))
@@ -241,7 +261,7 @@ class TestPointTable:
 
     # p = 1048573 is the largest prime below the enumeration cap; (13, 2, 0) has the affine 2-torsion
     # point (0, 0); (100003, 13445, 62554) is the curve of the benchmark's expsum-check job.
-    @pytest.mark.parametrize("curve", [validate_curve(*params) for params in (
+    @pytest.mark.parametrize("curve", [CurveParams(*params) for params in (
         (1009, 1, 1), (100003, 1, 1), (1048573, 1, 1), (13, 2, 0), (100003, 13445, 62554))], ids=format_curve)
     def test_equals_the_out_of_place_build(self, curve):
         got, want = point_table(curve), point_table_out_of_place(curve)
@@ -275,12 +295,17 @@ class TestAllCurveOrders:
                 if (4 * a**3 + 27 * b**2) % p == 0:
                     assert orders[a, b] == -1
                 else:
-                    assert orders[a, b] == len(enumerate_points(validate_curve(p, a, b)))
+                    assert orders[a, b] == len(enumerate_points(CurveParams(p, a, b)))
 
     def test_guard_past_p_2000(self):
         # Each a takes ~p^2 work and (p, p) int64 tables, so the cap is checked before the (p, p) result.
         with pytest.raises(ScaleGuardError):
             all_curve_orders(2003)
+
+    @pytest.mark.parametrize("p", [9, 3, 2001])
+    def test_rejects_a_p_that_is_no_prime_above_3(self, p):
+        with pytest.raises(ValidationError, match=f"p = {p} must be a prime above 3"):
+            all_curve_orders(p)
 
     def test_matches_enumeration_sampled_larger(self):
         rng = np.random.default_rng(3)
@@ -291,7 +316,7 @@ class TestAllCurveOrders:
                 if (4 * a**3 + 27 * b**2) % p == 0:
                     assert orders[a, b] == -1
                 else:
-                    assert orders[a, b] == len(enumerate_points(validate_curve(p, a, b)))
+                    assert orders[a, b] == len(enumerate_points(CurveParams(p, a, b)))
 
 
 class TestXCoord:
@@ -322,6 +347,8 @@ class TestSerialization:
             parse_curve("5,1")
         with pytest.raises(ValidationError):
             parse_point("a,b")
+        with pytest.raises(ValidationError, match="curve must be decimal 'p,a,b', got '1009,x,1'"):
+            parse_curve("1009,x,1")
 
     def test_half_infinite_point_rejected(self):
         with pytest.raises(ValidationError):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecss import discrepancy
-from ecss.curve import validate_curve
+from ecss.curve import CurveParams
 from ecss.discrepancy import (
     EXACT,
     MC_LOWER_BOUND,
@@ -313,6 +313,14 @@ class TestExactExtremeMulti:
         with mock.patch.object(discrepancy, "_coarse_stride", SMALLEST_STRIDE):
             assert exact_value(rows) == reference_exact_extreme(rows)
 
+    def test_coarse_floor_keeps_its_float_expression(self):
+        # The property's shrunk counterexample to the closed floor summed as share - (tail - outer) in
+        # _box_scan.coarse: that reassociation returns 0.5816880042251412, one ulp above the full scan.
+        rows = np.array([[0.0, 0.0, 0.75], [0.5, 0.5, 0.5], [0.5, 0.75, 0.25], [0.875, 0.0, 0.0625],
+                         [0.563564351435442, 0.2890625, 0.875]])
+        with mock.patch.object(discrepancy, "_coarse_stride", SMALLEST_STRIDE):
+            assert exact_value(rows) == reference_exact_extreme(rows) == 0.5816880042251411
+
     @pytest.mark.parametrize("s, n", [(2, 100), (3, 21)])
     def test_coarse_stride_does_not_change_the_value(self, monkeypatch, s, n):
         rows = guard_edge_rows(s, n, 30 + s, tied=False)
@@ -447,7 +455,7 @@ class TestBatchedExactKernel:
 
     def test_readme_blocks_are_bit_identical_to_reference_scan(self):
         # The README sweep's block of 16 samples (LANE_BUDGET // 1023) at each N of its grid.
-        curve, poly = validate_curve(1009, 1, 1), BinaryPoly(0x409)
+        curve, poly = CurveParams(1009, 1, 1), BinaryPoly(0x409)
         source = LfsrSource(poly, default_init(poly.degree))
         outputs = np.array([output_normalized(GeneratorConfig(source, weights, curve), 1023)
                             for weights in sample_weight_vectors(curve, poly.degree, 16, 12345)])
@@ -467,7 +475,7 @@ class TestBatchedExactKernel:
 
     def test_s2_sweep_blocks_are_bit_identical_to_reference_scan(self):
         # The exact_boxes experiment's s = 2 tuples of the README generator: 10 samples at each N of its grid.
-        curve, poly = validate_curve(1009, 1, 1), BinaryPoly(0x409)
+        curve, poly = CurveParams(1009, 1, 1), BinaryPoly(0x409)
         source = LfsrSource(poly, default_init(poly.degree))
         outputs = np.array([output_normalized(GeneratorConfig(source, weights, curve), 101)
                             for weights in sample_weight_vectors(curve, poly.degree, 10, 12345)])
@@ -646,6 +654,12 @@ class TestPointInput:
         report = mc_box_lower_bound(values, 50, seed=1)
         assert report.n == 4 and report.s == 1
 
+    @pytest.mark.parametrize("columns, s", [(3, 2), (2, 3), (1, 2)])
+    def test_column_count_must_match_s(self, columns, s):
+        rows = np.random.default_rng(4).random((5, columns))
+        with pytest.raises(ValidationError, match=f"points have {columns} columns, expected {s}"):
+            exact_extreme_multi(rows, s)
+
 
 class TestBoundEvaluators:
     def test_bound_1d_direct_arithmetic(self):
@@ -717,11 +731,24 @@ class TestBoundEvaluators:
         with pytest.raises(ValidationError):
             BoundInputs(n=3, p=5, r=2, tau=3, delta=0.0)
 
-
     @pytest.mark.parametrize("delta", [True, "1.0", None, math.nan, math.inf, -2.0, 10**400])
     def test_delta_must_be_a_positive_finite_number(self, delta):
         with pytest.raises(ValidationError, match="delta must be a positive finite number"):
             BoundInputs(n=3, p=5, r=2, tau=3, delta=delta)
+
+    @pytest.mark.parametrize("field, value", [("n", 2.5), ("p", 5.0), ("r", 2.0), ("tau", 3.5), ("s", 2.0),
+                                              ("n", True), ("p", "5")])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # p = 5.0 once raised TypeError from pow, and n = 2.5 returned a bound at N = 2.5.
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            BoundInputs(**{**dict(n=3, p=5, r=2, tau=3, delta=1.0, s=None), field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        inputs = BoundInputs(n=np.int64(3), p=np.int64(5), r=np.int64(2), tau=np.int64(3), delta=1.0, s=np.int64(2))
+        assert inputs == BoundInputs(n=3, p=5, r=2, tau=3, delta=1.0, s=2)
+        assert all(type(getattr(inputs, name)) is int for name in ("n", "p", "r", "tau", "s"))
+        assert BoundInputs(n=3, p=5, r=2, tau=3, delta=1.0).s is None
+
 
 class TestNontrivialExponent:
     def test_s_one_matches_crossover_exponent(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ecss import discrepancy, experiments, generator
 
-from ecss.curve import enumerate_points, point_table, validate_curve, x_coord
+from ecss.curve import CurveParams, enumerate_points, point_table, x_coord
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.experiments import (
     MAX_SAMPLES,
@@ -29,7 +29,7 @@ from ecss.generator import LANE_BUDGET, s_tuples
 from ecss.gf2 import BinaryPoly, LfsrSource
 from oracles import scalar_fold
 
-F101 = validate_curve(101, 1, 1)
+F101 = CurveParams(101, 1, 1)
 POLY5 = BinaryPoly(0b100101)  # X^5 + X^2 + 1, primitive
 
 
@@ -68,7 +68,7 @@ class TestExperimentConfig:
         # One period of this degree-20 register is 1,048,575 windows; the period walk holds one state.
         tracemalloc.start()
         try:
-            config = small_config(curve=validate_curve(1009, 1, 1), poly=BinaryPoly(0x100009), r=20,
+            config = small_config(curve=CurveParams(1009, 1, 1), poly=BinaryPoly(0x100009), r=20,
                                   n_grid=(64,), samples=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -170,7 +170,7 @@ class TestSampleWeightVectors:
 class TestWeightRows:
     """The sweep's draw: point-table rows, the same draws sample_weight_vectors turns into points."""
 
-    F5 = validate_curve(5, 1, 1)  # 9 points, so 60 draws take the identity, row 0
+    F5 = CurveParams(5, 1, 1)  # 9 points, so 60 draws take the identity, row 0
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
     def test_rows_are_the_sampled_points(self, seed):
@@ -243,7 +243,7 @@ class TestDiscrepancySweep:
         assert all(row.method == "monte-carlo-lower-bound" and 0 <= row.mean <= 1 for row in rows)
 
     def test_monte_carlo_rows_past_the_guard(self):
-        config = small_config(s=2, n_grid=(10, 101), samples=3, curve=validate_curve(1009, 1, 1),
+        config = small_config(s=2, n_grid=(10, 101), samples=3, curve=CurveParams(1009, 1, 1),
                               poly=BinaryPoly(0x409), r=10)
         rows = discrepancy_sweep(config)
         assert [row.method for row in rows] == ["exact", "monte-carlo-lower-bound"]
@@ -267,7 +267,7 @@ class TestDiscrepancySweep:
             return values
 
         monkeypatch.setattr(discrepancy, "_exact_group", recording)
-        discrepancy_sweep(small_config(s=s, n_grid=n_grid, samples=samples, curve=validate_curve(1009, 1, 1),
+        discrepancy_sweep(small_config(s=s, n_grid=n_grid, samples=samples, curve=CurveParams(1009, 1, 1),
                                        poly=BinaryPoly(0x409), r=10))
         assert [size for size, _, _ in calls] == sizes
         for _, grouped, single in calls:
@@ -284,13 +284,13 @@ class TestDiscrepancySweep:
             return add(X, *args)
 
         monkeypatch.setattr(generator, "_mixed_add", recording)
-        discrepancy_sweep(small_config(n_grid=(25, 100), samples=200, curve=validate_curve(1009, 1, 1),
+        discrepancy_sweep(small_config(n_grid=(25, 100), samples=200, curve=CurveParams(1009, 1, 1),
                                        poly=BinaryPoly(0x409), r=10))
         block = LANE_BUDGET // 100
         assert set(widths) == {(block, 100), (200 - block, 100)}
 
     @pytest.mark.parametrize("overrides", [
-        dict(curve=validate_curve(1009, 1, 1), poly=BinaryPoly(0x409), r=10, n_grid=(64, 256, 1023),
+        dict(curve=CurveParams(1009, 1, 1), poly=BinaryPoly(0x409), r=10, n_grid=(64, 256, 1023),
              samples=40),
         dict(s=2, n_grid=(10, 30), samples=530),
     ])
@@ -347,7 +347,7 @@ class TestSweepStatistics:
         config = small_config(s=2, n_grid=(10, 20), samples=3)
         discrepancy_sweep(config)
         assert (config.seed, 1) not in spawned
-        discrepancy_sweep(small_config(s=2, n_grid=(10, 101), samples=3, curve=validate_curve(1009, 1, 1),
+        discrepancy_sweep(small_config(s=2, n_grid=(10, 101), samples=3, curve=CurveParams(1009, 1, 1),
                                        poly=BinaryPoly(0x409), r=10))
         assert (config.seed, 1) in spawned
 

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ecss.curve import CurvePoint, INFINITY, add, enumerate_points, negate, point_table, validate_curve, x_coord
+from ecss.curve import CurveParams, CurvePoint, INFINITY, add, enumerate_points, negate, point_table, x_coord
 from ecss.discrepancy import PointSet
 from ecss.errors import ScaleGuardError, ValidationError, is_prime
 from ecss.expsum import (
@@ -23,7 +23,7 @@ from ecss.expsum import (
 from ecss.gf2 import BinaryPoly, LfsrSource
 from oracles import PeriodicSource, char_sums_out_of_place, format_curve, point_table_out_of_place
 
-F5 = validate_curve(5, 1, 1)
+F5 = CurveParams(5, 1, 1)
 
 
 class TestAdditiveCharacter:
@@ -52,6 +52,10 @@ class TestOrthogonality:
             for lam in range(0, 2 * m + 1):
                 expected = m if lam % m == 0 else 0
                 assert abs(orthogonality_sum(m, lam) - expected) < 1e-12
+
+    def test_zero_modulus_rejected(self):
+        with pytest.raises(ValidationError, match="modulus must be >= 1"):
+            orthogonality_sum(0, 1)
 
 
 class TestDirichletL1:
@@ -84,6 +88,8 @@ class TestDirichletL1:
             dirichlet_l1(8, 0)
         with pytest.raises(ValidationError):
             dirichlet_l1(8, 9)
+        with pytest.raises(ValidationError, match="modulus must be >= 1"):
+            dirichlet_l1(0, 1)
 
 
 class TestCurveCharSum:
@@ -131,7 +137,7 @@ class TestCurveCharSum:
 
     def test_fft_sweep_matches_op(self):
         rng = np.random.default_rng(5)
-        for curve in (F5, validate_curve(11, 1, 6), validate_curve(31, 4, 2)):
+        for curve in (F5, CurveParams(11, 1, 6), CurveParams(31, 4, 2)):
             points = enumerate_points(curve)
             for c in (INFINITY, points[1], points[-1]):
                 sums = curve_char_sums_all(curve, point_table(curve))
@@ -148,7 +154,7 @@ class TestCurveCharSum:
         ((101, 1, 1), (0, 1)),
     ])
     def test_fft_sweep_equals_scalar_sum_for_every_a(self, params, shift):
-        curve = validate_curve(*params)
+        curve = CurveParams(*params)
         c = INFINITY if shift is None else CurvePoint(*shift)
         points = enumerate_points(curve)
         sums = curve_char_sums_all(curve, point_table(curve))
@@ -160,7 +166,7 @@ class TestCurveCharSum:
 
     # The largest prime below the enumeration cap, a curve with the affine 2-torsion point (0, 0) and
     # the curve of the benchmark's expsum-check job, among others.
-    @pytest.mark.parametrize("curve", [validate_curve(*params) for params in (
+    @pytest.mark.parametrize("curve", [CurveParams(*params) for params in (
         (1009, 1, 1), (100003, 1, 1), (1048573, 1, 1), (13, 2, 0), (100003, 13445, 62554))], ids=format_curve)
     def test_fft_sweep_equals_the_out_of_place_sweep(self, curve):
         got = curve_char_sums_all(curve, points=point_table(curve))
@@ -169,7 +175,7 @@ class TestCurveCharSum:
 
     @staticmethod
     def nonsingular_curves(p):
-        return [validate_curve(p, a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p]
+        return [CurveParams(p, a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b**2) % p]
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_fft_sweep_is_the_oracle_sum_at_every_shift(self, p):
@@ -202,7 +208,7 @@ class TestCurveCharSum:
             a, b = int(rng.integers(p)), int(rng.integers(p))
             if (4 * a**3 + 27 * b**2) % p == 0:
                 continue
-            curve = validate_curve(p, a, b)
+            curve = CurveParams(p, a, b)
             points = enumerate_points(curve)
             worst = max(
                 abs(curve_x_char_sum(curve, int(av), INFINITY, points))
@@ -213,6 +219,13 @@ class TestCurveCharSum:
     def test_whole_prime_sweep_small(self):
         for p in (5, 7, 11, 13):
             assert max_char_ratio_all_curves(p) <= 5.0
+
+    def test_whole_prime_sweep_rejections(self):
+        for p in (9, 3):
+            with pytest.raises(ValidationError, match=f"p = {p} must be a prime above 3"):
+                max_char_ratio_all_curves(p)
+        with pytest.raises(ScaleGuardError, match="capped at p <= 2000"):
+            max_char_ratio_all_curves(2003)
 
 
 class TestKoksmaSzusz:
@@ -345,7 +358,7 @@ class TestAvgSquareSum:
         ],
     )
     def test_closed_form_matches_exhaustive_oracle_for_every_a(self, params, r, count, source):
-        params = validate_curve(*params)
+        params = CurveParams(*params)
         for a in range(params.p):
             want = exhaustive_avg_square(params, r, a, count, source)
             got = avg_square_sum_over_weights(params, r, a, count, source)
@@ -355,7 +368,7 @@ class TestAvgSquareSum:
     def test_distinct_windows_give_n_plus_off_diagonal_mean_square(self):
         # N <= tau: every window is distinct and nonzero, so avg = N + N(N-1)|S|^2.
         # (#E)^r N is about 10^35 here; an enumeration could not run.
-        params = validate_curve(101, 1, 1)
+        params = CurveParams(101, 1, 1)
         source = LfsrSource(POLY_31, (1,) + (0,) * 30)
         count = 10**4
         for a in (1, 2, 50, 100):
@@ -366,7 +379,7 @@ class TestAvgSquareSum:
     @pytest.mark.parametrize("params, poly", [((101, 1, 1), 0x25), ((1009, 3, 7), 0x409)])
     def test_average_within_bombieri_constant(self, params, poly):
         # |S(a)| <= 5 sqrt(p) (criterion 6) bounds the mean character by (1 + 5 sqrt(p)) / #E.
-        params = validate_curve(*params)
+        params = CurveParams(*params)
         poly = BinaryPoly(poly)
         source = LfsrSource(poly, (1,) + (0,) * (poly.degree - 1))
         count = 2**poly.degree - 1  # N = tau
@@ -378,6 +391,11 @@ class TestAvgSquareSum:
     def test_register_order_must_match_r(self):
         with pytest.raises(ValidationError):
             avg_square_sum_over_weights(F5, 3, 1, 3, self.source())
+
+    @pytest.mark.parametrize("r, count", [(0, 3), (2, 0)])
+    def test_empty_weight_vector_or_sum_rejected(self, r, count):
+        with pytest.raises(ValidationError, match="need r >= 1 and N >= 1"):
+            avg_square_sum_over_weights(F5, r, 1, count, self.source())
 
     def test_guard(self):
         source = LfsrSource(POLY_31, (1,) * 31)

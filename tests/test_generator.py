@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecss.curve import (CurvePoint, INFINITY, add, enumerate_points, negate, validate_curve,
-                        x_coord)
+from ecss.curve import CurveParams, CurvePoint, INFINITY, add, enumerate_points, negate, x_coord
 from ecss.discrepancy import PointSet
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss import generator
@@ -24,7 +23,7 @@ from ecss.generator import (
 from ecss.gf2 import BinaryPoly, LfsrSource
 from oracles import PeriodicSource, scalar_fold
 
-F5 = validate_curve(5, 1, 1)
+F5 = CurveParams(5, 1, 1)
 
 
 def lfsr_x2x1():
@@ -37,7 +36,7 @@ def f5_config():
 
 
 # (13, 2, 0) and (7, 0, 1) have the 2-torsion points (0, 0) and (6, 0).
-KERNEL_CURVES = [validate_curve(13, 2, 0), validate_curve(7, 0, 1), F5, validate_curve(11, 1, 6)]
+KERNEL_CURVES = [CurveParams(13, 2, 0), CurveParams(7, 0, 1), F5, CurveParams(11, 1, 6)]
 KERNEL_POINTS = {curve: enumerate_points(curve) for curve in KERNEL_CURVES}
 
 
@@ -79,7 +78,7 @@ class TestLaneKernel:
 
     def test_products_stay_in_int64_at_largest_field(self):
         p = (1 << 31) - 1  # the largest prime below MAX_FIELD; p = 3 mod 4
-        curve = validate_curve(p, p - 3, 7)
+        curve = CurveParams(p, p - 3, 7)
         points = []
         for x in (p - 1, p - 3, p - 4, p - 5):
             rhs = (x**3 + curve.a * x + curve.b) % p
@@ -93,7 +92,7 @@ class TestLaneKernel:
         assert ec_subset_sum_stream(config, 255) == scalar_fold(source.bits(262), weights, curve)
 
 
-F1009 = validate_curve(1009, 1, 1)
+F1009 = CurveParams(1009, 1, 1)
 TABLE_CURVES = KERNEL_CURVES + [F1009]
 TABLE_POINTS = {**KERNEL_POINTS, F1009: enumerate_points(F1009)}
 
@@ -157,7 +156,7 @@ class TestChunkTables:
 
     def test_every_width_at_r13(self, monkeypatch):
         # 13 is a multiple of no width but 1 and 13, so the last chunk is padded for every other one.
-        curve = validate_curve(13, 2, 0)
+        curve = CurveParams(13, 2, 0)
         p, q = KERNEL_POINTS[curve][3], KERNEL_POINTS[curve][7]
         torsion = CurvePoint(0, 0)
         weights = [p, q, p, negate(p, curve), INFINITY, torsion, q, torsion, negate(q, curve), p, INFINITY, q, q]
@@ -219,6 +218,13 @@ class TestEcGenerator:
             ec_subset_sum(f5_config(), MAX_OUTPUTS + 1)
         with pytest.raises(ScaleGuardError):
             ec_subset_sum_stream(f5_config(), MAX_OUTPUTS + 1)
+
+    def test_index_below_one_and_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match="indices start at 1"):
+            ec_subset_sum(f5_config(), 0)
+        with pytest.raises(ValidationError, match="count must be >= 0"):
+            ec_subset_sum_stream(f5_config(), -1)
+        assert ec_subset_sum_stream(f5_config(), 0) == []
 
     def test_empty_window_gives_identity(self):
         source = LfsrSource(BinaryPoly(0b111), (0, 0))
@@ -284,7 +290,7 @@ class TestEcGenerator:
 
     def test_streaming_equals_from_scratch_oracle(self):
         rng = np.random.default_rng(11)
-        curves = [F5, validate_curve(7, 3, 4), validate_curve(13, 2, 3)]
+        curves = [F5, CurveParams(7, 3, 4), CurveParams(13, 2, 3)]
         for _ in range(60):
             curve = curves[rng.integers(len(curves))]
             points = enumerate_points(curve)
@@ -337,6 +343,10 @@ class TestSTuples:
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             s_tuples([0.1], 2)
+
+    def test_two_dimensional_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="sequence must be one-dimensional"):
+            s_tuples([[0.1, 0.2], [0.3, 0.4]], 1)
 
     def test_coordinates_over_the_cap_rejected(self):
         s = 1500

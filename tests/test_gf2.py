@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ecss.errors import ScaleGuardError, ValidationError
@@ -34,6 +35,16 @@ class TestBinaryPoly:
 
     def test_recurrence_taps(self):
         assert BinaryPoly(0b1011).recurrence_taps == 0b011
+
+    @pytest.mark.parametrize("mask", [2.5, 19.0, "0x13", True, None])
+    def test_rejects_non_integer_mask(self, mask):
+        # A float or string mask was once accepted, and .degree then raised AttributeError.
+        with pytest.raises(ValidationError, match="mask must be an integer"):
+            BinaryPoly(mask)
+
+    def test_numpy_mask_becomes_python_int(self):
+        poly = BinaryPoly(np.int64(19))
+        assert poly.degree == 4 and type(poly.mask) is int and poly == BinaryPoly(19)
 
 
 class TestIrreducibility:
@@ -84,6 +95,16 @@ class TestGenerateBits:
     def test_window_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             LfsrSource(BinaryPoly(0b111), (1, 0, 1))
+
+    @pytest.mark.parametrize("init", [(1.0, 0), (1, 0.0), (True, 0), ("1", 0), (2, 0), (np.float64(1), 0)])
+    def test_non_bit_init_rejected(self, init):
+        # (1.0, 0) once passed the 0/1 test and then raised TypeError from the bit shift.
+        with pytest.raises(ValidationError, match="window bits must be 0 or 1"):
+            LfsrSource(BinaryPoly(0b111), init)
+
+    def test_numpy_init_bits(self):
+        src = LfsrSource(BinaryPoly(0b111), (np.int64(1), 0))
+        assert src.bits(4) == [1, 0, 1, 1] and all(type(b) is int for b in src.bits(4))
 
     def test_nonzero_state_stays_nonzero(self):
         # Invertible state map when the constant term is 1.
@@ -151,6 +172,11 @@ class TestWindowsDistinct:
     def test_worked_examples(self):
         assert windows_distinct(LfsrSource(BinaryPoly(0b111), (1, 0)), 2, 3)
         assert not windows_distinct(PeriodicSource((1,)), 2, 2)
+
+    @pytest.mark.parametrize("r, tau", [(0, 1), (1, 0)])
+    def test_rejects_empty_windows_and_periods(self, r, tau):
+        with pytest.raises(ValidationError, match="window length and tau must be >= 1"):
+            windows_distinct(LfsrSource(BinaryPoly(0b111), (1, 0)), r, tau)
 
     @pytest.mark.parametrize("degree", range(2, 13))
     def test_maximal_period_registers(self, degree):

@@ -16,12 +16,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # The public names, by defining module: the 64 exported when ecss/__init__.py imported every module,
 # and bad_pair_count, less the residue-ring generator ResidueWeights and subset_sum_residue, and less
 # the records WeightVector (weights are a tuple of points) and WindowPattern (validate_pattern checks h),
-# and less the test oracles is_s_good, scalar_mul and PeriodicSource, which live in tests/oracles.py.
+# less the test oracles is_s_good, scalar_mul and PeriodicSource, which live in tests/oracles.py, and
+# less validate_curve, whose checks CurveParams makes on construction.
 PUBLIC = {
     "combinat": "BadPairCount TransferMatrix alpha bad_count_bracket bad_pair_count bad_pair_upper_bound "
                 "beta brute_force_bad_count brute_force_bad_wrt_first spectral_radius transfer_matrix walk_count",
-    "curve": "INFINITY CurveParams CurvePoint add enumerate_points is_on_curve negate point_table validate_curve "
-             "x_coord",
+    "curve": "INFINITY CurveParams CurvePoint add enumerate_points is_on_curve negate point_table x_coord",
     "discrepancy": "BoundInputs DiscrepancyReport PointSet discrepancy_bound_1d discrepancy_bound_multi "
                    "elmahassni_bound exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
     "errors": "ScaleGuardError ValidationError",
@@ -124,7 +124,7 @@ def test_public_names_resolve_to_their_modules():
         defining = importlib.import_module(f"ecss.{module}")
         for name in names.split():
             assert getattr(ecss, name) is getattr(defining, name), name
-    assert len(ecss.__all__) == 58
+    assert len(ecss.__all__) == 57
     namespace = {}
     exec("from ecss import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ecss.__all__)
