@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from .errors import ScaleGuardError, ValidationError, alpha, finite_float, int_fields
+from .errors import ScaleGuardError, ValidationError, alpha, finite_float, int_fields, validate_int
 
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
 # 16^s automaton states x (r - s + 1) steps x 64-bit words of a count (about 2r bits); excludes s >= 6
@@ -30,6 +30,8 @@ _BLOCK = 1 << 17  # pair-matrix entries per block; small blocks keep the tempora
 
 
 def _validate_r_s(r: int, s: int) -> None:
+    validate_int(r, "r")
+    validate_int(s, "s")
     if s < 1 or r < s:
         raise ValidationError("need r >= s >= 1")
 
@@ -246,8 +248,7 @@ def walk_count(matrix: TransferMatrix, steps: int) -> int:
     """Total walks of the given length over all start states, in exact integers."""
     import numpy as np
 
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
+    validate_int(steps, "steps", 0)
     f = matrix.forbidden
     full = np.ones(matrix.dim + 1, dtype=object)  # Python ints: counts outgrow int64
     full[f] = 0
@@ -318,8 +319,7 @@ def spectral_radius(matrix: TransferMatrix, tolerance: float = 1e-9) -> Spectral
 
 def pattern_radii(s: int, tolerance: float = 1e-9) -> tuple[float, ...]:
     """Dominant eigenvalue of the transfer matrix of each forbidden pattern, h = 1..s."""
-    if s < 1:
-        raise ValidationError("s must be >= 1")
+    validate_int(s, "s", 1)
     return tuple(spectral_radius(transfer_matrix(s, h), tolerance).value for h in range(1, s + 1))
 
 

@@ -42,14 +42,18 @@ class CurveParams:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Affine point (x, y), or the point at infinity when both fields are None."""
+    """Affine point (x, y) of Python ints, or the point at infinity when both fields are None."""
 
     x: int | None
     y: int | None
 
     def __post_init__(self):
+        if type(self.x) is int and type(self.y) is int:  # the common case, as enumerate_points builds a million
+            return
         if (self.x is None) != (self.y is None):
             raise ValidationError("point must be affine (x, y) or fully infinite")
+        if self.x is not None:
+            int_fields(self, "x", "y")
 
     @property
     def is_infinity(self) -> bool:

@@ -326,8 +326,7 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
     sup lives; every sampled box is a genuine box, so the result never
     exceeds the exact value.  Deterministic for a fixed seed.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    validate_int(trials, "trials", 1)
     if trials > MAX_MC_TRIALS:
         raise ScaleGuardError(f"{trials} trials exceed the cap of {MAX_MC_TRIALS}")
     validate_int(seed, "seed", 0)

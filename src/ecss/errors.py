@@ -60,6 +60,12 @@ def int_fields(record, *names: str) -> None:
         object.__setattr__(record, name, validate_int(getattr(record, name), name))
 
 
+def validate_type(value, kind: type, name: str) -> None:
+    """Reject a record-typed field that is not a kind, whose attributes the record's methods read."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def validate_positive_real(value, name: str) -> None:
     """Reject anything but a real number (not a bool) above 0 and finite as a float."""
     try:

@@ -21,7 +21,7 @@ from .discrepancy import (
     exact_fits_guard,
     mc_box_lower_bound,
 )
-from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real
+from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real, validate_type
 from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period
 from .generator import LANE_BUDGET, _lane_sums
 
@@ -44,6 +44,8 @@ class ExperimentConfig:
     tau: int = field(init=False)  # the register period, computed from poly and init
 
     def __post_init__(self):
+        validate_type(self.curve, CurveParams, "curve")
+        validate_type(self.poly, BinaryPoly, "poly")
         for name in ("r", "s", "samples"):
             validate_int(getattr(self, name), name, 1)
         for n in self.n_grid:
@@ -85,23 +87,108 @@ class SweepRow:
     method: str
 
 
+# numpy's SeedSequence hash constants and PCG64 multiplier; NEP 19 keeps both bit streams stable across releases.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hash_chain(value: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """count successive (constant, next constant) pairs of a SeedSequence hash constant, mod 2^32."""
+    values = [value]
+    for _ in range(count):
+        values.append(values[-1] * mult & _M32)
+    return list(zip(values, values[1:]))
+
+
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)  # enough for generate_state(4, uint64)
+
+
+def _hashmix(value: int, pair: tuple[int, int]) -> int:
+    value = (value ^ pair[0]) * pair[1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative int as numpy's SeedSequence entropy: little-endian 32-bit words, [0] for 0."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _spawned_pools(entropy: list[int], count: int):
+    """The 4-word pools of numpy's SeedSequence(entropy).spawn(count), in order, for count <= 2^32.
+
+    A child's entropy is the run words, zero-padded to 4, then its spawn key i,
+    hash-mixed in that order on one running constant; so the run words are
+    mixed once, and each child mixes in only its key word.
+    """
+    words = entropy + [0] * (4 - len(entropy))
+    chain = iter(_hash_chain(_INIT_A, _MULT_A, 4 * len(words) + 4))  # 4 + 12 + 4 per word past 4 + 4 for the key
+    pool = [_hashmix(word, next(chain)) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(chain)))
+    for word in words[4:]:
+        pool = [_mix(x, _hashmix(word, next(chain))) for x in pool]
+    keyed = list(zip(pool, chain))  # the last four constants mix the key, one word as i < 2^32
+    for i in range(count):
+        yield [_mix(x, _hashmix(i, pair)) for x, pair in keyed]
+
+
+def _state_words(pool: list[int], n: int) -> list[int]:
+    """numpy's SeedSequence.generate_state(n) from a pool, as n 32-bit words."""
+    return [_hashmix(x, pair) for x, pair in zip(pool + pool, _STATE_CHAIN[:n])]
+
+
 def _weight_rows(table_size: int, r: int, count: int, seed: int) -> np.ndarray:
     """Uniform independent draws of r rows of a point table, as a (count, r) int64 array.
 
     Each sample index gets its own spawned RNG stream, so the draw is
-    independent of batching or execution order.
+    independent of batching or execution order.  Row i is numpy's
+    default_rng(SeedSequence(seed).spawn(count)[i]).integers(0, table_size, size=r),
+    computed bit for bit in Python ints: PCG64 (XSL-RR 128/64) seeded by
+    generate_state(4, uint64), and Lemire's bounded 32-bit draw with rejection
+    on the low, then the high half of each 64-bit output.  NEP 19 fixes the
+    first two across numpy releases but not Generator.integers, so owning the
+    draw keeps the sampled weights fixed, and the sweep loads no numpy.random.
     """
+    validate_int(table_size, "table size", 1)
     if r < 1:
         raise ValidationError("r must be >= 1")
     if count < 0:
         raise ValidationError("count must be >= 0")
     if count > MAX_SAMPLES:
         raise ScaleGuardError(f"{count} samples exceed the cap of {MAX_SAMPLES}")
-    validate_int(seed, "seed", 0)
-    rows = np.empty((count, r), dtype=np.int64)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
-        rows[i] = np.random.default_rng(child).integers(0, table_size, size=r)
-    return rows
+    if table_size > _M32:  # numpy's 64-bit draw; point_table's MAX_ENUMERATION_P keeps tables far smaller
+        raise ScaleGuardError(f"a table of {table_size} rows exceeds the 32-bit draw")
+    threshold = (1 << 32) % table_size  # Lemire keeps a 32-bit u iff (u * table_size) mod 2^32 >= threshold
+    flat = []
+    for pool in _spawned_pools(_words(validate_int(seed, "seed", 0)), count):
+        w = _state_words(pool, 8)  # generate_state(4, uint64) as little-endian halves: seed, then sequence
+        inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
+        state = ((inc + (w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2])) * _PCG_MULT + inc) & _M128
+        need = len(flat) + r
+        while len(flat) < need:
+            state = (state * _PCG_MULT + inc) & _M128
+            # XSL-RR: the folded halves rotated right by the top 6 state bits, as the low 64 bits of out
+            out = ((state >> 64 ^ state) & _M64) * ((1 << 64) + 1) >> (state >> 122)
+            scaled = (out & _M32) * table_size  # next_uint32: the low half, then the buffered high half
+            if scaled & _M32 >= threshold:
+                flat.append(scaled >> 32)
+            scaled = (out >> 32 & _M32) * table_size
+            if scaled & _M32 >= threshold:
+                flat.append(scaled >> 32)
+        del flat[need:]  # the unread high half of the last output, if drawn
+    return np.array(flat, dtype=np.int64).reshape(count, r)
 
 
 def sample_weight_vectors(curve: CurveParams, r: int, count: int, seed: int) -> list[tuple[CurvePoint, ...]]:
@@ -132,8 +219,8 @@ def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
     exact = [exact_fits_guard(n, config.s) for n in config.n_grid]
     table = point_table(config.curve)
     rows = _weight_rows(len(table), config.r, config.samples, config.seed)
-    mc_seeds = [] if all(exact) else [
-        int(s.generate_state(1)[0]) for s in np.random.SeedSequence((config.seed, 1)).spawn(config.samples)]
+    mc_seeds = [] if all(exact) else [  # numpy's SeedSequence((seed, 1)).spawn(samples)[i].generate_state(1)[0]
+        _state_words(pool, 1)[0] for pool in _spawned_pools(_words(config.seed) + [1], config.samples)]
     count = config.n_grid[-1] + config.s - 1
     bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
     wx, wy, winf = table[rows, 0], table[rows, 1], rows == 0  # row 0, the identity, is stored as (0, 0)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .curve import (MAX_ALL_CURVES_P, CurveParams, CurvePoint, _root_counts_by_a, add, enumerate_points, is_on_curve,
                     negate, point_table, x_coord)
-from .errors import ScaleGuardError, ValidationError, is_prime
+from .errors import ScaleGuardError, ValidationError, is_prime, validate_int
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WINDOW_BITS = 10**6  # N + r - 1 register bits, read and packed in Python
@@ -38,8 +38,8 @@ def additive_character(m: int, z) -> complex:
 
 def orthogonality_sum(m: int, lam: int) -> complex:
     """Direct evaluation of sum_{eta < m} e_m(eta * lam): m when m | lam, else 0."""
-    if m < 1:
-        raise ValidationError("modulus must be >= 1")
+    validate_int(m, "modulus", 1)
+    validate_int(lam, "lam")
     eta = np.arange(m)
     values = np.exp(2j * np.pi * ((eta * (lam % m)) % m) / m)
     return ComplexSum(complex(values.sum()), values.size).value

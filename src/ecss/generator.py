@@ -8,7 +8,7 @@ import numpy as np
 
 from .curve import CurveParams, CurvePoint, INFINITY, validate_weights
 from .discrepancy import PointSet
-from .errors import ScaleGuardError, ValidationError
+from .errors import ScaleGuardError, ValidationError, validate_type
 from .gf2 import BitSequenceSource, LfsrSource
 
 
@@ -21,6 +21,8 @@ class GeneratorConfig:
     curve: CurveParams
 
     def __post_init__(self):
+        validate_type(self.source, BitSequenceSource, "source")
+        validate_type(self.curve, CurveParams, "curve")
         validate_weights(self.weights, self.curve)
         if isinstance(self.source, LfsrSource) and self.source.order != len(self.weights):
             raise ValidationError(

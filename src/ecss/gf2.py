@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .errors import ScaleGuardError, ValidationError, int_fields, is_int
+from .errors import ScaleGuardError, ValidationError, int_fields, is_int, validate_type
 
 # Exhaustive period search walks up to 2^r - 1 states; keep the register desk-sized.
 MAX_PERIOD_SEARCH_DEGREE = 24
@@ -132,7 +132,11 @@ class LfsrSource(BitSequenceSource):
     """
 
     def __init__(self, poly: BinaryPoly, init):
-        init = tuple(init)
+        validate_type(poly, BinaryPoly, "poly")
+        try:
+            init = tuple(init)
+        except TypeError:
+            raise ValidationError(f"initial window must be a sequence of bits, got {init!r}") from None
         if not all(is_int(b) and b in (0, 1) for b in init):
             raise ValidationError(f"window bits must be 0 or 1, got {init!r}")
         if len(init) != poly.degree:

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the library against; no command or paper formula uses them.
 
 Each is the plain definition: a direct window scan, repeated doubling, a scalar
-group-law fold, or a build the library now does in place.  Tests import them
+group-law fold, a build the library now does in place, or numpy's own random
+streams, which the sweep's draw reproduces in Python ints.  Tests import them
 with ``from oracles import ...``.
 """
 
@@ -98,3 +99,15 @@ def char_sums_out_of_place(curve: CurveParams, points: np.ndarray) -> np.ndarray
     """expsum.curve_char_sums_all as p times the inverse FFT of a float x-histogram, as before the in-place sweep."""
     hist = np.bincount(points[1:, 0], minlength=curve.p).astype(np.float64)
     return curve.p * np.fft.ifft(hist)
+
+
+def weight_rows_numpy(table_size: int, r: int, count: int, seed: int) -> np.ndarray:
+    """The sweep's weight rows by numpy: default_rng of each SeedSequence(seed) child, integers(0, table_size)."""
+    children = np.random.SeedSequence(seed).spawn(count)
+    rows = [np.random.default_rng(child).integers(0, table_size, size=r) for child in children]
+    return np.array(rows, dtype=np.int64).reshape(count, r)
+
+
+def mc_seeds_numpy(seed: int, count: int) -> list[int]:
+    """The sweep's Monte-Carlo seeds by numpy: generate_state(1) of each SeedSequence((seed, 1)) child."""
+    return [int(child.generate_state(1)[0]) for child in np.random.SeedSequence((seed, 1)).spawn(count)]

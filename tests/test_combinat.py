@@ -257,6 +257,10 @@ class TestBadPairAutomaton:
         for r in range(s, 11):
             assert bad_pair_count(r, s) == brute_force_bad_count(r, s)
 
+    def test_non_integer_r_rejected(self):
+        with pytest.raises(ValidationError, match="r must be an integer"):
+            bad_pair_count(12.5, 1)
+
     def test_closed_form_s1_at_r200(self):
         assert bad_pair_count(200, 1).f == 2 * 3**200 - 2**200
 
@@ -410,6 +414,10 @@ class TestWalkCount:
         with pytest.raises(ValidationError):
             walk_count(transfer_matrix(1, 1), -1)
 
+    def test_non_integer_steps_rejected(self):
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            walk_count(transfer_matrix(1, 1), 2.5)
+
 
 class TestSpectralRadius:
     def test_matches_dense_eigensolver(self):
@@ -466,6 +474,10 @@ class TestBeta:
             assert beta(s) == max(radii)
             assert radii == tuple(spectral_radius(transfer_matrix(s, h), 1e-9).value
                                   for h in range(1, s + 1))
+
+    def test_non_integer_s_rejected(self):
+        with pytest.raises(ValidationError, match="s must be an integer"):
+            pattern_radii(2.5)
 
     def test_walk_counts_grow_like_beta(self):
         # growth of the exact per-pattern counts approaches the dominant eigenvalue

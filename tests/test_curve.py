@@ -354,6 +354,16 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             CurvePoint(3, None)
 
+    def test_float_coordinates_rejected(self):
+        # CurvePoint(0.0, 1.0) once passed is_on_curve on (5, 1, 1), and add then raised TypeError from pow.
+        with pytest.raises(ValidationError, match="x must be an integer, got 0.0"):
+            CurvePoint(0.0, 1.0)
+
+    def test_numpy_coordinates_become_python_ints(self):
+        point = CurvePoint(np.int64(2), np.int64(1))
+        assert type(point.x) is int and type(point.y) is int
+        assert add(point, CurvePoint(0, 1), F5) == add(CurvePoint(2, 1), CurvePoint(0, 1), F5)
+
 
 class TestValidateWeights:
     def test_length_validated(self):

@@ -588,6 +588,10 @@ class TestMcLowerBound:
         with pytest.raises(ValidationError):
             mc_box_lower_bound([[0.5]], 0, seed=0)
 
+    def test_non_integer_trials_rejected(self):
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            mc_box_lower_bound([[0.5]], 2.5, seed=0)
+
     def test_trials_over_the_cap_rejected(self):
         with pytest.raises(ScaleGuardError):
             mc_box_lower_bound([[0.5]], discrepancy.MAX_MC_TRIALS + 1, seed=0)

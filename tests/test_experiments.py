@@ -27,7 +27,7 @@ from ecss.discrepancy import (BoundInputs, discrepancy_bound_1d, elmahassni_boun
                               exact_extreme_multi)
 from ecss.generator import LANE_BUDGET, s_tuples
 from ecss.gf2 import BinaryPoly, LfsrSource
-from oracles import scalar_fold
+from oracles import mc_seeds_numpy, scalar_fold, weight_rows_numpy
 
 F101 = CurveParams(101, 1, 1)
 POLY5 = BinaryPoly(0b100101)  # X^5 + X^2 + 1, primitive
@@ -99,6 +99,10 @@ class TestExperimentConfig:
     def test_non_integer_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match="must be an integer"):
             small_config(**{field: value})
+
+    def test_non_poly_rejected(self):
+        with pytest.raises(ValidationError, match="poly must be a BinaryPoly"):
+            small_config(poly=0x25)
 
     @pytest.mark.parametrize("delta", [True, False, "1.0", None, [1.0], math.nan, math.inf, 0, -1.0, 10**400])
     def test_bad_delta_rejected(self, delta):
@@ -193,6 +197,22 @@ class TestWeightRows:
             with pytest.raises(ValidationError):
                 experiments._weight_rows(9, r, count, 1)
 
+    # Lemire rejects a 32-bit draw with probability (2^32 mod n) / 2^32: 1/4 at n = 3 * 2^30, near 1/2 just
+    # above 2^31, so those sizes exercise the rejection loop and the buffered high half on most examples.
+    @settings(max_examples=150, deadline=None)
+    @given(table_size=st.one_of(st.sampled_from([2, 3, 1009, 3 * 2**30, 2**31 + 1, 2**32 - 1]),
+                                st.integers(2, 2**32 - 1)),
+           r=st.integers(1, 64), count=st.integers(0, 40), seed=st.integers(0, 2**160))
+    def test_draw_is_numpys(self, table_size, r, count, seed):
+        assert np.array_equal(experiments._weight_rows(table_size, r, count, seed),
+                              weight_rows_numpy(table_size, r, count, seed))
+
+    @pytest.mark.parametrize("size", [0, 2**32, 2.5])
+    def test_table_size_guard(self, size):
+        # 2^32 rows would take numpy's 64-bit draw; MAX_ENUMERATION_P keeps point tables far below it.
+        with pytest.raises(ScaleGuardError if size == 2**32 else ValidationError):
+            experiments._weight_rows(size, 3, 2, 1)
+
 
 class TestDiscrepancySweep:
     def test_single_sample_row(self):
@@ -254,6 +274,18 @@ class TestDiscrepancySweep:
             outputs = [x_coord(point) / config.curve.p for point in scalar_fold(bits, weights, config.curve)[:102]]
             d.append(experiments.mc_box_lower_bound(s_tuples(outputs, 2), experiments.DEFAULT_MC_TRIALS, seed).value)
         assert rows[1].mean == float(np.mean(d))
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**100 + 7])  # one, two and four entropy words
+    def test_monte_carlo_seeds_are_numpys(self, monkeypatch, seed):
+        estimate, seeds = discrepancy.mc_box_lower_bound, []
+
+        def recording(points, trials, mc_seed):
+            seeds.append(mc_seed)
+            return estimate(points, trials, mc_seed)
+
+        monkeypatch.setattr(experiments, "mc_box_lower_bound", recording)
+        discrepancy_sweep(small_config(s=4, n_grid=(3,), samples=5, seed=seed))
+        assert seeds == mc_seeds_numpy(seed, 5)
 
     # A sample of N points has at most (N + 2)(N + 3) / 2 closed slab rows per leading axis: 5,253 at
     # N = 100, so three fill a 2^14-row block of the box scan; 36^2 = 1,296 at s = 3, N = 6, so twelve.
@@ -337,19 +369,20 @@ class TestSweepStatistics:
 
     def test_monte_carlo_seeds_only_past_the_guard(self, monkeypatch):
         spawned = []
-        seed_sequence = np.random.SeedSequence
+        spawned_pools = experiments._spawned_pools
 
-        def recording(entropy, *args, **kwargs):
+        def recording(entropy, count):
             spawned.append(entropy)
-            return seed_sequence(entropy, *args, **kwargs)
+            return spawned_pools(entropy, count)
 
-        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        monkeypatch.setattr(experiments, "_spawned_pools", recording)
         config = small_config(s=2, n_grid=(10, 20), samples=3)
         discrepancy_sweep(config)
-        assert (config.seed, 1) not in spawned
+        mc_entropy = [config.seed, 1]  # SeedSequence((seed, 1)), one word each
+        assert mc_entropy not in spawned
         discrepancy_sweep(small_config(s=2, n_grid=(10, 101), samples=3, curve=CurveParams(1009, 1, 1),
                                        poly=BinaryPoly(0x409), r=10))
-        assert (config.seed, 1) in spawned
+        assert mc_entropy in spawned
 
 
 class TestSlopeFit:

@@ -57,6 +57,11 @@ class TestOrthogonality:
         with pytest.raises(ValidationError, match="modulus must be >= 1"):
             orthogonality_sum(0, 1)
 
+    def test_non_integer_modulus_rejected(self):
+        # orthogonality_sum(2.5, 1) once returned a value.
+        with pytest.raises(ValidationError, match="modulus must be an integer"):
+            orthogonality_sum(2.5, 1)
+
 
 class TestDirichletL1:
     def test_examples(self):

@@ -246,6 +246,11 @@ class TestEcGenerator:
         with pytest.raises(ValidationError):
             GeneratorConfig(source=lfsr_x2x1(), weights=(CurvePoint(0, 1),) * 3, curve=F5)
 
+    def test_non_curve_rejected(self):
+        # With identity weights is_on_curve never reads the curve, so a tuple was once accepted.
+        with pytest.raises(ValidationError, match="curve must be a CurveParams"):
+            GeneratorConfig(source=lfsr_x2x1(), weights=(INFINITY, INFINITY), curve=(5, 1, 1))
+
     def test_non_point_weights_rejected(self):
         # Weights are a tuple of CurvePoints: a list of them, or a tuple holding a bare pair, is rejected.
         for weights in ([CurvePoint(0, 1), CurvePoint(2, 1)], (CurvePoint(0, 1), (2, 1))):

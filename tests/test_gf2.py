@@ -102,6 +102,14 @@ class TestGenerateBits:
         with pytest.raises(ValidationError, match="window bits must be 0 or 1"):
             LfsrSource(BinaryPoly(0b111), init)
 
+    def test_non_poly_rejected(self):
+        with pytest.raises(ValidationError, match="poly must be a BinaryPoly, got 7"):
+            LfsrSource(0x7, (1, 0))
+
+    def test_non_sequence_init_rejected(self):
+        with pytest.raises(ValidationError, match="initial window must be a sequence of bits, got 10"):
+            LfsrSource(BinaryPoly(7), 10)
+
     def test_numpy_init_bits(self):
         src = LfsrSource(BinaryPoly(0b111), (np.int64(1), 0))
         assert src.bits(4) == [1, 0, 1, 1] and all(type(b) is int for b in src.bits(4))

@@ -34,9 +34,10 @@ PUBLIC = {
 
 
 def loaded_after(code: str) -> set[str]:
-    """The ecss modules, and numpy and csv if loaded, in sys.modules of a fresh process after running code."""
+    """The ecss modules, and numpy, numpy.random and csv if loaded, in sys.modules of a fresh process after code."""
     script = (f"import contextlib, io, json, sys\n{code}\n"
-              "print(json.dumps([m for m in sys.modules if m in ('numpy', 'csv') or m.split('.')[0] == 'ecss']))")
+              "print(json.dumps([m for m in sys.modules\n"
+              "                  if m in ('numpy', 'numpy.random', 'csv') or m.split('.')[0] == 'ecss']))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -106,10 +107,24 @@ SAMPLING = {"ecss", "ecss.cli", "ecss.errors", "ecss.curve", "ecss.discrepancy",
 
 @pytest.mark.parametrize("s", [1, 2])  # alpha_s, in the s >= 2 bound, lives in errors
 def test_experiment_loads_no_combinat(tmp_path, s):
+    # Nor numpy.random: the weight draw and the Monte-Carlo seeds are computed in Python ints.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": s,
                                   "n_grid": [8, 16], "samples": 2, "delta": 1.0, "seed": 1}))
     assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING  # no csv
+
+
+def test_gen_with_sampled_weights_loads_no_numpy_random():
+    loaded = loaded_after(cli_run("gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", "50", "--seed", "7"))
+    assert "ecss.experiments" in loaded and "numpy.random" not in loaded
+
+
+def test_monte_carlo_columns_load_numpy_random(tmp_path):
+    # mc_box_lower_bound keeps numpy's Generator for its bulk box draws; s = 4 is past the exact guard.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": 4,
+                                  "n_grid": [8], "samples": 2, "delta": 1.0, "seed": 1}))
+    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING | {"numpy.random"}
 
 
 @pytest.mark.parametrize("s", [[], ["--s", "2"]], ids=["s1", "s2"])
