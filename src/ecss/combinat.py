@@ -45,7 +45,8 @@ def bad_pair_upper_bound(r: int, s: int) -> float:
 
 def validate_pattern(s: int, h: int) -> None:
     """Reject a forbidden window pair (e_h, 0_s), basis vector against the zero window, unless 1 <= h <= s."""
-    if not 1 <= h <= s:
+    validate_int(s, "s")
+    if not 1 <= validate_int(h, "h") <= s:
         raise ValidationError(f"need 1 <= h <= s, got h={h}, s={s}")
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleGuardError, ValidationError, int_fields, is_prime
+from .errors import ScaleGuardError, ValidationError, int_fields, is_prime, validate_int
 
 MAX_FIELD = 1 << 31  # modular products stay desk-scale; no big-field tricks
 MAX_ENUMERATION_P = 1 << 20  # point enumeration builds an O(p) residue table
@@ -169,7 +169,7 @@ def all_curve_orders(p: int) -> np.ndarray:
     quadratic-residue table as point_table, vectorised over b, which
     makes whole-prime sweeps cheap.
     """
-    if not is_prime(p) or p <= 3:
+    if not is_prime(validate_int(p, "p")) or p <= 3:
         raise ValidationError(f"p = {p} must be a prime above 3")
     if p > MAX_ALL_CURVES_P:
         raise ScaleGuardError(f"curve-order sweep capped at p <= {MAX_ALL_CURVES_P}, got {p}")

@@ -21,19 +21,25 @@ MC_LOWER_BOUND = "monte-carlo-lower-bound"
 
 @dataclass(frozen=True)
 class PointSet:
-    """N points in the half-open unit cube [0, 1)^s, stored as an (N, s) array."""
+    """N points in the half-open unit cube [0, 1)^s, stored as an (N, s) array; a 1-D input is one column."""
 
-    s: int
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.atleast_2d(np.asarray(self.rows, dtype=float)))
-        if rows.ndim != 2 or rows.shape[1] != self.s:
-            raise ValidationError(f"rows must be (N, {self.s}), got {rows.shape}")
+        try:
+            rows = np.asarray(self.rows)
+        except ValueError:
+            raise ValidationError("points must form an (N, s) array, got ragged rows") from None
+        if rows.dtype.kind not in "iuf":
+            raise ValidationError(f"coordinates must be real numbers, got dtype {rows.dtype}")
+        if rows.ndim == 1:
+            rows = rows[:, None]
+        if rows.ndim != 2:
+            raise ValidationError(f"points must form an (N, s) array, got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise ValidationError("point set must be nonempty")
-        if self.s < 1:
-            raise ValidationError("dimension must be >= 1")
+        validate_int(rows.shape[1], "dimension", 1)
+        rows = np.ascontiguousarray(rows, dtype=float)
         if not np.isfinite(rows).all():
             raise ValidationError("coordinates must be finite")
         if rows.min() < 0.0 or rows.max() >= 1.0:
@@ -43,6 +49,10 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def s(self) -> int:
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -54,15 +64,8 @@ class DiscrepancyReport:
 
 
 def _as_rows(points) -> np.ndarray:
-    """The (N, s) rows of a PointSet or array-like, a 1-D input read as one column."""
-    if not isinstance(points, PointSet):
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValidationError("points must form an (N, s) array")
-        points = PointSet(arr.shape[1], arr)
-    return points.rows
+    """The (N, s) rows of a PointSet, or of PointSet(points)."""
+    return (points if isinstance(points, PointSet) else PointSet(points)).rows
 
 
 def exact_fits_guard(n: int, s: int) -> bool:
@@ -308,7 +311,7 @@ def exact_extreme_1d(points) -> DiscrepancyReport:
 
 def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
     """Exact extreme discrepancy in dimension 2 or 3, within exact_fits_guard."""
-    if s not in (2, 3):
+    if validate_int(s, "s") not in (2, 3):
         raise ValidationError("exact multi-dimensional discrepancy supports s in {2, 3}")
     return _exact_report(points, s)
 

@@ -95,6 +95,5 @@ def finite_float(fn):
 @finite_float
 def alpha(s: int) -> float:
     """Growth base (4^s - 1)^(1/s) of the explicit bad-pair upper bound."""
-    if s < 1:
-        raise ValidationError("s must be >= 1")
+    validate_int(s, "s", 1)
     return (4.0**s - 1.0) ** (1.0 / s)

@@ -162,11 +162,8 @@ def _weight_rows(table_size: int, r: int, count: int, seed: int) -> np.ndarray:
     draw keeps the sampled weights fixed, and the sweep loads no numpy.random.
     """
     validate_int(table_size, "table size", 1)
-    if r < 1:
-        raise ValidationError("r must be >= 1")
-    if count < 0:
-        raise ValidationError("count must be >= 0")
-    if count > MAX_SAMPLES:
+    validate_int(r, "r", 1)
+    if validate_int(count, "count", 0) > MAX_SAMPLES:
         raise ScaleGuardError(f"{count} samples exceed the cap of {MAX_SAMPLES}")
     if table_size > _M32:  # numpy's 64-bit draw; point_table's MAX_ENUMERATION_P keeps tables far smaller
         raise ScaleGuardError(f"a table of {table_size} rows exceeds the 32-bit draw")

@@ -31,8 +31,7 @@ class ComplexSum:
 
 def additive_character(m: int, z) -> complex:
     """exp(2 pi i z / m); always on the unit circle."""
-    if m < 1:
-        raise ValidationError("modulus must be >= 1")
+    validate_int(m, "modulus", 1)
     return cmath.exp(2j * math.pi * (z / m))
 
 
@@ -53,9 +52,8 @@ def dirichlet_l1(m: int, M: int) -> float:
     the direct double sum.  Grows like m log m; tests use 4 m ln(m+1) as the
     explicit ceiling.
     """
-    if m < 1:
-        raise ValidationError("modulus must be >= 1")
-    if not 1 <= M <= m:
+    validate_int(m, "modulus", 1)
+    if not 1 <= validate_int(M, "M") <= m:
         raise ValidationError(f"need 1 <= M <= m, got M={M}, m={m}")
     eta = np.arange(1, m)
     num = np.abs(np.sin(np.pi * M * eta / m))
@@ -72,7 +70,7 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
     Pass a precomputed point list to amortise enumeration across sweeps.
     """
     p = curve.p
-    if a % p == 0:
+    if validate_int(a, "a") % p == 0:
         raise ValidationError("a must be nonzero mod p (the sum degenerates to a point count)")
     if not is_on_curve(c, curve):
         raise ValidationError("shift point must lie on the curve")
@@ -112,7 +110,7 @@ def max_char_ratio_all_curves(p: int) -> float:
     Runs the histogram/FFT sweep batched over all (a, b) parameter pairs;
     spot agreement with curve_x_char_sum is covered by tests.
     """
-    if not is_prime(p) or p <= 3:
+    if not is_prime(validate_int(p, "p")) or p <= 3:
         raise ValidationError(f"p = {p} must be a prime above 3")
     if p > MAX_ALL_CURVES_P:
         raise ScaleGuardError(f"whole-curve character sweep capped at p <= {MAX_ALL_CURVES_P}")
@@ -125,15 +123,16 @@ def max_char_ratio_all_curves(p: int) -> float:
 
 
 def koksma_szusz_rhs(points, L: int) -> float:
-    """Frequency-sum side of the Koksma-Szusz inequality for a PointSet.
+    """Frequency-sum side of the Koksma-Szusz inequality for a PointSet, or PointSet(points).
 
     1/L + (1/N) sum over integer vectors a with 0 < |a| < L of
     |sum_n e(a . x_n)| / weight(a).  Enumerates the full frequency box, so
     the cost is O((2L)^s N); guarded accordingly.
     """
-    if L < 2:
-        raise ValidationError("L must be >= 2")
-    rows = points.rows
+    from .discrepancy import _as_rows  # here, so expsum-check loads no discrepancy
+
+    validate_int(L, "L", 2)
+    rows = _as_rows(points)
     n_points, s = rows.shape
     if (2 * L) ** s * n_points > MAX_KOKSMA_WORK:
         raise ScaleGuardError(
@@ -170,8 +169,9 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
     """
     from .gf2 import LfsrSource, packed_windows  # here, so expsum-check loads no gf2
 
-    if r < 1 or count < 1:
-        raise ValidationError("need r >= 1 and N >= 1")
+    validate_int(r, "r", 1)
+    validate_int(a, "a")
+    validate_int(count, "N", 1)
     if count + r - 1 > MAX_AVG_WINDOW_BITS:
         raise ScaleGuardError(f"N + r - 1 = {count + r - 1} register bits exceed {MAX_AVG_WINDOW_BITS}")
     if isinstance(source, LfsrSource) and source.order != r:

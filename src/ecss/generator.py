@@ -8,7 +8,7 @@ import numpy as np
 
 from .curve import CurveParams, CurvePoint, INFINITY, validate_weights
 from .discrepancy import PointSet
-from .errors import ScaleGuardError, ValidationError, validate_type
+from .errors import ScaleGuardError, ValidationError, validate_int, validate_type
 from .gf2 import BitSequenceSource, LfsrSource
 
 
@@ -221,10 +221,8 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
 
 def _curve_outputs(config: GeneratorConfig, first: int, count: int):
     """x, y and identity mask of the outputs n = first, ..., first + count - 1."""
-    if first < 1:
-        raise ValidationError("indices start at 1")
-    if count < 0:
-        raise ValidationError("count must be >= 0")
+    validate_int(first, "index", 1)
+    validate_int(count, "count", 0)
     if first + count - 1 > MAX_OUTPUTS:
         raise ScaleGuardError(f"output index {first + count - 1} exceeds the cap of {MAX_OUTPUTS}")
     bits = config.source.bits(first + count + config.r - 2)[first - 1 :]
@@ -258,8 +256,7 @@ def output_normalized(config: GeneratorConfig, count: int) -> np.ndarray:
 
 def s_tuples(seq, s: int) -> PointSet:
     """Overlapping windows (seq[n], ..., seq[n+s-1]) of a list or array, as rows of a PointSet."""
-    if s < 1:
-        raise ValidationError("dimension must be >= 1")
+    validate_int(s, "dimension", 1)
     arr = np.asarray(seq, dtype=float)
     if arr.ndim != 1:
         raise ValidationError("sequence must be one-dimensional")
@@ -268,4 +265,4 @@ def s_tuples(seq, s: int) -> PointSet:
     if (len(arr) - s + 1) * s > MAX_OUTPUTS:
         raise ScaleGuardError(f"{(len(arr) - s + 1) * s} tuple coordinates exceed the cap of {MAX_OUTPUTS}")
     rows = np.lib.stride_tricks.sliding_window_view(arr, s).copy()
-    return PointSet(s=s, rows=rows)
+    return PointSet(rows)

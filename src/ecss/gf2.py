@@ -5,7 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .errors import ScaleGuardError, ValidationError, int_fields, is_int, validate_type
+from .errors import ScaleGuardError, ValidationError, int_fields, is_int, validate_int, validate_type
 
 # Exhaustive period search walks up to 2^r - 1 states; keep the register desk-sized.
 MAX_PERIOD_SEARCH_DEGREE = 24
@@ -149,6 +149,7 @@ class LfsrSource(BitSequenceSource):
         return self.poly.degree
 
     def bits(self, count: int) -> list[int]:
+        validate_int(count, "count", 0)
         r = self.poly.degree
         taps = self.poly.recurrence_taps
         state = self._init
@@ -206,8 +207,8 @@ def sequence_period(poly: BinaryPoly, init) -> int:
 def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
     """True iff the windows (u(n+1), ..., u(n+r)), n = 1..tau, of any source are pairwise distinct.
     An LfsrSource's windows are its states, so at tau = sequence_period(...) it always passes."""
-    if r < 1 or tau < 1:
-        raise ValidationError("window length and tau must be >= 1")
+    validate_int(r, "window length", 1)
+    validate_int(tau, "tau", 1)
     seen = set()
     for w in packed_windows(src.bits(tau + r)[1:], r):
         if w in seen:

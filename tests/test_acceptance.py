@@ -162,7 +162,7 @@ def test_criterion_08_discrepancy_exactness():
         for trial in range(5):
             n = int(rng.integers(2, 15))
             rows = rng.random((n, s))
-            exact = exact_extreme_multi(PointSet(s=s, rows=rows), s).value
+            exact = exact_extreme_multi(PointSet(rows), s).value
             lower = mc_box_lower_bound(rows, 2000, seed=trial).value
             assert lower <= exact + 1e-12
     _report(8, "exact 1-D equals O(N^2) oracle on 100 sets; k/N law exact; MC never exceeds exact")

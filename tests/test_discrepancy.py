@@ -192,12 +192,12 @@ class TestExactExtreme1d:
 
 class TestExactExtremeMulti:
     def test_repeated_point_2d(self):
-        ps = PointSet(s=2, rows=[[0.3, 0.7]] * 5)
+        ps = PointSet([[0.3, 0.7]] * 5)
         assert abs(exact_extreme_multi(ps, 2).value - 1.0) < 1e-12
 
     def test_regular_grid_matches_dense_scan(self):
         rows = [[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]]
-        value = exact_extreme_multi(PointSet(s=2, rows=rows), 2).value
+        value = exact_extreme_multi(PointSet(rows), 2).value
         # dense corner-grid oracle with side limits; the lattice contains the coords
         grid = np.linspace(0.0, 1.0, 201)
         pts = np.asarray(rows)
@@ -223,7 +223,7 @@ class TestExactExtremeMulti:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             rows = rng.random((n, 2))
-            value = exact_extreme_multi(PointSet(s=2, rows=rows), 2).value
+            value = exact_extreme_multi(PointSet(rows), 2).value
             assert abs(value - oracle_extreme_multi(rows)) < 1e-12
 
     def test_matches_bruteforce_oracle_3d(self):
@@ -231,13 +231,13 @@ class TestExactExtremeMulti:
         for _ in range(6):
             n = int(rng.integers(2, 6))
             rows = rng.random((n, 3))
-            value = exact_extreme_multi(PointSet(s=3, rows=rows), 3).value
+            value = exact_extreme_multi(PointSet(rows), 3).value
             assert abs(value - oracle_extreme_multi(rows)) < 1e-12
 
     def test_dominates_marginals(self):
         rng = np.random.default_rng(4)
         rows = rng.random((30, 2))
-        multi = exact_extreme_multi(PointSet(s=2, rows=rows), 2).value
+        multi = exact_extreme_multi(PointSet(rows), 2).value
         for axis in range(2):
             assert multi >= exact_extreme_1d(rows[:, axis]).value - 1e-12
 
@@ -256,7 +256,7 @@ class TestExactExtremeMulti:
         rows = np.random.default_rng(seed).random((n, s))
         if tied:
             rows = (np.round(rows * 8) / 8) % 1.0
-        value = exact_extreme_multi(PointSet(s=s, rows=rows), s).value
+        value = exact_extreme_multi(PointSet(rows), s).value
         assert abs(value - expected) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -341,9 +341,9 @@ class TestExactExtremeMulti:
     def test_guard(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ScaleGuardError):
-            exact_extreme_multi(PointSet(s=2, rows=rng.random((101, 2))), 2)
+            exact_extreme_multi(PointSet(rng.random((101, 2))), 2)
         with pytest.raises(ValidationError):
-            exact_extreme_multi(PointSet(s=4, rows=rng.random((5, 4))), 4)
+            exact_extreme_multi(PointSet(rng.random((5, 4))), 4)
 
     def test_one_guard_rule(self):
         # Any N at s = 1, N^(2s) <= 1e8 at s = 2 and 3, and never from s = 4, where the box scan has no case.
@@ -571,7 +571,7 @@ class TestMcLowerBound:
             exact = (
                 exact_extreme_1d(rows).value
                 if s == 1
-                else exact_extreme_multi(PointSet(s=s, rows=rows), s).value
+                else exact_extreme_multi(PointSet(rows), s).value
             )
             mc = mc_box_lower_bound(rows, 3000, seed=9).value
             assert mc <= exact + 1e-12
@@ -630,6 +630,9 @@ BAD_POINT_INPUTS = {
     "inf": [[0.5, np.inf], [0.25, 0.75]],
     "negative": [[0.5, -0.1], [0.25, 0.75]],
     "one": [[0.5, 1.0], [0.25, 0.75]],
+    "ragged": [[0.5], [0.25, 0.75]],
+    "string": [["0.5", "0.25"], ["0.125", "0.75"]],
+    "complex": np.full((2, 2), 0.5 + 0j),
 }
 POINT_ROUTINES = {
     "exact_1d": exact_extreme_1d,
@@ -650,10 +653,12 @@ class TestPointInput:
     @pytest.mark.parametrize("routine", sorted(POINT_ROUTINES))
     def test_point_set_and_array_agree(self, routine):
         rows = np.random.default_rng(4).random((9, 1 if routine == "exact_1d" else 2))
-        assert POINT_ROUTINES[routine](rows).value == POINT_ROUTINES[routine](PointSet(rows.shape[1], rows)).value
+        assert POINT_ROUTINES[routine](rows).value == POINT_ROUTINES[routine](PointSet(rows)).value
 
     def test_one_dimensional_input_is_a_column(self):
         values = [0.1, 0.4, 0.45, 0.9]
+        ps = PointSet(values)
+        assert ps.s == 1 and ps.rows.tolist() == PointSet([[v] for v in values]).rows.tolist()
         assert exact_extreme_1d(values).value == exact_extreme_1d([[v] for v in values]).value
         report = mc_box_lower_bound(values, 50, seed=1)
         assert report.n == 4 and report.s == 1

@@ -235,16 +235,16 @@ class TestCurveCharSum:
 
 class TestKoksmaSzusz:
     def test_single_point(self):
-        ps = PointSet(s=1, rows=[[0.5]])
+        ps = PointSet([[0.5]])
         assert abs(koksma_szusz_rhs(ps, 2) - 2.5) < 1e-12
 
     def test_points_at_origin(self):
-        ps = PointSet(s=1, rows=[[0.0]] * 4)
+        ps = PointSet([[0.0]] * 4)
         assert abs(koksma_szusz_rhs(ps, 2) - 2.5) < 1e-12
 
     def test_equidistant_collapses_to_one_over_n(self):
         for n in (8, 32, 128):
-            ps = PointSet(s=1, rows=[[k / n] for k in range(n)])
+            ps = PointSet([[k / n] for k in range(n)])
             value = koksma_szusz_rhs(ps, n)
             assert abs(value - 1.0 / n) < 1e-8
 
@@ -252,7 +252,7 @@ class TestKoksmaSzusz:
         # oracle: literal loop over frequency vectors
         rng = np.random.default_rng(7)
         rows = rng.random((6, 2))
-        ps = PointSet(s=2, rows=rows)
+        ps = PointSet(rows)
         L = 4
         total = 0.0
         for a0 in range(-(L - 1), L):
@@ -270,11 +270,17 @@ class TestKoksmaSzusz:
         rng = np.random.default_rng(8)
         for n in (5, 20, 60):
             pts = rng.random(n)
-            value = koksma_szusz_rhs(PointSet(s=1, rows=pts[:, None]), n)
+            value = koksma_szusz_rhs(PointSet(pts[:, None]), n)
             assert 10.0 * value >= exact_extreme_1d(pts).value
 
+    def test_array_reads_as_its_point_set(self):
+        # koksma_szusz_rhs once raised AttributeError on an array.
+        rows = np.random.default_rng(9).random((5, 2))
+        assert koksma_szusz_rhs(rows, 3) == koksma_szusz_rhs(PointSet(rows), 3)
+        assert koksma_szusz_rhs(rows[:, 0], 3) == koksma_szusz_rhs(PointSet(rows[:, :1]), 3)
+
     def test_guard_and_validation(self):
-        ps = PointSet(s=1, rows=[[0.5]] * 10)
+        ps = PointSet([[0.5]] * 10)
         with pytest.raises(ScaleGuardError):
             koksma_szusz_rhs(ps, 10**7)
         with pytest.raises(ValidationError):
@@ -399,7 +405,7 @@ class TestAvgSquareSum:
 
     @pytest.mark.parametrize("r, count", [(0, 3), (2, 0)])
     def test_empty_weight_vector_or_sum_rejected(self, r, count):
-        with pytest.raises(ValidationError, match="need r >= 1 and N >= 1"):
+        with pytest.raises(ValidationError, match="r must be >= 1" if r < 1 else "N must be >= 1"):
             avg_square_sum_over_weights(F5, r, 1, count, self.source())
 
     def test_guard(self):

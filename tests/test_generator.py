@@ -220,7 +220,7 @@ class TestEcGenerator:
             ec_subset_sum_stream(f5_config(), MAX_OUTPUTS + 1)
 
     def test_index_below_one_and_negative_count_rejected(self):
-        with pytest.raises(ValidationError, match="indices start at 1"):
+        with pytest.raises(ValidationError, match="index must be >= 1"):
             ec_subset_sum(f5_config(), 0)
         with pytest.raises(ValidationError, match="count must be >= 0"):
             ec_subset_sum_stream(f5_config(), -1)
@@ -361,14 +361,14 @@ class TestSTuples:
 
     def test_point_set_validation(self):
         with pytest.raises(ValidationError):
-            PointSet(s=1, rows=[[1.0]])
+            PointSet([[1.0]])
         with pytest.raises(ValidationError):
-            PointSet(s=1, rows=np.empty((0, 1)))
+            PointSet(np.empty((0, 1)))
         with pytest.raises(ValidationError):
-            PointSet(s=2, rows=[[0.1, 0.2, 0.3]])
+            PointSet(np.full((2, 2, 2), 0.5))
         for bad in (np.nan, np.inf):
             with pytest.raises(ValidationError):
-                PointSet(s=2, rows=[[0.1, bad]])
+                PointSet([[0.1, bad]])
 
     def test_generic_source_works(self):
         # arbitrary pattern source with distinct windows feeds the generator too

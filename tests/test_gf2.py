@@ -92,6 +92,11 @@ class TestGenerateBits:
         src.bits(5)
         assert src.bits(20) == first
 
+    def test_negative_count_rejected(self):
+        # bits(-1) once returned [].
+        with pytest.raises(ValidationError, match="count must be >= 0, got -1"):
+            LfsrSource(BinaryPoly(0b111), (1, 0)).bits(-1)
+
     def test_window_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             LfsrSource(BinaryPoly(0b111), (1, 0, 1))
@@ -183,7 +188,7 @@ class TestWindowsDistinct:
 
     @pytest.mark.parametrize("r, tau", [(0, 1), (1, 0)])
     def test_rejects_empty_windows_and_periods(self, r, tau):
-        with pytest.raises(ValidationError, match="window length and tau must be >= 1"):
+        with pytest.raises(ValidationError, match="window length must be >= 1" if r < 1 else "tau must be >= 1"):
             windows_distinct(LfsrSource(BinaryPoly(0b111), (1, 0)), r, tau)
 
     @pytest.mark.parametrize("degree", range(2, 13))
