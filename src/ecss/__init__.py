@@ -16,8 +16,8 @@ _EXPORTS = {
                    "elmahassni_bound exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
     "errors": "ScaleGuardError ValidationError",
     "experiments": "ExperimentConfig SweepRow bound_crossover discrepancy_sweep sample_weight_vectors slope_fit",
-    "expsum": "ComplexSum additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 "
-              "koksma_szusz_rhs orthogonality_sum",
+    "expsum": "additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 koksma_szusz_rhs "
+              "orthogonality_sum",
     "generator": "GeneratorConfig ec_subset_sum ec_subset_sum_stream output_normalized s_tuples",
     "gf2": "BinaryPoly BitSequenceSource LfsrSource poly_is_irreducible sequence_period windows_distinct",
 }

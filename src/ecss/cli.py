@@ -138,8 +138,6 @@ def _read_point_rows(path: str):
     rows = []
     header: list[str] | None = None
     for record in csv.reader(line for line in text.splitlines() if line and not line.startswith("#")):
-        if not record:
-            continue
         try:
             rows.append([float(v) for v in record])
         except ValueError:

@@ -169,23 +169,26 @@ def all_curve_orders(p: int) -> np.ndarray:
     quadratic-residue table as point_table, vectorised over b, which
     makes whole-prime sweeps cheap.
     """
-    if not is_prime(validate_int(p, "p")) or p <= 3:
-        raise ValidationError(f"p = {p} must be a prime above 3")
-    if p > MAX_ALL_CURVES_P:
-        raise ScaleGuardError(f"curve-order sweep capped at p <= {MAX_ALL_CURVES_P}, got {p}")
+    counts = _root_counts_by_a(p)  # checks p before the (p, p) table
     orders = np.empty((p, p), dtype=np.int64)
-    for a, roots, nonsingular in _root_counts_by_a(p):
+    for a, roots, nonsingular in counts:
         orders[a] = np.where(nonsingular, 1 + roots.sum(axis=0), -1)
     return orders
 
 
 def _root_counts_by_a(p: int):
-    """For each a: the (x, b) table of root counts of y^2 = x^3 + ax + b, and which b are nonsingular."""
+    """For each a: the (x, b) table of root counts of y^2 = x^3 + ax + b, and which b are nonsingular.
+
+    The one gate of the whole-prime sweeps: p is checked on the call, before the first a is asked for.
+    """
+    if not is_prime(validate_int(p, "p")) or p <= 3:
+        raise ValidationError(f"p = {p} must be a prime above 3")
+    if p > MAX_ALL_CURVES_P:
+        raise ScaleGuardError(f"whole-prime (a, b) sweep capped at p <= {MAX_ALL_CURVES_P}, got {p}")
     nsol = _square_root_table(p)[0]
     x = np.arange(p, dtype=np.int64)  # also the b axis
     x3 = (x * x * x) % p
-    for a in range(p):
-        yield a, nsol[((x3 + a * x)[:, None] + x[None, :]) % p], (4 * a**3 + 27 * x**2) % p != 0
+    return ((a, nsol[((x3 + a * x)[:, None] + x[None, :]) % p], (4 * a**3 + 27 * x**2) % p != 0) for a in range(p))
 
 
 def x_coord(point: CurvePoint) -> int:

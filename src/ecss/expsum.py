@@ -5,28 +5,22 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (MAX_ALL_CURVES_P, CurveParams, CurvePoint, _root_counts_by_a, add, enumerate_points, is_on_curve,
-                    negate, point_table, x_coord)
-from .errors import ScaleGuardError, ValidationError, is_prime, validate_int
+from .curve import (CurveParams, CurvePoint, _root_counts_by_a, add, enumerate_points, is_on_curve, negate,
+                    point_table, x_coord)
+from .errors import ScaleGuardError, ValidationError, validate_int
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WINDOW_BITS = 10**6  # N + r - 1 register bits, read and packed in Python
 
 
-@dataclass(frozen=True)
-class ComplexSum:
-    """Accumulated character sum; its modulus can never exceed the term count."""
-
-    value: complex
-    terms: int
-
-    def __post_init__(self):
-        if abs(self.value) > self.terms + 1e-9:
-            raise ValidationError("sum modulus exceeds the number of unit terms")
+def _unit_sum(value: complex, terms: int) -> complex:
+    """value, a sum of `terms` unit-modulus numbers, once checked that its modulus does not exceed terms."""
+    if abs(value) > terms + 1e-9:
+        raise ValidationError("sum modulus exceeds the number of unit terms")
+    return value
 
 
 def additive_character(m: int, z) -> complex:
@@ -41,7 +35,7 @@ def orthogonality_sum(m: int, lam: int) -> complex:
     validate_int(lam, "lam")
     eta = np.arange(m)
     values = np.exp(2j * np.pi * ((eta * (lam % m)) % m) / m)
-    return ComplexSum(complex(values.sum()), values.size).value
+    return _unit_sum(complex(values.sum()), values.size)
 
 
 def dirichlet_l1(m: int, M: int) -> float:
@@ -79,7 +73,7 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
     minus_c = negate(c, curve)
     xs = [x_coord(add(c, point, curve)) for point in points if point != minus_c]
     values = np.exp(2j * np.pi * ((a % p) * np.asarray(xs, dtype=np.int64) % p) / p)
-    return ComplexSum(complex(values.sum()), values.size).value
+    return _unit_sum(complex(values.sum()), values.size)
 
 
 def curve_char_sums_all(curve: CurveParams, points=None) -> np.ndarray:
@@ -110,10 +104,6 @@ def max_char_ratio_all_curves(p: int) -> float:
     Runs the histogram/FFT sweep batched over all (a, b) parameter pairs;
     spot agreement with curve_x_char_sum is covered by tests.
     """
-    if not is_prime(validate_int(p, "p")) or p <= 3:
-        raise ValidationError(f"p = {p} must be a prime above 3")
-    if p > MAX_ALL_CURVES_P:
-        raise ScaleGuardError(f"whole-curve character sweep capped at p <= {MAX_ALL_CURVES_P}")
     best = 0.0
     for _, roots, nonsingular in _root_counts_by_a(p):
         mags = np.abs(np.fft.rfft(roots.astype(np.float64), axis=0)[1:, :])  # roots: (x value, b)
@@ -177,8 +167,7 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
     if isinstance(source, LfsrSource) and source.order != r:
         raise ValidationError(f"weight length {r} does not match register order {source.order}")
     order = len(enumerate_points(curve))  # perfbench/traced_job.py learns #E from this call
-    total = ComplexSum(1 + complex(curve_char_sums_all(curve)[a % curve.p]), order)
-    mean = total.value / total.terms
+    mean = _unit_sum(1 + complex(curve_char_sums_all(curve)[a % curve.p]), order) / order
     counts = Counter(packed_windows(source.bits(count + r - 1), r))
     zero = counts[0]
     nonzero = count - zero

@@ -255,14 +255,17 @@ def output_normalized(config: GeneratorConfig, count: int) -> np.ndarray:
 
 
 def s_tuples(seq, s: int) -> PointSet:
-    """Overlapping windows (seq[n], ..., seq[n+s-1]) of a list or array, as rows of a PointSet."""
+    """Overlapping windows (seq[n], ..., seq[n+s-1]) of a list or array, as rows of a PointSet.
+
+    The sequence is read as PointSet(seq), by the rule of every point input, and must be one column;
+    PointSet copies the windows once.
+    """
     validate_int(s, "dimension", 1)
-    arr = np.asarray(seq, dtype=float)
-    if arr.ndim != 1:
+    column = PointSet(seq)
+    if column.s != 1:
         raise ValidationError("sequence must be one-dimensional")
-    if len(arr) < s:
-        raise ValidationError(f"sequence of length {len(arr)} is shorter than s = {s}")
-    if (len(arr) - s + 1) * s > MAX_OUTPUTS:
-        raise ScaleGuardError(f"{(len(arr) - s + 1) * s} tuple coordinates exceed the cap of {MAX_OUTPUTS}")
-    rows = np.lib.stride_tricks.sliding_window_view(arr, s).copy()
-    return PointSet(rows)
+    if column.n < s:
+        raise ValidationError(f"sequence of length {column.n} is shorter than s = {s}")
+    if (column.n - s + 1) * s > MAX_OUTPUTS:
+        raise ScaleGuardError(f"{(column.n - s + 1) * s} tuple coordinates exceed the cap of {MAX_OUTPUTS}")
+    return column if s == 1 else PointSet(np.lib.stride_tricks.sliding_window_view(column.rows[:, 0], s))

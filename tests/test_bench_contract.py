@@ -5,7 +5,9 @@ and perfbench/checks.py reads the successor table through
 combinat._successor_gather; deleting any of them would break `--trace 1` or
 the output checks without failing another test.  The harness module is
 imported from its file and only read, and traced_job.py is run as a
-subprocess on the two character-sum jobs.
+subprocess on the two character-sum jobs, an exact s = 3 `disc` and an
+s = 2 `experiment`, so that a change to a traced function's signature that
+breaks a span name or a count hook fails here.
 """
 
 import dataclasses
@@ -66,10 +68,32 @@ def test_traced_job_counts_the_summed_points(tmp_path, mode, argv, params):
     otherwise from an earlier enumerate_points call, so a job that passes
     neither would end in a KeyError.
     """
+    counts = traced_counts(tmp_path, mode, argv)
+    assert counts["expsum.points_summed"] == len(curve.point_table(curve.CurveParams(*params))) - 1
+
+
+def test_traced_exact_disc_counts_one_call(tmp_path):
+    """An exact s = 3 disc spans exact_extreme_multi, whose span name and count hook read (points, s)."""
+    points = tmp_path / "points.csv"
+    np.savetxt(points, np.random.default_rng(0).random((21, 3)), delimiter=",")
+    counts = traced_counts(tmp_path, "cli", ["disc", "--input", str(points)])
+    assert counts["discrepancy.exact_calls"] == 1
+
+
+def test_traced_experiment_counts_its_samples(tmp_path):
+    config = {"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x13", "r": 4, "s": 2, "n_grid": [5, 10],
+              "samples": 3, "delta": 1.0, "seed": 0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    counts = traced_counts(tmp_path, "cli", ["experiment", "--config", str(path)])
+    assert counts["experiments.samples"] == config["samples"]
+
+
+def traced_counts(tmp_path, mode, argv) -> dict:
+    """The trace counts of one traced_job.py run of MODE ARGV, which must exit 0."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(PERFBENCH / "traced_job.py"), "--job", "0", "--spans", str(spans),
                            mode, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    counts = json.loads(spans.read_text(encoding="utf-8"))["trace"]["counts"]
-    assert counts["expsum.points_summed"] == len(curve.point_table(curve.CurveParams(*params))) - 1
+    return json.loads(spans.read_text(encoding="utf-8"))["trace"]["counts"]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ecss.curve import (
     x_coord,
 )
 from ecss.errors import ScaleGuardError, ValidationError
+from ecss.expsum import max_char_ratio_all_curves
 from oracles import format_curve, point_table_out_of_place, scalar_mul
 
 F5 = CurveParams(5, 1, 1)
@@ -301,6 +303,20 @@ class TestAllCurveOrders:
         # Each a takes ~p^2 work and (p, p) int64 tables, so the cap is checked before the (p, p) result.
         with pytest.raises(ScaleGuardError):
             all_curve_orders(2003)
+
+    @pytest.mark.parametrize("p", [2003, 10**9 + 7])
+    def test_both_sweeps_share_one_cap_checked_before_any_table(self, p):
+        # _root_counts_by_a checks p when called, so all_curve_orders never allocates its (p, p) result.
+        for sweep in (all_curve_orders, max_char_ratio_all_curves):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ScaleGuardError) as info:
+                    sweep(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == f"whole-prime (a, b) sweep capped at p <= 2000, got {p}"
+            assert peak < 1 << 20
 
     @pytest.mark.parametrize("p", [9, 3, 2001])
     def test_rejects_a_p_that_is_no_prime_above_3(self, p):

@@ -10,7 +10,7 @@ from ecss.discrepancy import PointSet
 from ecss.errors import ScaleGuardError, ValidationError, is_prime
 from ecss.expsum import (
     MAX_AVG_WINDOW_BITS,
-    ComplexSum,
+    _unit_sum,
     additive_character,
     avg_square_sum_over_weights,
     curve_char_sums_all,
@@ -416,6 +416,6 @@ class TestAvgSquareSum:
 
 class TestDomainTypes:
     def test_complex_sum_invariant(self):
-        ComplexSum(1 + 1j, 2)
-        with pytest.raises(ValidationError):
-            ComplexSum(3 + 0j, 2)
+        assert _unit_sum(1 + 1j, 2) == 1 + 1j
+        with pytest.raises(ValidationError, match="sum modulus exceeds the number of unit terms"):
+            _unit_sum(3 + 0j, 2)

@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -352,6 +353,25 @@ class TestSTuples:
     def test_two_dimensional_sequence_rejected(self):
         with pytest.raises(ValidationError, match="sequence must be one-dimensional"):
             s_tuples([[0.1, 0.2], [0.3, 0.4]], 1)
+
+    @pytest.mark.parametrize("seq, message", [
+        (np.array([0.5 + 0.9j, 0.25]), "must be real numbers, got dtype complex128"),
+        (["0.5", "0.25"], "must be real numbers, got dtype <U4"),
+        ([True, False], "must be real numbers, got dtype bool"),
+        ([[0.5], [0.25, 0.75]], "got ragged rows"),
+    ], ids=["complex", "string", "bool", "ragged"])
+    def test_sequence_read_by_the_point_set_rule(self, seq, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning would mean an imaginary part was dropped
+            with pytest.raises(ValidationError, match=message):
+                s_tuples(seq, 1)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="point set must be nonempty"):
+            s_tuples([], 1)
+
+    def test_one_column_is_a_sequence(self):
+        assert s_tuples([[0.1], [0.2], [0.3]], 2).rows.tolist() == [[0.1, 0.2], [0.2, 0.3]]
 
     def test_coordinates_over_the_cap_rejected(self):
         s = 1500

@@ -16,8 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # The public names, by defining module: the 64 exported when ecss/__init__.py imported every module,
 # and bad_pair_count, less the residue-ring generator ResidueWeights and subset_sum_residue, and less
 # the records WeightVector (weights are a tuple of points) and WindowPattern (validate_pattern checks h),
-# less the test oracles is_s_good, scalar_mul and PeriodicSource, which live in tests/oracles.py, and
-# less validate_curve, whose checks CurveParams makes on construction.
+# less the test oracles is_s_good, scalar_mul and PeriodicSource, which live in tests/oracles.py,
+# less validate_curve, whose checks CurveParams makes on construction, and less ComplexSum, whose
+# unit-sum bound is the private check expsum._unit_sum.
 PUBLIC = {
     "combinat": "BadPairCount TransferMatrix alpha bad_count_bracket bad_pair_count bad_pair_upper_bound "
                 "beta brute_force_bad_count brute_force_bad_wrt_first spectral_radius transfer_matrix walk_count",
@@ -26,8 +27,8 @@ PUBLIC = {
                    "elmahassni_bound exact_extreme_1d exact_extreme_multi mc_box_lower_bound nontrivial_exponent",
     "errors": "ScaleGuardError ValidationError",
     "experiments": "ExperimentConfig SweepRow bound_crossover discrepancy_sweep sample_weight_vectors slope_fit",
-    "expsum": "ComplexSum additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 "
-              "koksma_szusz_rhs orthogonality_sum",
+    "expsum": "additive_character avg_square_sum_over_weights curve_x_char_sum dirichlet_l1 koksma_szusz_rhs "
+              "orthogonality_sum",
     "generator": "GeneratorConfig ec_subset_sum ec_subset_sum_stream output_normalized s_tuples",
     "gf2": "BinaryPoly BitSequenceSource LfsrSource poly_is_irreducible sequence_period windows_distinct",
 }
@@ -139,7 +140,7 @@ def test_public_names_resolve_to_their_modules():
         defining = importlib.import_module(f"ecss.{module}")
         for name in names.split():
             assert getattr(ecss, name) is getattr(defining, name), name
-    assert len(ecss.__all__) == 57
+    assert len(ecss.__all__) == 56
     namespace = {}
     exec("from ecss import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ecss.__all__)
