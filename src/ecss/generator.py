@@ -258,7 +258,7 @@ def s_tuples(seq, s: int) -> PointSet:
     """Overlapping windows (seq[n], ..., seq[n+s-1]) of a list or array, as rows of a PointSet.
 
     The sequence is read as PointSet(seq), by the rule of every point input, and must be one column;
-    PointSet copies the windows once.
+    the windows are copied here, as PointSet keeps a contiguous input (the s = 1 window) uncopied.
     """
     validate_int(s, "dimension", 1)
     column = PointSet(seq)
@@ -268,4 +268,4 @@ def s_tuples(seq, s: int) -> PointSet:
         raise ValidationError(f"sequence of length {column.n} is shorter than s = {s}")
     if (column.n - s + 1) * s > MAX_OUTPUTS:
         raise ScaleGuardError(f"{(column.n - s + 1) * s} tuple coordinates exceed the cap of {MAX_OUTPUTS}")
-    return column if s == 1 else PointSet(np.lib.stride_tricks.sliding_window_view(column.rows[:, 0], s))
+    return PointSet(np.lib.stride_tricks.sliding_window_view(column.rows[:, 0], s).copy())

@@ -370,8 +370,13 @@ class TestSTuples:
         with pytest.raises(ValidationError, match="point set must be nonempty"):
             s_tuples([], 1)
 
-    def test_one_column_is_a_sequence(self):
-        assert s_tuples([[0.1], [0.2], [0.3]], 2).rows.tolist() == [[0.1, 0.2], [0.2, 0.3]]
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_rows_do_not_share_the_input_buffer(self, s):
+        values = np.array([0.1, 0.2, 0.3])
+        ps = s_tuples(values, s)
+        assert not np.shares_memory(ps.rows, values)
+        values[0] = 7.0
+        assert ps.rows[0, 0] == 0.1
 
     def test_coordinates_over_the_cap_rejected(self):
         s = 1500
