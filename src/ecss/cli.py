@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .errors import ScaleGuardError, ValidationError, validate_int
@@ -121,11 +122,11 @@ def _cmd_lfsr_info(args) -> int:
     return EXIT_OK
 
 
-def _read_point_rows(path: str):
-    """The (N, s) float array of a point CSV file, or of standard input for '-'."""
+def _read_points(path: str):
+    """The PointSet of a point CSV file, or of standard input for '-'."""
     import csv
 
-    import numpy as np
+    from .discrepancy import PointSet
 
     try:
         if path == "-":
@@ -145,32 +146,27 @@ def _read_point_rows(path: str):
                 header = [name.strip() for name in record]
             else:
                 raise ValidationError(f"non-numeric row in point input: {record!r}")
-    if not rows:
-        raise ValidationError("point input is empty")
-    if len({len(row) for row in rows}) != 1:
-        raise ValidationError("point input rows have differing column counts")
-    if header is not None and len(header) != len(rows[0]):
+    if header is not None and rows and len(header) != len(rows[0]):
         raise ValidationError(f"point input header has {len(header)} columns but its rows have {len(rows[0])}")
-    arr = np.asarray(rows, dtype=float)
     if header and header[0] == "n":
-        arr = arr[:, 1:]
-    if arr.shape[1] == 0:
-        raise ValidationError("point input has no coordinate columns besides the n index")
-    return arr
+        if len(header) == 1:
+            raise ValidationError("point input has no coordinate columns besides the n index")
+        rows = [row[1:] for row in rows]
+    return PointSet(rows)
 
 
 def _cmd_disc(args) -> int:
     from . import discrepancy
 
-    arr = _read_point_rows(args.input)
-    s = arr.shape[1]
+    points = _read_points(args.input)
+    s = points.s
     if args.method == "exact":
         if s > 3:
             raise ValidationError("exact discrepancy supports s <= 3; use --method mc")
-        report = discrepancy.exact_extreme_1d(arr) if s == 1 else discrepancy.exact_extreme_multi(arr, s)
+        report = discrepancy.exact_extreme_1d(points) if s == 1 else discrepancy.exact_extreme_multi(points, s)
     else:
         trials = discrepancy.DEFAULT_MC_TRIALS if args.trials is None else args.trials
-        report = discrepancy.mc_box_lower_bound(arr, trials, args.seed)
+        report = discrepancy.mc_box_lower_bound(points, trials, args.seed)
     _emit_json({"n": report.n, "s": report.s, "value": report.value, "method": report.method}, args.output)
     return EXIT_OK
 
@@ -368,20 +364,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_watched() -> bool:
+    """True when something runs after the command: a tracer or a profiler (coverage, cProfile, pdb),
+    a sys.monitoring tool (Python >= 3.12) or the -i prompt."""
+    if sys.flags.inspect or sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; called with no argv, as the program, end the process.
+
+    The program flushes its output and leaves by os._exit, skipping the interpreter's teardown of
+    every module, numpy's included, unless something waits for the exit (_exit_watched).
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code = EXIT_VALIDATION
     except ScaleGuardError as exc:
         print(f"scale guard: {exc}", file=sys.stderr)
-        return EXIT_SCALE_GUARD
+        code = EXIT_SCALE_GUARD
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code = EXIT_IO
+    if argv is not None or _exit_watched():
+        return code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        if code != EXIT_IO:  # else an i/o error, most often this one, is already reported
+            print(f"i/o error: {exc}", file=sys.stderr)
+        code = EXIT_IO
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

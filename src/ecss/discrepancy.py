@@ -21,7 +21,7 @@ MC_LOWER_BOUND = "monte-carlo-lower-bound"
 
 @dataclass(frozen=True)
 class PointSet:
-    """N points in the half-open unit cube [0, 1)^s, stored as an (N, s) array; a 1-D input is one column."""
+    """N points in the half-open unit cube [0, 1)^s, as a private read-only (N, s) copy; a 1-D input is one column."""
 
     rows: np.ndarray = field(repr=False)
 
@@ -39,11 +39,12 @@ class PointSet:
         if rows.shape[0] < 1:
             raise ValidationError("point set must be nonempty")
         validate_int(rows.shape[1], "dimension", 1)
-        rows = np.ascontiguousarray(rows, dtype=float)
+        rows = np.array(rows, dtype=float, order="C")  # a private copy, so no later write reaches the checked rows
         if not np.isfinite(rows).all():
             raise ValidationError("coordinates must be finite")
         if rows.min() < 0.0 or rows.max() >= 1.0:
             raise ValidationError("coordinates must lie in [0, 1)")
+        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
     @property

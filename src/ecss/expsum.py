@@ -14,6 +14,9 @@ from .errors import ScaleGuardError, ValidationError, validate_int
 
 MAX_KOKSMA_WORK = 10**8  # (2L)^s * N
 MAX_AVG_WINDOW_BITS = 10**6  # N + r - 1 register bits, read and packed in Python
+# Terms of orthogonality_sum and dirichlet_l1, one entry of each float array: any modulus below the
+# point table's p < 2^20, and m^2 stays far inside int64.
+MAX_SUM_TERMS = 2**20
 
 
 def _unit_sum(value: complex, terms: int) -> complex:
@@ -21,6 +24,14 @@ def _unit_sum(value: complex, terms: int) -> complex:
     if abs(value) > terms + 1e-9:
         raise ValidationError("sum modulus exceeds the number of unit terms")
     return value
+
+
+def _summed_modulus(m: int) -> int:
+    """m as a Python int, checked as the modulus of an m-term sum before any array of its terms is allocated."""
+    m = validate_int(m, "modulus", 1)
+    if m > MAX_SUM_TERMS:
+        raise ScaleGuardError(f"modulus {m} exceeds the cap of {MAX_SUM_TERMS} summed terms")
+    return m
 
 
 def additive_character(m: int, z) -> complex:
@@ -31,7 +42,7 @@ def additive_character(m: int, z) -> complex:
 
 def orthogonality_sum(m: int, lam: int) -> complex:
     """Direct evaluation of sum_{eta < m} e_m(eta * lam): m when m | lam, else 0."""
-    validate_int(m, "modulus", 1)
+    m = _summed_modulus(m)
     validate_int(lam, "lam")
     eta = np.arange(m)
     values = np.exp(2j * np.pi * ((eta * (lam % m)) % m) / m)
@@ -46,7 +57,7 @@ def dirichlet_l1(m: int, M: int) -> float:
     the direct double sum.  Grows like m log m; tests use 4 m ln(m+1) as the
     explicit ceiling.
     """
-    validate_int(m, "modulus", 1)
+    m = _summed_modulus(m)
     if not 1 <= validate_int(M, "M") <= m:
         raise ValidationError(f"need 1 <= M <= m, got M={M}, m={m}")
     eta = np.arange(1, m)

@@ -206,9 +206,18 @@ def sequence_period(poly: BinaryPoly, init) -> int:
 
 def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
     """True iff the windows (u(n+1), ..., u(n+r)), n = 1..tau, of any source are pairwise distinct.
-    An LfsrSource's windows are its states, so at tau = sequence_period(...) it always passes."""
+    An LfsrSource's windows are its states, so at tau = sequence_period(...) it always passes.
+
+    More than 2^r windows cannot be distinct, which is answered without reading a bit.  Otherwise
+    the tau windows of r bits are capped at the period walk's budget, 2^24 windows of 24 bits.
+    """
     validate_int(r, "window length", 1)
     validate_int(tau, "tau", 1)
+    if (tau - 1).bit_length() > r:  # tau > 2^r, without building 2^r
+        return False
+    if tau * r > MAX_PERIOD_SEARCH_DEGREE << MAX_PERIOD_SEARCH_DEGREE:
+        raise ScaleGuardError(f"{tau} windows of {r} bits exceed the cap of "
+                              f"{MAX_PERIOD_SEARCH_DEGREE} * 2^{MAX_PERIOD_SEARCH_DEGREE} window bits")
     seen = set()
     for w in packed_windows(src.bits(tau + r)[1:], r):
         if w in seen:

@@ -1094,3 +1094,75 @@ class TestNoPointList:
         path.write_text(json.dumps(TestExperiment.CONFIG))
         code, out, _ = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 0 and out
+
+
+def run_program(*argv, python_flags=(), stdin=b"", stdout=subprocess.PIPE):
+    """Run `python [flags] -m ecss.cli *argv` as a process with buffered standard streams; its output as bytes."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.run([sys.executable, *python_flags, "-m", "ecss.cli", *argv], env=env, input=stdin,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+class TestProgramExit:
+    """As the program (main called with no argv), ecss flushes its output and leaves by os._exit."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "pts.csv").write_text("n,c0,c1\n1,0.25,0.5\n2,0.75,0.125\n3,0.5,0.875\n")
+        (tmp_path / "config.json").write_text(json.dumps(TestExperiment.CONFIG))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--curve", "101,1,1", "--poly", "0xb", "--n", "20", "--s", "2", "--seed", "3"),
+        ("curve-info", "--curve", "1009,1,1"),
+        ("lfsr-info", "--poly", "0x409"),
+        ("disc", "--input", "{dir}/pts.csv"),
+        ("bounds", "--n", "512", "--p", "65537", "--r", "16", "--tau", "65535", "--s", "2"),
+        ("badpairs", "--r", "6", "--s", "2"),
+        ("beta", "--s", "3"),
+        ("expsum-check", "--curve", "199,5,7", "--all-a"),
+        ("experiment", "--config", "{dir}/config.json"),
+        ("curve-info", "--curve", "9,1,1"),
+        ("lfsr-info", "--poly", "0x2000001"),
+        ("curve-info", "--curve", "5,1,1", "--output", "{dir}/missing/out.json"),
+    ], ids=["gen", "curve-info", "lfsr-info", "disc", "bounds", "badpairs", "beta", "expsum-check", "experiment",
+            "exit-2", "exit-3", "exit-4"])
+    def test_program_matches_main_with_argv(self, capsys, files, argv):
+        argv = [arg.format(dir=files) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        done = run_program(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+
+    def test_the_exit_skips_the_interpreter_teardown(self):
+        # The benchmark's launcher; an atexit handler runs only when the interpreter is torn down.
+        boot = "import atexit, sys; atexit.register(print, 'torn down'); from ecss.cli import main; sys.exit(main())"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", boot, "beta", "--s", "2"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0 and json.loads(done.stdout)["s"] == 2 and done.stderr == ""
+
+    @pytest.mark.parametrize("argv", [("beta", "--s", "2"), ("expsum-check", "--curve", "1009,1,1", "--all-a")],
+                             ids=["fails-at-the-flush", "fails-mid-table"])
+    def test_closed_stdout_pipe_exits_four_with_one_line(self, argv):
+        # The teardown used to flush a closed pipe: "Exception ignored ... BrokenPipeError" and exit 120.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_program(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 4
+        assert done.stderr.startswith(b"i/o error: ") and done.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("flags, stdin, report", [
+        (("-m", "cProfile"), b"", b"function calls"),
+        (("-i",), b"print('prompt reached')\n", b"prompt reached"),
+    ], ids=["cProfile", "inspect"])
+    def test_a_tool_waiting_for_the_exit_still_runs(self, flags, stdin, report):
+        done = run_program("beta", "--s", "2", python_flags=flags, stdin=stdin)
+        assert done.returncode == 0 and b'"beta": 3.7320508076089602' in done.stdout and report in done.stdout
+
+    def test_main_with_argv_returns(self, capsys):
+        assert main(["beta", "--s", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["s"] == 2

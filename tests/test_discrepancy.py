@@ -663,6 +663,15 @@ class TestPointInput:
         report = mc_box_lower_bound(values, 50, seed=1)
         assert report.n == 4 and report.s == 1
 
+    @pytest.mark.parametrize("given", [np.array([[0.1, 0.2]]), np.array([0.1, 0.2])])
+    def test_rows_are_a_private_read_only_copy(self, given):
+        # A contiguous float64 input was once kept as is, so a later write reached the checked rows.
+        ps = PointSet(given)
+        given[0] = 5.0
+        assert ps.rows.ravel()[0] == 0.1
+        with pytest.raises(ValueError, match="read-only"):
+            ps.rows[0, 0] = 0.5
+
     @pytest.mark.parametrize("columns, s", [(3, 2), (2, 3), (1, 2)])
     def test_column_count_must_match_s(self, columns, s):
         rows = np.random.default_rng(4).random((5, columns))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from ecss.discrepancy import PointSet
 from ecss.errors import ScaleGuardError, ValidationError, is_prime
 from ecss.expsum import (
     MAX_AVG_WINDOW_BITS,
+    MAX_SUM_TERMS,
     _unit_sum,
     additive_character,
     avg_square_sum_over_weights,
@@ -95,6 +97,26 @@ class TestDirichletL1:
             dirichlet_l1(8, 9)
         with pytest.raises(ValidationError, match="modulus must be >= 1"):
             dirichlet_l1(0, 1)
+
+
+class TestSumCap:
+    SUMS = {"orthogonality_sum": lambda m: orthogonality_sum(m, 0), "dirichlet_l1": lambda m: dirichlet_l1(m, 1)}
+
+    @pytest.mark.parametrize("name", SUMS)
+    def test_huge_modulus_is_refused_before_any_array(self, name):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleGuardError, match=f"modulus {10**12} exceeds the cap of {MAX_SUM_TERMS}"):
+                self.SUMS[name](10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_edge(self):
+        assert orthogonality_sum(MAX_SUM_TERMS, 0) == MAX_SUM_TERMS
+        with pytest.raises(ScaleGuardError):
+            orthogonality_sum(MAX_SUM_TERMS + 1, 0)
 
 
 class TestCurveCharSum:

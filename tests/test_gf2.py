@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,30 @@ class TestWindowsDistinct:
     def test_rejects_empty_windows_and_periods(self, r, tau):
         with pytest.raises(ValidationError, match="window length must be >= 1" if r < 1 else "tau must be >= 1"):
             windows_distinct(LfsrSource(BinaryPoly(0b111), (1, 0)), r, tau)
+
+    def test_all_two_to_the_r_windows_can_be_distinct(self):
+        # u = 0011 repeated: from u(2) on, the 2-bit windows are 01, 11, 10, 00, so a fifth must repeat.
+        assert windows_distinct(PeriodicSource((0, 0, 1, 1)), 2, 4)
+        assert not windows_distinct(PeriodicSource((0, 0, 1, 1)), 2, 5)
+
+    @pytest.mark.parametrize("r, tau, distinct", [(2, 10**12, False), (40, 10**12, None), (10**12, 1, None)])
+    def test_huge_arguments_read_no_bit(self, r, tau, distinct):
+        # More than 2^r windows repeat one; past the period walk's 2^24 windows of 24 bits it is a scale guard.
+        class Unread(PeriodicSource):
+            def bits(self, count):
+                raise AssertionError(f"read {count} bits")
+
+        tracemalloc.start()
+        try:
+            if distinct is None:
+                with pytest.raises(ScaleGuardError, match="window bits"):
+                    windows_distinct(Unread((1,)), r, tau)
+            else:
+                assert windows_distinct(Unread((1,)), r, tau) is distinct
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("degree", range(2, 13))
     def test_maximal_period_registers(self, degree):
