@@ -62,7 +62,7 @@ def _parse_bits(text: str) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     import numpy as np
 
     from . import curve, experiments, generator, gf2
@@ -87,10 +87,9 @@ def _cmd_gen(args) -> int:
         table = np.column_stack((np.arange(1, window.n + 1), window.rows))  # %d renders the float n exactly
         _write_table(args.output, ["n"] + [f"c{i}" for i in range(args.s)],
                      "%d" + ",%.17g" * args.s + "\r\n", table)  # the csv.writer layout
-    return EXIT_OK
 
 
-def _cmd_curve_info(args) -> int:
+def _cmd_curve_info(args) -> None:
     from . import curve
 
     params = curve.parse_curve(args.curve)
@@ -99,10 +98,9 @@ def _cmd_curve_info(args) -> int:
         {"p": params.p, "a": params.a, "b": params.b, "order": order, "hasse_ok": True},
         args.output,
     )
-    return EXIT_OK
 
 
-def _cmd_lfsr_info(args) -> int:
+def _cmd_lfsr_info(args) -> None:
     from . import gf2
 
     poly = gf2.BinaryPoly.from_hex(args.poly)
@@ -119,7 +117,6 @@ def _cmd_lfsr_info(args) -> int:
         },
         args.output,
     )
-    return EXIT_OK
 
 
 def _read_points(path: str):
@@ -155,7 +152,7 @@ def _read_points(path: str):
     return PointSet(rows)
 
 
-def _cmd_disc(args) -> int:
+def _cmd_disc(args) -> None:
     from . import discrepancy
 
     points = _read_points(args.input)
@@ -168,10 +165,9 @@ def _cmd_disc(args) -> int:
         trials = discrepancy.DEFAULT_MC_TRIALS if args.trials is None else args.trials
         report = discrepancy.mc_box_lower_bound(points, trials, args.seed)
     _emit_json({"n": report.n, "s": report.s, "value": report.value, "method": report.method}, args.output)
-    return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> None:
     from . import discrepancy
 
     inputs = discrepancy.BoundInputs(n=args.n, p=args.p, r=args.r, tau=args.tau,
@@ -186,10 +182,9 @@ def _cmd_bounds(args) -> int:
                 "cross-bound comparisons are order-of-magnitude only",
     }
     _emit_json(payload, args.output)
-    return EXIT_OK
 
 
-def _cmd_badpairs(args) -> int:
+def _cmd_badpairs(args) -> None:
     from . import combinat
 
     if args.h is not None:
@@ -210,10 +205,9 @@ def _cmd_badpairs(args) -> int:
         },
         args.output,
     )
-    return EXIT_OK
 
 
-def _cmd_beta(args) -> int:
+def _cmd_beta(args) -> None:
     from . import combinat
 
     radii = combinat.pattern_radii(args.s, args.tolerance)
@@ -226,10 +220,9 @@ def _cmd_beta(args) -> int:
         },
         args.output,
     )
-    return EXIT_OK
 
 
-def _cmd_expsum_check(args) -> int:
+def _cmd_expsum_check(args) -> None:
     import numpy as np
 
     from . import curve, expsum
@@ -247,8 +240,7 @@ def _cmd_expsum_check(args) -> int:
     elif args.samples > MAX_CHECK_SAMPLES:
         raise ScaleGuardError(f"--samples {args.samples} exceeds {MAX_CHECK_SAMPLES} draws")
     else:
-        validate_int(args.seed, "seed", 0)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(validate_int(args.seed, "seed", 0))
         a_values = index = np.unique(rng.integers(1, p, size=args.samples))
     if not curve.is_on_curve(shift, params):
         raise ValidationError("shift point must lie on the curve")
@@ -259,10 +251,9 @@ def _cmd_expsum_check(args) -> int:
     row = f"{p},%d,%.12g,{sqrt_p:.12g},%.12g\r\n"  # the csv.writer layout, constants rendered once
     table = np.column_stack((a_values, magnitudes, magnitudes / sqrt_p))  # %d renders the float a exactly
     _write_table(args.output, ["p", "a", "abs_sum", "sqrt_p", "ratio"], row, table)
-    return EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> None:
     import numpy as np
 
     from . import curve, experiments, gf2
@@ -292,7 +283,6 @@ def _cmd_experiment(args) -> int:
     table = np.array([[row.n, row.mean, row.median, row.q90, row.thm_bound, row.elma_bound] for row in rows])
     _write_table(args.output, ["N", "mean", "median", "q90", "thm_bound", "elma_bound"],
                  "%d" + ",%.12g" * 5 + "\r\n", table)  # %d renders the float N exactly
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,8 +370,9 @@ def main(argv=None) -> int:
     every module, numpy's included, unless something waits for the exit (_exit_watched).
     """
     args = build_parser().parse_args(argv)
+    code = EXIT_OK
     try:
-        code = args.func(args)
+        args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION

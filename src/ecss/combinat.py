@@ -29,24 +29,24 @@ TIE_GAP = 1e-6  # radii this close to the top count as dominant
 _BLOCK = 1 << 17  # pair-matrix entries per block; small blocks keep the temporaries in cache
 
 
-def _validate_r_s(r: int, s: int) -> None:
-    validate_int(r, "r")
-    validate_int(s, "s")
+def _validate_r_s(r: int, s: int) -> tuple[int, int]:
+    r, s = validate_int(r, "r"), validate_int(s, "s")
     if s < 1 or r < s:
         raise ValidationError("need r >= s >= 1")
+    return r, s
 
 
 @finite_float
 def bad_pair_upper_bound(r: int, s: int) -> float:
     """Explicit upper bound 2s 4^(s-1) alpha_s^r on the number of s-bad pairs."""
-    _validate_r_s(r, s)
+    r, s = _validate_r_s(r, s)
     return 2.0 * s * 4.0 ** (s - 1) * alpha(s) ** r
 
 
 def validate_pattern(s: int, h: int) -> None:
     """Reject a forbidden window pair (e_h, 0_s), basis vector against the zero window, unless 1 <= h <= s."""
-    validate_int(s, "s")
-    if not 1 <= validate_int(h, "h") <= s:
+    s, h = validate_int(s, "s"), validate_int(h, "h")
+    if not 1 <= h <= s:
         raise ValidationError(f"need 1 <= h <= s, got h={h}, s={s}")
 
 
@@ -71,10 +71,11 @@ def _occurrence_masks(r: int, s: int):
     return zero, basis
 
 
-def _check_brute_force_guard(r: int, s: int) -> None:
-    _validate_r_s(r, s)
+def _check_brute_force_guard(r: int, s: int) -> tuple[int, int]:
+    r, s = _validate_r_s(r, s)
     if 2 * r >= MAX_BRUTE_FORCE_PAIRS.bit_length():  # 4^r > the cap, without building 4^r for a huge r
         raise ScaleGuardError(f"enumeration of 4^{r} pairs exceeds {MAX_BRUTE_FORCE_PAIRS}")
+    return r, s
 
 
 def brute_force_bad_wrt_first(r: int, s: int, h: int) -> int:
@@ -103,7 +104,7 @@ def brute_force_bad_count(r: int, s: int) -> BadPairCount:
     """
     import numpy as np
 
-    _check_brute_force_guard(r, s)
+    r, s = _check_brute_force_guard(r, s)
     zero, basis = _occurrence_masks(r, s)
     size = 1 << r
     good_total = 0
@@ -125,12 +126,13 @@ def brute_force_bad_count(r: int, s: int) -> BadPairCount:
     return BadPairCount(r=r, s=s, f=f, per_h=per_h)
 
 
-def _check_automaton_guard(r: int, s: int) -> None:
-    _validate_r_s(r, s)
+def _check_automaton_guard(r: int, s: int) -> tuple[int, int]:
+    r, s = _validate_r_s(r, s)
     # 16^s alone is past the cap once 4s exceeds its bit length, so 16^s is built only for s <= 6
     if 4 * s > MAX_AUTOMATON_WORK.bit_length() or 16**s * (r - s + 1) * (2 * r // 64 + 1) > MAX_AUTOMATON_WORK:
         raise ScaleGuardError(f"bad-pair automaton at r = {r}, s = {s}: 16^s states x (r - s + 1) steps "
                               f"x (2r // 64 + 1) words exceeds {MAX_AUTOMATON_WORK}")
+    return r, s
 
 
 def bad_pair_count(r: int, s: int) -> BadPairCount:
@@ -152,7 +154,7 @@ def bad_pair_count(r: int, s: int) -> BadPairCount:
     checked against MAX_AUTOMATON_WORK first; its slowest edge, s = 5 at
     r = 13, takes about 0.5 s and 11 MiB of allocations.
     """
-    _check_automaton_guard(r, s)
+    r, s = _check_automaton_guard(r, s)
     pairs = 1 << 2 * s  # window pairs, and flag sets of 2s flags
     full = pairs - 1
     top = 1 << (s - 1)
@@ -249,7 +251,7 @@ def walk_count(matrix: TransferMatrix, steps: int) -> int:
     """Total walks of the given length over all start states, in exact integers."""
     import numpy as np
 
-    validate_int(steps, "steps", 0)
+    steps = validate_int(steps, "steps", 0)
     f = matrix.forbidden
     full = np.ones(matrix.dim + 1, dtype=object)  # Python ints: counts outgrow int64
     full[f] = 0
@@ -320,7 +322,7 @@ def spectral_radius(matrix: TransferMatrix, tolerance: float = 1e-9) -> Spectral
 
 def pattern_radii(s: int, tolerance: float = 1e-9) -> tuple[float, ...]:
     """Dominant eigenvalue of the transfer matrix of each forbidden pattern, h = 1..s."""
-    validate_int(s, "s", 1)
+    s = validate_int(s, "s", 1)
     return tuple(spectral_radius(transfer_matrix(s, h), tolerance).value for h in range(1, s + 1))
 
 
@@ -347,6 +349,6 @@ def bad_count_bracket(r: int, s: int) -> tuple[int, int]:
     lower bound, and the union over patterns and the two vector roles gives
     the upper bound.  bad_pair_count gives f_s(r) itself; the bracket checks it.
     """
-    _validate_r_s(r, s)
+    r, s = _validate_r_s(r, s)
     counts = [walk_count(transfer_matrix(s, h), r - s) for h in range(1, s + 1)]
     return max(counts), 2 * sum(counts)

@@ -181,7 +181,8 @@ def _root_counts_by_a(p: int):
 
     The one gate of the whole-prime sweeps: p is checked on the call, before the first a is asked for.
     """
-    if not is_prime(validate_int(p, "p")) or p <= 3:
+    p = validate_int(p, "p")
+    if not is_prime(p) or p <= 3:
         raise ValidationError(f"p = {p} must be a prime above 3")
     if p > MAX_ALL_CURVES_P:
         raise ScaleGuardError(f"whole-prime (a, b) sweep capped at p <= {MAX_ALL_CURVES_P}, got {p}")
@@ -194,17 +195,6 @@ def _root_counts_by_a(p: int):
 def x_coord(point: CurvePoint) -> int:
     """x-coordinate of an affine point; the identity maps to 0 by convention."""
     return 0 if point.is_infinity else point.x
-
-
-def validate_weights(weights: tuple[CurvePoint, ...], curve: CurveParams) -> None:
-    """Reject anything but a nonempty tuple of CurvePoints on the curve: the weights P_0..P_{r-1}."""
-    if not isinstance(weights, tuple) or not all(isinstance(point, CurvePoint) for point in weights):
-        raise ValidationError("weights must be a tuple of CurvePoints")
-    if not weights:
-        raise ValidationError("weight vector needs at least one point")
-    for point in weights:
-        if not is_on_curve(point, curve):
-            raise ValidationError(f"weight point {format_point(point)} is not on the curve")
 
 
 def parse_curve(text: str) -> CurveParams:

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ScaleGuardError, ValidationError, alpha, finite_float, int_fields, is_prime, validate_int, validate_positive_real,
+    MAX_PRIME_TEST, ScaleGuardError, ValidationError, alpha, finite_float, int_fields, is_prime, validate_int,
+    validate_positive_real,
 )
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
@@ -312,7 +313,8 @@ def exact_extreme_1d(points) -> DiscrepancyReport:
 
 def exact_extreme_multi(points, s: int) -> DiscrepancyReport:
     """Exact extreme discrepancy in dimension 2 or 3, within exact_fits_guard."""
-    if validate_int(s, "s") not in (2, 3):
+    s = validate_int(s, "s")
+    if s not in (2, 3):
         raise ValidationError("exact multi-dimensional discrepancy supports s in {2, 3}")
     return _exact_report(points, s)
 
@@ -330,10 +332,10 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
     sup lives; every sampled box is a genuine box, so the result never
     exceeds the exact value.  Deterministic for a fixed seed.
     """
-    validate_int(trials, "trials", 1)
+    trials = validate_int(trials, "trials", 1)
     if trials > MAX_MC_TRIALS:
         raise ScaleGuardError(f"{trials} trials exceed the cap of {MAX_MC_TRIALS}")
-    validate_int(seed, "seed", 0)
+    seed = validate_int(seed, "seed", 0)
     rows = _as_rows(points)
     n_total, s = rows.shape
     if trials * n_total * s > MAX_MC_WORK:
@@ -373,9 +375,11 @@ class BoundInputs:
         int_fields(self, "n", "p", "r", "tau", *(() if self.s is None else ("s",)))
         if not 1 <= self.n <= self.tau:
             raise ValidationError("need 1 <= N <= tau")
-        validate_positive_real(self.delta, "delta")
+        object.__setattr__(self, "delta", validate_positive_real(self.delta, "delta"))
         if self.r < 1:
             raise ValidationError("r must be >= 1")
+        if self.p >= MAX_PRIME_TEST:
+            raise ScaleGuardError(f"p = {self.p} is past the primality test's exact range, p < {MAX_PRIME_TEST}")
         if not is_prime(self.p):
             raise ValidationError(f"p = {self.p} is not prime")
         if self.s is not None and self.s < 1:

@@ -6,6 +6,8 @@ from numbers import Integral, Real
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# is_prime is exact below this, the least strong pseudoprime to every base above: 399165290221 * 798330580441
+MAX_PRIME_TEST = 318665857834031151167461
 
 
 class ValidationError(ValueError):
@@ -17,7 +19,7 @@ class ScaleGuardError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    """Strong probable-prime test to the prime bases 2..37; exact below 3.18e23 (Sorenson and Webster, 2015)."""
+    """Strong probable-prime test to the prime bases 2..37; exact below MAX_PRIME_TEST (Sorenson and Webster, 2015)."""
     if n < 2:
         return False
     for q in _PRIME_BASES:
@@ -54,10 +56,10 @@ def validate_int(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def int_fields(record, *names: str) -> None:
+def int_fields(record, *names: str, minimum: int | None = None) -> None:
     """Check the named fields of a frozen dataclass record by validate_int, in order, and store Python ints."""
     for name in names:
-        object.__setattr__(record, name, validate_int(getattr(record, name), name))
+        object.__setattr__(record, name, validate_int(getattr(record, name), name, minimum))
 
 
 def validate_type(value, kind: type, name: str) -> None:
@@ -66,14 +68,15 @@ def validate_type(value, kind: type, name: str) -> None:
         raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
-def validate_positive_real(value, name: str) -> None:
-    """Reject anything but a real number (not a bool) above 0 and finite as a float."""
+def validate_positive_real(value, name: str) -> float:
+    """Reject anything but a real number (not a bool) above 0 and finite as a float; return it as a float."""
     try:
         valid = not isinstance(value, bool) and isinstance(value, Real) and 0 < float(value) < math.inf
     except OverflowError:  # an int too large for a float
         valid = False
     if not valid:
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def finite_float(fn):
@@ -95,5 +98,5 @@ def finite_float(fn):
 @finite_float
 def alpha(s: int) -> float:
     """Growth base (4^s - 1)^(1/s) of the explicit bad-pair upper bound."""
-    validate_int(s, "s", 1)
+    s = validate_int(s, "s", 1)
     return (4.0**s - 1.0) ** (1.0 / s)

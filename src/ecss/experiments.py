@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .discrepancy import (
     exact_fits_guard,
     mc_box_lower_bound,
 )
-from .errors import ScaleGuardError, ValidationError, validate_int, validate_positive_real, validate_type
+from .errors import ScaleGuardError, ValidationError, int_fields, validate_int, validate_positive_real, validate_type
 from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period
 from .generator import LANE_BUDGET, _lane_sums
 
@@ -40,26 +41,21 @@ class ExperimentConfig:
     samples: int
     delta: float
     seed: int
-    init: tuple[int, ...] = field(init=False)  # the default register window, default_init(r)
-    tau: int = field(init=False)  # the register period, computed from poly and init
+    tau: int = field(init=False)  # the register period from the default window, default_init(r)
 
     def __post_init__(self):
         validate_type(self.curve, CurveParams, "curve")
         validate_type(self.poly, BinaryPoly, "poly")
-        for name in ("r", "s", "samples"):
-            validate_int(getattr(self, name), name, 1)
-        for n in self.n_grid:
-            validate_int(n, "N grid entry", 1)
+        int_fields(self, "r", "s", "samples", minimum=1)
+        grid = tuple(sorted(validate_int(n, "N grid entry", 1) for n in self.n_grid))
         if self.r != self.poly.degree:
             raise ValidationError(f"r = {self.r} does not match polynomial degree {self.poly.degree}")
-        validate_positive_real(self.delta, "delta")
-        validate_int(self.seed, "seed", 0)
-        object.__setattr__(self, "init", default_init(self.r))
+        object.__setattr__(self, "delta", validate_positive_real(self.delta, "delta"))
+        int_fields(self, "seed", minimum=0)
         # Degree-guarded, so first; its walk back to the start proves the tau windows (the states) distinct.
-        object.__setattr__(self, "tau", sequence_period(self.poly, self.init))
+        object.__setattr__(self, "tau", sequence_period(self.poly, default_init(self.r)))
         if not poly_is_irreducible(self.poly):
             raise ValidationError("characteristic polynomial must be irreducible")
-        grid = tuple(sorted(int(n) for n in self.n_grid))
         if not grid:
             raise ValidationError("N grid must be nonempty")
         if grid[-1] > self.tau:
@@ -161,9 +157,10 @@ def _weight_rows(table_size: int, r: int, count: int, seed: int) -> np.ndarray:
     first two across numpy releases but not Generator.integers, so owning the
     draw keeps the sampled weights fixed, and the sweep loads no numpy.random.
     """
-    validate_int(table_size, "table size", 1)
-    validate_int(r, "r", 1)
-    if validate_int(count, "count", 0) > MAX_SAMPLES:
+    table_size = validate_int(table_size, "table size", 1)
+    r = validate_int(r, "r", 1)
+    count = validate_int(count, "count", 0)
+    if count > MAX_SAMPLES:
         raise ScaleGuardError(f"{count} samples exceed the cap of {MAX_SAMPLES}")
     if table_size > _M32:  # numpy's 64-bit draw; point_table's MAX_ENUMERATION_P keeps tables far smaller
         raise ScaleGuardError(f"a table of {table_size} rows exceeds the 32-bit draw")
@@ -219,7 +216,7 @@ def discrepancy_sweep(config: ExperimentConfig) -> list[SweepRow]:
     mc_seeds = [] if all(exact) else [  # numpy's SeedSequence((seed, 1)).spawn(samples)[i].generate_state(1)[0]
         _state_words(pool, 1)[0] for pool in _spawned_pools(_words(config.seed) + [1], config.samples)]
     count = config.n_grid[-1] + config.s - 1
-    bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
+    bits = LfsrSource(config.poly, default_init(config.r)).bits(count + config.r - 1)
     wx, wy, winf = table[rows, 0], table[rows, 1], rows == 0  # row 0, the identity, is stored as (0, 0)
     block = max(1, LANE_BUDGET // count)
     matrix = np.empty((config.samples, len(config.n_grid)))
@@ -275,13 +272,5 @@ def bound_crossover(p: int, r: int, tau: int) -> int | None:
         inputs = BoundInputs(n=n, p=p, r=r, tau=tau, delta=1.0)
         return discrepancy_bound_1d(inputs) < elmahassni_bound(inputs)
 
-    if not stronger(tau):
-        return None
-    lo, hi = 1, tau  # invariant: stronger(hi) is True
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if stronger(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    n = 1 + bisect.bisect_left(range(1, tau + 1), True, key=stronger)
+    return n if n <= tau else None

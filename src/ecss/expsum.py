@@ -36,14 +36,14 @@ def _summed_modulus(m: int) -> int:
 
 def additive_character(m: int, z) -> complex:
     """exp(2 pi i z / m); always on the unit circle."""
-    validate_int(m, "modulus", 1)
+    m = validate_int(m, "modulus", 1)
     return cmath.exp(2j * math.pi * (z / m))
 
 
 def orthogonality_sum(m: int, lam: int) -> complex:
     """Direct evaluation of sum_{eta < m} e_m(eta * lam): m when m | lam, else 0."""
     m = _summed_modulus(m)
-    validate_int(lam, "lam")
+    lam = validate_int(lam, "lam")
     eta = np.arange(m)
     values = np.exp(2j * np.pi * ((eta * (lam % m)) % m) / m)
     return _unit_sum(complex(values.sum()), values.size)
@@ -58,7 +58,8 @@ def dirichlet_l1(m: int, M: int) -> float:
     explicit ceiling.
     """
     m = _summed_modulus(m)
-    if not 1 <= validate_int(M, "M") <= m:
+    M = validate_int(M, "M")
+    if not 1 <= M <= m:
         raise ValidationError(f"need 1 <= M <= m, got M={M}, m={m}")
     eta = np.arange(1, m)
     num = np.abs(np.sin(np.pi * M * eta / m))
@@ -75,7 +76,8 @@ def curve_x_char_sum(curve: CurveParams, a: int, c: CurvePoint, points=None) -> 
     Pass a precomputed point list to amortise enumeration across sweeps.
     """
     p = curve.p
-    if validate_int(a, "a") % p == 0:
+    a = validate_int(a, "a")
+    if a % p == 0:
         raise ValidationError("a must be nonzero mod p (the sum degenerates to a point count)")
     if not is_on_curve(c, curve):
         raise ValidationError("shift point must lie on the curve")
@@ -132,7 +134,7 @@ def koksma_szusz_rhs(points, L: int) -> float:
     """
     from .discrepancy import _as_rows  # here, so expsum-check loads no discrepancy
 
-    validate_int(L, "L", 2)
+    L = validate_int(L, "L", 2)
     rows = _as_rows(points)
     n_points, s = rows.shape
     if (2 * L) ** s * n_points > MAX_KOKSMA_WORK:
@@ -170,13 +172,13 @@ def avg_square_sum_over_weights(curve: CurveParams, r: int, a: int, count: int, 
     """
     from .gf2 import LfsrSource, packed_windows  # here, so expsum-check loads no gf2
 
-    validate_int(r, "r", 1)
-    validate_int(a, "a")
-    validate_int(count, "N", 1)
+    r = validate_int(r, "r", 1)
+    a = validate_int(a, "a")
+    count = validate_int(count, "N", 1)
     if count + r - 1 > MAX_AVG_WINDOW_BITS:
         raise ScaleGuardError(f"N + r - 1 = {count + r - 1} register bits exceed {MAX_AVG_WINDOW_BITS}")
-    if isinstance(source, LfsrSource) and source.order != r:
-        raise ValidationError(f"weight length {r} does not match register order {source.order}")
+    if isinstance(source, LfsrSource) and source.poly.degree != r:
+        raise ValidationError(f"weight length {r} does not match register order {source.poly.degree}")
     order = len(enumerate_points(curve))  # perfbench/traced_job.py learns #E from this call
     mean = _unit_sum(1 + complex(curve_char_sums_all(curve)[a % curve.p]), order) / order
     counts = Counter(packed_windows(source.bits(count + r - 1), r))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveParams, CurvePoint, INFINITY, validate_weights
+from .curve import CurveParams, CurvePoint, INFINITY, format_point, is_on_curve
 from .discrepancy import PointSet
 from .errors import ScaleGuardError, ValidationError, validate_int, validate_type
 from .gf2 import BitSequenceSource, LfsrSource
@@ -14,7 +14,8 @@ from .gf2 import BitSequenceSource, LfsrSource
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Bit source, weight points P_0..P_{r-1} and the curve they lie on."""
+    """Bit source, weight points P_0..P_{r-1} and the curve they lie on; the one gate for the weights,
+    a nonempty tuple of CurvePoints on the curve, as many as an LfsrSource's register order."""
 
     source: BitSequenceSource
     weights: tuple[CurvePoint, ...]
@@ -23,16 +24,16 @@ class GeneratorConfig:
     def __post_init__(self):
         validate_type(self.source, BitSequenceSource, "source")
         validate_type(self.curve, CurveParams, "curve")
-        validate_weights(self.weights, self.curve)
-        if isinstance(self.source, LfsrSource) and self.source.order != len(self.weights):
-            raise ValidationError(
-                f"weight length {len(self.weights)} does not match register order "
-                f"{self.source.order}"
-            )
-
-    @property
-    def r(self) -> int:
-        return len(self.weights)
+        if not isinstance(self.weights, tuple) or not all(isinstance(point, CurvePoint) for point in self.weights):
+            raise ValidationError("weights must be a tuple of CurvePoints")
+        if not self.weights:
+            raise ValidationError("weight vector needs at least one point")
+        for point in self.weights:
+            if not is_on_curve(point, self.curve):
+                raise ValidationError(f"weight point {format_point(point)} is not on the curve")
+        if isinstance(self.source, LfsrSource) and self.source.poly.degree != len(self.weights):
+            raise ValidationError(f"weight length {len(self.weights)} does not match register order "
+                                  f"{self.source.poly.degree}")
 
 
 LANE_BUDGET = 1 << 14  # lanes per kernel call in the batched callers, and per slice of lane additions
@@ -221,11 +222,11 @@ def _lane_sums(bits, wx, wy, winf, curve: CurveParams):
 
 def _curve_outputs(config: GeneratorConfig, first: int, count: int):
     """x, y and identity mask of the outputs n = first, ..., first + count - 1."""
-    validate_int(first, "index", 1)
-    validate_int(count, "count", 0)
+    first = validate_int(first, "index", 1)
+    count = validate_int(count, "count", 0)
     if first + count - 1 > MAX_OUTPUTS:
         raise ScaleGuardError(f"output index {first + count - 1} exceeds the cap of {MAX_OUTPUTS}")
-    bits = config.source.bits(first + count + config.r - 2)[first - 1 :]
+    bits = config.source.bits(first + count + len(config.weights) - 2)[first - 1 :]
     x, y, inf = _lane_sums(bits, *_point_arrays([config.weights]), config.curve)
     return x[0], y[0], inf[0]
 
@@ -259,7 +260,7 @@ def s_tuples(seq, s: int) -> PointSet:
 
     The sequence is read as PointSet(seq), by the rule of every point input, and must be one column.
     """
-    validate_int(s, "dimension", 1)
+    s = validate_int(s, "dimension", 1)
     column = PointSet(seq)
     if column.s != 1:
         raise ValidationError("sequence must be one-dimensional")

@@ -58,21 +58,16 @@ class BinaryPoly:
         return " + ".join(terms)
 
 
-def _gf2_degree(a: int) -> int:
-    return a.bit_length() - 1
-
-
 def _gf2_mod(a: int, f: int) -> int:
-    df = _gf2_degree(f)
+    df = f.bit_length() - 1
     while a.bit_length() - 1 >= df:
         a ^= f << (a.bit_length() - 1 - df)
     return a
 
 
 def _gf2_mulmod(a: int, b: int, f: int) -> int:
-    a = _gf2_mod(a, f)
-    df = _gf2_degree(f)
-    top = 1 << df
+    """a * b mod f for a already reduced below the degree of f."""
+    top = 1 << (f.bit_length() - 1)
     acc = 0
     while b:
         if b & 1:
@@ -144,12 +139,8 @@ class LfsrSource(BitSequenceSource):
         self.poly = poly
         self._init = sum(int(b) << t for t, b in enumerate(init))  # packed LSB-first
 
-    @property
-    def order(self) -> int:
-        return self.poly.degree
-
     def bits(self, count: int) -> list[int]:
-        validate_int(count, "count", 0)
+        count = validate_int(count, "count", 0)
         r = self.poly.degree
         taps = self.poly.recurrence_taps
         state = self._init
@@ -211,8 +202,8 @@ def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
     More than 2^r windows cannot be distinct, which is answered without reading a bit.  Otherwise
     the tau windows of r bits are capped at the period walk's budget, 2^24 windows of 24 bits.
     """
-    validate_int(r, "window length", 1)
-    validate_int(tau, "tau", 1)
+    r = validate_int(r, "window length", 1)
+    tau = validate_int(tau, "tau", 1)
     if (tau - 1).bit_length() > r:  # tau > 2^r, without building 2^r
         return False
     if tau * r > MAX_PERIOD_SEARCH_DEGREE << MAX_PERIOD_SEARCH_DEGREE:

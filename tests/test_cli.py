@@ -23,6 +23,7 @@ from ecss.cli import MAX_CHECK_SAMPLES, main
 from ecss.combinat import bad_pair_count, bad_pair_upper_bound, transfer_matrix, walk_count
 from ecss.curve import CurveParams, CurvePoint, enumerate_points, parse_curve, point_table
 from ecss.discrepancy import MAX_MC_TRIALS, exact_extreme_1d
+from ecss.errors import MAX_PRIME_TEST
 from ecss.experiments import MAX_SAMPLES, ExperimentConfig, discrepancy_sweep
 from ecss.expsum import curve_char_sums_all
 from ecss.generator import MAX_OUTPUTS, GeneratorConfig, output_normalized
@@ -423,6 +424,14 @@ class TestGenAndDisc:
         payload = json.loads(out)
         assert code == 0 and payload["s"] == 4 and payload["method"] == "monte-carlo-lower-bound"
 
+    @pytest.mark.parametrize("body, code, err", [
+        ("0.1\nabc\n", 2, "error: non-numeric row in point input: ['abc']\n"),
+        ("x\ny\n0.5\n", 2, "error: non-numeric row in point input: ['y']\n"),  # only the first row is a header
+        ("x\n0.5\n", 0, ""),  # a one-column header
+    ])
+    def test_disc_non_numeric_row_after_the_first_is_validation_error(self, body, code, err):
+        assert run_cli_on_stdin(body, "disc")[::2] == (code, err)
+
     @pytest.mark.parametrize("method", ["exact", "mc"])
     def test_disc_index_column_only_is_validation_error(self, capsys, tmp_path, method):
         points_file = tmp_path / "pts.csv"
@@ -496,7 +505,8 @@ class TestGenAndDisc:
         code, peak_kib, err = run_from_launcher("gen", "--curve", "1009,1,1", "--poly", poly, "--n", str(MAX_OUTPUTS),
                                                 "--seed", "3", *extra, "--output", str(out))
         assert code == 0, err
-        assert sum(1 for _ in out.open()) == head_lines + MAX_OUTPUTS
+        with out.open() as lines:
+            assert sum(1 for _ in lines) == head_lines + MAX_OUTPUTS
         assert peak_kib < 150 * 1024
 
     def test_tuples_over_the_cap_exit_before_the_copy(self, capsys):
@@ -616,6 +626,14 @@ class TestBounds:
         code, out, err = run_cli(capsys, "bounds", "--n", "1", "--p", "4759123141", "--r", "1", "--tau", "1")
         assert code == 2 and out == "" and "not prime" in err
 
+    @pytest.mark.parametrize("p, code", [(MAX_PRIME_TEST, 3), (2**61 - 1, 0)])
+    def test_p_past_the_exact_prime_test_is_scale_guard(self, capsys, p, code):
+        # MAX_PRIME_TEST = 399,165,290,221 * 798,330,580,441 passes the strong test to every base of is_prime.
+        result, out, err = run_cli(capsys, "bounds", "--n", "1", "--p", str(p), "--r", "1", "--tau", "1")
+        assert result == code and (out == "") == (code == 3)
+        assert err == ("" if code == 0 else f"scale guard: p = {p} is past the primality test's exact range, "
+                                            f"p < {MAX_PRIME_TEST}\n")
+
     @pytest.mark.parametrize("extra", [("--r", "5000"), ("--r", "2", "--s", "5000"), ("--r", "2", "--delta", "1e-320")])
     def test_float_overflow_is_validation_error(self, capsys, extra):
         code, out, err = run_cli(capsys, "bounds", "--n", "5", "--p", "11", "--tau", "10", *extra)
@@ -635,11 +653,12 @@ class TestBounds:
     def test_exit_codes_on_any_numbers(self, n, p, r, tau, delta, s):
         argv = ["bounds", f"--n={n}", f"--p={p}", f"--r={r}", f"--tau={tau}", f"--delta={delta!r}"]
         code, out, err = run_cli_on_stdin("", *argv, *([f"--s={s}"] if s is not None else []))
-        assert code in (0, 2), err
+        assert code in (0, 2, 3), err
         if code == 0:
             json.loads(out, parse_constant=reject_constant)  # every number finite
         else:
-            assert out == "" and err.startswith("error:")
+            assert out == "" and err.startswith("error:" if code == 2 else "scale guard:")
+        assert (code == 3) <= (p >= MAX_PRIME_TEST)
 
 
 class TestExpsumCheck:

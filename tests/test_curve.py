@@ -22,11 +22,12 @@ from ecss.curve import (
     parse_curve,
     parse_point,
     point_table,
-    validate_weights,
     x_coord,
 )
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.expsum import max_char_ratio_all_curves
+from ecss.generator import GeneratorConfig
+from ecss.gf2 import BinaryPoly, LfsrSource
 from oracles import format_curve, point_table_out_of_place, scalar_mul
 
 F5 = CurveParams(5, 1, 1)
@@ -382,12 +383,18 @@ class TestSerialization:
 
 
 class TestValidateWeights:
+    """GeneratorConfig is the one gate for the weights."""
+
+    @staticmethod
+    def config(weights):
+        return GeneratorConfig(source=LfsrSource(BinaryPoly(0b111), (1, 0)), weights=weights, curve=F5)
+
     def test_length_validated(self):
         with pytest.raises(ValidationError, match="at least one point"):
-            validate_weights((), F5)
+            self.config(())
 
     def test_points_checked_against_curve(self):
         weights = (CurvePoint(0, 1), CurvePoint(1, 1))
-        with pytest.raises(ValidationError):
-            validate_weights(weights, F5)
-        validate_weights((CurvePoint(0, 1), INFINITY), F5)
+        with pytest.raises(ValidationError, match="weight point 1,1 is not on the curve"):
+            self.config(weights)
+        self.config((CurvePoint(0, 1), INFINITY))

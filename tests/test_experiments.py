@@ -26,7 +26,7 @@ from ecss.experiments import (
 from ecss.discrepancy import (BoundInputs, discrepancy_bound_1d, elmahassni_bound, exact_extreme_1d,
                               exact_extreme_multi)
 from ecss.generator import LANE_BUDGET, s_tuples
-from ecss.gf2 import BinaryPoly, LfsrSource
+from ecss.gf2 import BinaryPoly, LfsrSource, default_init
 from oracles import mc_seeds_numpy, scalar_fold, weight_rows_numpy
 
 F101 = CurveParams(101, 1, 1)
@@ -118,7 +118,7 @@ class TestExperimentConfig:
         assert config.n_grid == (4, 8) and all(type(n) is int for n in config.n_grid)
 
     def test_default_init_is_the_unit_window(self):
-        assert small_config().init == (1, 0, 0, 0, 0)
+        assert default_init(small_config().r) == (1, 0, 0, 0, 0)
 
     def test_numpy_integer_seed_accepted(self):
         assert small_config(seed=np.int64(5)).seed == 5
@@ -268,7 +268,7 @@ class TestDiscrepancySweep:
         rows = discrepancy_sweep(config)
         assert [row.method for row in rows] == ["exact", "monte-carlo-lower-bound"]
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence((config.seed, 1)).spawn(3)]
-        bits = LfsrSource(config.poly, config.init).bits(102 + config.r - 1)
+        bits = LfsrSource(config.poly, default_init(config.r)).bits(102 + config.r - 1)
         d = []
         for weights, seed in zip(sample_weight_vectors(config.curve, config.r, 3, config.seed), seeds):
             outputs = [x_coord(point) / config.curve.p for point in scalar_fold(bits, weights, config.curve)[:102]]
@@ -330,7 +330,7 @@ class TestDiscrepancySweep:
         config = small_config(**overrides)
         count = config.n_grid[-1] + config.s - 1
         assert config.samples > LANE_BUDGET // count  # the sweep runs at least two lane blocks
-        bits = LfsrSource(config.poly, config.init).bits(count + config.r - 1)
+        bits = LfsrSource(config.poly, default_init(config.r)).bits(count + config.r - 1)
         matrix = []
         for weights in sample_weight_vectors(config.curve, config.r, config.samples, config.seed):
             outputs = [x_coord(point) / config.curve.p for point in scalar_fold(bits, weights, config.curve)[:count]]
@@ -417,3 +417,18 @@ class TestBoundCrossover:
 
     def test_no_crossover_for_tiny_tau(self):
         assert bound_crossover(65537, 16, 100) is None
+
+    # The crossover at tau = 2^20 - 1 for each p and r in (2, 4, 8, 10, 16, 24). Both bounds carry
+    # the factor log(tau)^2, so a smaller tau keeps the same crossover when it reaches it, and has none otherwise.
+    CROSSOVERS = {
+        101: (5, 14, 119, 355, 9585, 776328),
+        1009: (4, 11, 99, 296, 7977, 646074),
+        65537: (4, 10, 87, 260, 6999, 566871),
+        2**31 - 1: (4, 10, 82, 245, 6592, 533922),
+    }
+
+    @pytest.mark.parametrize("p", sorted(CROSSOVERS))
+    def test_crossover_grid(self, p):
+        for r, n_star in zip((2, 4, 8, 10, 16, 24), self.CROSSOVERS[p]):
+            for tau in (3, 31, 1023, 2**16 - 1, 2**20 - 1):
+                assert bound_crossover(p, r, tau) == (n_star if n_star <= tau else None), (r, tau)
