@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -173,7 +172,7 @@ def _cmd_bounds(args) -> None:
     inputs = discrepancy.BoundInputs(n=args.n, p=args.p, r=args.r, tau=args.tau,
                                      delta=args.delta, s=args.s)
     payload = {
-        **dataclasses.asdict(inputs),  # n, p, r, tau, delta, s
+        **{name: getattr(inputs, name) for name in inputs._fields},  # n, p, r, tau, delta, s
         "bound_1d": discrepancy.discrepancy_bound_1d(inputs),
         "elmahassni": discrepancy.elmahassni_bound(inputs),
         "bound_multi": discrepancy.discrepancy_bound_multi(inputs) if args.s and args.s >= 2 else None,

@@ -12,10 +12,9 @@ alpha_s = (4^s - 1)^(1/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 
-from .errors import ScaleGuardError, ValidationError, alpha, finite_float, int_fields, validate_int
+from .errors import ScaleGuardError, ValidationError, alpha, finite_float, int_fields, record, validate_int
 
 MAX_BRUTE_FORCE_PAIRS = 10**8  # 4^r <= 1e8, i.e. r <= 13
 # 16^s automaton states x (r - s + 1) steps x 64-bit words of a count (about 2r bits); excludes s >= 6
@@ -84,7 +83,7 @@ def brute_force_bad_wrt_first(r: int, s: int, h: int) -> int:
     return brute_force_bad_count(r, s).per_h[h - 1]
 
 
-@dataclass(frozen=True)
+@record
 class BadPairCount:
     """Exact bad-pair tally for vector length r and window span s."""
 
@@ -189,7 +188,7 @@ def bad_pair_count(r: int, s: int) -> BadPairCount:
     return BadPairCount(r=r, s=s, f=4**r - good, per_h=per_h)
 
 
-@dataclass(frozen=True)
+@record
 class TransferMatrix:
     """Walk matrix on pairs of s-bit windows with the vertex (e_h, 0_s) removed.
 
@@ -261,7 +260,7 @@ def walk_count(matrix: TransferMatrix, steps: int) -> int:
     return int(full.sum())
 
 
-@dataclass(frozen=True)
+@record
 class SpectralRadiusEstimate:
     value: float
     residual: float

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    MAX_PRIME_TEST, ScaleGuardError, ValidationError, alpha, finite_float, int_fields, is_prime, validate_int,
-    validate_positive_real,
+    MAX_PRIME_TEST, ScaleGuardError, ValidationError, alpha, finite_float, int_fields, is_prime, record,
+    validate_int, validate_positive_real,
 )
 
 MAX_EXACT_MULTI_WORK = 10**8  # N^(2s)
@@ -20,11 +19,11 @@ EXACT = "exact"
 MC_LOWER_BOUND = "monte-carlo-lower-bound"
 
 
-@dataclass(frozen=True)
+@record
 class PointSet:
     """N points in the half-open unit cube [0, 1)^s, as a private read-only (N, s) copy; a 1-D input is one column."""
 
-    rows: np.ndarray = field(repr=False)
+    rows: np.ndarray
 
     def __post_init__(self):
         try:
@@ -48,6 +47,9 @@ class PointSet:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
+    def __repr__(self):
+        return "PointSet()"
+
     @property
     def n(self) -> int:
         return self.rows.shape[0]
@@ -57,7 +59,7 @@ class PointSet:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
+@record
 class DiscrepancyReport:
     n: int
     s: int
@@ -360,7 +362,7 @@ def mc_box_lower_bound(points, trials: int, seed: int) -> DiscrepancyReport:
     return DiscrepancyReport(n_total, s, best, MC_LOWER_BOUND)
 
 
-@dataclass(frozen=True)
+@record
 class BoundInputs:
     """Arguments of the closed-form discrepancy bounds."""
 

@@ -1,4 +1,5 @@
-"""Exception types and input rules shared across the package, and alpha_s, which combinat and discrepancy share."""
+"""Exception types, input rules and the frozen record rule shared across the package, and alpha_s, which
+combinat and discrepancy share."""
 
 import functools
 import math
@@ -56,10 +57,68 @@ def validate_int(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def int_fields(record, *names: str, minimum: int | None = None) -> None:
-    """Check the named fields of a frozen dataclass record by validate_int, in order, and store Python ints."""
+def int_fields(instance, *names: str, minimum: int | None = None) -> None:
+    """Check the named fields of a frozen record by validate_int, in order, and store Python ints."""
     for name in names:
-        object.__setattr__(record, name, validate_int(getattr(record, name), name, minimum))
+        object.__setattr__(instance, name, validate_int(getattr(instance, name), name, minimum))
+
+
+def record(cls=None, /, *, no_init: tuple[str, ...] = ()):
+    """Make the annotated fields of cls a frozen value record, as dataclass(frozen=True) does, generating no code.
+
+    dataclasses compiles each record's methods by exec, about 1 ms per class in a fresh process, so every
+    record shares these closures instead.  cls gets the field names in order as _fields, and each of these
+    methods it does not define itself: __init__ taking the fields but no_init ones, positional or by keyword,
+    a class attribute being a field's default, and then calling __post_init__ if the class has one;
+    __setattr__ and __delattr__ raising AttributeError; __eq__ and __hash__ on the tuple of every field's
+    value, equal only within the class; and the dataclass __repr__ of the fields.
+    """
+    if cls is None:
+        return lambda cls: record(cls, no_init=no_init)
+    fields = tuple(cls.__annotations__)
+    params = tuple(name for name in fields if name not in no_init)
+    defaults = {name: vars(cls)[name] for name in params if name in vars(cls)}
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(params):
+            raise TypeError(f"{cls.__name__}() takes {len(params)} positional arguments but {len(args)} were given")
+        given = dict(zip(params, args))
+        for name, value in kwargs.items():
+            if name not in params or name in given:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+            given[name] = value
+        for name in params:  # one by one, which keeps the instance's values inline and shares their keys
+            if name not in given and name not in defaults:
+                raise TypeError(f"{cls.__name__}() is missing the argument {name!r}")
+            object.__setattr__(self, name, given[name] if name in given else defaults[name])
+        if post_init:
+            self.__post_init__()  # looked up on each call, so a wrapper set on the class later runs
+
+    def values(self) -> tuple:
+        return tuple([getattr(self, name) for name in fields])
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        shown_values = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"{self.__class__.__qualname__}({shown_values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls._fields = fields
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in vars(cls):
+            setattr(cls, method.__name__, method)
+    return cls
 
 
 def validate_type(value, kind: type, name: str) -> None:

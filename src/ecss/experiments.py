@@ -5,7 +5,6 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,14 +21,16 @@ from .discrepancy import (
     exact_fits_guard,
     mc_box_lower_bound,
 )
-from .errors import ScaleGuardError, ValidationError, int_fields, validate_int, validate_positive_real, validate_type
+from .errors import (
+    ScaleGuardError, ValidationError, int_fields, record, validate_int, validate_positive_real, validate_type,
+)
 from .gf2 import BinaryPoly, LfsrSource, default_init, poly_is_irreducible, sequence_period
 from .generator import LANE_BUDGET, _lane_sums
 
 MAX_SAMPLES = 10**5  # weight vectors per sweep, each a spawned RNG stream and r table rows up front
 
 
-@dataclass(frozen=True)
+@record(no_init=("tau",))
 class ExperimentConfig:
     """Validated sweep description: curve, register, dimensions, N grid, sampling."""
 
@@ -41,7 +42,7 @@ class ExperimentConfig:
     samples: int
     delta: float
     seed: int
-    tau: int = field(init=False)  # the register period from the default window, default_init(r)
+    tau: int  # the register period from the default window, default_init(r)
 
     def __post_init__(self):
         validate_type(self.curve, CurveParams, "curve")
@@ -69,7 +70,7 @@ class ExperimentConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     """Aggregated discrepancy statistics at one value of N."""
 

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curve import CurveParams, CurvePoint, INFINITY, format_point, is_on_curve
 from .discrepancy import PointSet
-from .errors import ScaleGuardError, ValidationError, validate_int, validate_type
+from .errors import ScaleGuardError, ValidationError, record, validate_int, validate_type
 from .gf2 import BitSequenceSource, LfsrSource
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorConfig:
     """Bit source, weight points P_0..P_{r-1} and the curve they lie on; the one gate for the weights,
     a nonempty tuple of CurvePoints on the curve, as many as an LfsrSource's register order."""

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
-from .errors import ScaleGuardError, ValidationError, int_fields, is_int, validate_int, validate_type
+from .errors import ScaleGuardError, ValidationError, int_fields, is_int, record, validate_int, validate_type
 
 # Exhaustive period search walks up to 2^r - 1 states; keep the register desk-sized.
 MAX_PERIOD_SEARCH_DEGREE = 24
+# The gcd test's r/2 bitwise squarings grow as r^3: a dense irreducible polynomial of degree 1024
+# takes 0.27 s (2 CPUs, Python 3.11.7), and the irreducible trinomial X^4423 + X^271 + 1 takes 8.3 s.
+MAX_IRREDUCIBILITY_DEGREE = 1024
 
 
-@dataclass(frozen=True)
+@record
 class BinaryPoly:
     """Polynomial over GF(2), stored as an integer mask (bit i = coefficient of X^i).
 
@@ -90,10 +92,13 @@ def poly_is_irreducible(poly: BinaryPoly) -> bool:
 
     Standard gcd test: a reducible polynomial of degree r has an irreducible
     factor of degree d <= r/2, which divides X^(2^d) - X and therefore shows
-    up as a nontrivial gcd.  Degree-1 polynomials pass vacuously.
+    up as a nontrivial gcd.  Degree-1 polynomials pass vacuously.  Degrees past
+    MAX_IRREDUCIBILITY_DEGREE raise ScaleGuardError before any work.
     """
     f = poly.mask
     r = poly.degree
+    if r > MAX_IRREDUCIBILITY_DEGREE:
+        raise ScaleGuardError(f"irreducibility test capped at degree {MAX_IRREDUCIBILITY_DEGREE}, got {r}")
     x2i = 2  # X
     for _ in range(r // 2):
         x2i = _gf2_mulmod(x2i, x2i, f)
@@ -200,7 +205,10 @@ def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
     An LfsrSource's windows are its states, so at tau = sequence_period(...) it always passes.
 
     More than 2^r windows cannot be distinct, which is answered without reading a bit.  Otherwise
-    the tau windows of r bits are capped at the period walk's budget, 2^24 windows of 24 bits.
+    the tau windows of r bits are capped at the period walk's budget, 2^24 windows of 24 bits.  A set
+    costs 40 to 48 bytes per window, so windows of up to MAX_PERIOD_SEARCH_DEGREE bits are marked in a
+    byte per window value (16 MiB at most) when that table takes at most 32 bytes per window; otherwise
+    the set holds them.
     """
     r = validate_int(r, "window length", 1)
     tau = validate_int(tau, "tau", 1)
@@ -209,9 +217,17 @@ def windows_distinct(src: BitSequenceSource, r: int, tau: int) -> bool:
     if tau * r > MAX_PERIOD_SEARCH_DEGREE << MAX_PERIOD_SEARCH_DEGREE:
         raise ScaleGuardError(f"{tau} windows of {r} bits exceed the cap of "
                               f"{MAX_PERIOD_SEARCH_DEGREE} * 2^{MAX_PERIOD_SEARCH_DEGREE} window bits")
-    seen = set()
-    for w in packed_windows(src.bits(tau + r)[1:], r):
-        if w in seen:
+    windows = packed_windows(src.bits(tau + r)[1:], r)
+    if r > MAX_PERIOD_SEARCH_DEGREE or 1 << r > tau << 5:
+        seen = set()
+        for w in windows:
+            if w in seen:
+                return False
+            seen.add(w)
+        return True
+    seen = bytearray(1 << r)
+    for w in windows:
+        if seen[w]:
             return False
-        seen.add(w)
+        seen[w] = 1
     return True

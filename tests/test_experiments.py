@@ -18,6 +18,7 @@ from ecss.errors import ScaleGuardError, ValidationError
 from ecss.experiments import (
     MAX_SAMPLES,
     ExperimentConfig,
+    SweepRow,
     bound_crossover,
     discrepancy_sweep,
     sample_weight_vectors,
@@ -388,16 +389,13 @@ class TestSweepStatistics:
 class TestSlopeFit:
     def test_exact_square_root_decay(self):
         # synthetic rows with D = N^{-1/2} exactly
-        from dataclasses import replace
-
         rows = discrepancy_sweep(small_config(samples=1, n_grid=(4, 8, 16)))
-        synthetic = [replace(row, mean=row.n**-0.5) for row in rows]
+        synthetic = [SweepRow(**{**vars(row), "mean": row.n**-0.5}) for row in rows]
         assert abs(slope_fit(synthetic) - (-0.5)) < 1e-12
 
     def test_constant_rows(self):
-        from dataclasses import replace
-
-        rows = [replace(r, mean=0.25) for r in discrepancy_sweep(small_config(samples=1, n_grid=(4, 8, 16)))]
+        rows = discrepancy_sweep(small_config(samples=1, n_grid=(4, 8, 16)))
+        rows = [SweepRow(**{**vars(row), "mean": 0.25}) for row in rows]
         assert abs(slope_fit(rows)) < 1e-12
 
     def test_needs_three_rows(self):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ecss.errors import ScaleGuardError, ValidationError
 from ecss.gf2 import (
+    MAX_IRREDUCIBILITY_DEGREE,
     BinaryPoly,
     LfsrSource,
     default_init,
@@ -73,6 +75,15 @@ class TestIrreducibility:
                 for d in range(1 << low, 1 << (low + 1))
             )
             assert poly_is_irreducible(poly) == (not has_factor)
+
+    def test_degree_past_the_cap_is_refused_before_any_work(self, monkeypatch):
+        from ecss import gf2
+
+        assert not poly_is_irreducible(BinaryPoly(1 << MAX_IRREDUCIBILITY_DEGREE | 1))  # (X + 1)^1024
+        monkeypatch.setattr(gf2, "_gf2_mulmod", None)  # any squaring would raise TypeError
+        for degree in (MAX_IRREDUCIBILITY_DEGREE + 1, 4423, 10**6):
+            with pytest.raises(ScaleGuardError, match=f"capped at degree 1024, got {degree}"):
+                poly_is_irreducible(BinaryPoly(1 << degree | 1 << 1 | 1))
 
 
 class TestGenerateBits:
@@ -216,6 +227,44 @@ class TestWindowsDistinct:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_a_set_of_the_windows(self, seed):
+        # Random patterns at every r <= 12, with tau around the pattern length.  From r = 6 on, a tau below
+        # 2^r / 32 keeps the set and one from 2^r / 32 to 2^r takes the byte table; windows past
+        # MAX_PERIOD_SEARCH_DEGREE bits keep the set.
+        rng = random.Random(seed)
+        cases = [(r, rng.randint(1, max(1, (1 << r) >> 6))) for r in range(1, 13) for _ in range(3)]
+        cases += [(r, rng.randint((1 << r) >> 5 or 1, 1 << r)) for r in range(1, 13) for _ in range(3)]
+        cases += [(rng.randint(25, 40), rng.randint(1, 3000)) for _ in range(6)]
+        for r, tau in cases:
+            source = PeriodicSource([rng.getrandbits(1) for _ in range(rng.choice((tau, rng.randint(1, 2 * r + 2))))])
+            bits = source.bits(tau + r)
+            windows = {tuple(bits[n:n + r]) for n in range(1, tau + 1)}
+            assert windows_distinct(source, r, tau) == (len(windows) == tau), (r, tau, source.pattern)
+
+    def test_one_period_of_a_degree_16_register_stays_small(self):
+        # A set of the 65535 windows peaked at 4.5 MiB; a byte per window value takes 64 KiB beside the bits.
+        poly, init = BinaryPoly(0x1100B), default_init(16)
+        tau = sequence_period(poly, init)
+        assert tau == 2**16 - 1
+        tracemalloc.start()
+        try:
+            assert windows_distinct(LfsrSource(poly, init), 16, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_few_long_windows_take_no_table(self):
+        # Three windows of 24 bits: a byte per window value would zero 16 MiB where a set holds three.
+        tracemalloc.start()
+        try:
+            assert windows_distinct(LfsrSource(BinaryPoly(0x100001B), default_init(24)), 24, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     @pytest.mark.parametrize("degree", range(2, 13))
     def test_maximal_period_registers(self, degree):

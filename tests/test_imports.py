@@ -1,4 +1,5 @@
-"""What a fresh process loads: `import ecss` loads no submodule, and each CLI command only its own."""
+"""What a fresh process loads: `import ecss` loads no submodule, each CLI command only its own, and none
+`dataclasses`."""
 
 import importlib
 import json
@@ -34,11 +35,15 @@ PUBLIC = {
 }
 
 
+REPORTED = ("numpy", "numpy.random", "csv", "dataclasses", "inspect")
+BY_NUMPY = {"inspect"}  # numpy._core.overrides imports it, so only a numpy-free job can go without
+
+
 def loaded_after(code: str) -> set[str]:
-    """The ecss modules, and numpy, numpy.random and csv if loaded, in sys.modules of a fresh process after code."""
+    """The ecss modules, and those of REPORTED that are loaded, in sys.modules of a fresh process after code."""
     script = (f"import contextlib, io, json, sys\n{code}\n"
               "print(json.dumps([m for m in sys.modules\n"
-              "                  if m in ('numpy', 'numpy.random', 'csv') or m.split('.')[0] == 'ecss']))")
+              f"                  if m in {REPORTED!r} or m.split('.')[0] == 'ecss']))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -64,12 +69,12 @@ def test_a_public_name_or_submodule_loads_only_its_module():
                                          (("badpairs", "--r", "12", "--s", "3"), set())],  # Python ints only
                          ids=["beta", "badpairs"])
 def test_table_commands_load_only_combinat(argv, numpy):
-    assert loaded_after(cli_run(*argv)) == {"ecss", "ecss.cli", "ecss.errors", "ecss.combinat"} | numpy
+    assert loaded_after(cli_run(*argv)) - BY_NUMPY == {"ecss", "ecss.cli", "ecss.errors", "ecss.combinat"} | numpy
 
 
 def test_expsum_check_loads_no_combinatorics_or_discrepancy():
     # gf2 is imported inside avg_square_sum_over_weights, the one expsum function that reads a register.
-    loaded = loaded_after(cli_run("expsum-check", "--curve", "13,2,0", "--all-a"))
+    loaded = loaded_after(cli_run("expsum-check", "--curve", "13,2,0", "--all-a")) - BY_NUMPY
     assert loaded == {"ecss", "ecss.cli", "ecss.errors", "ecss.curve", "ecss.expsum", "numpy"}
 
 
@@ -98,8 +103,8 @@ def test_json_commands_load_no_csv(argv):
 def test_disc_loads_no_combinatorics(tmp_path):
     points = tmp_path / "pts.csv"
     points.write_text("0.1,0.2\n0.3,0.8\n0.5,0.5\n")
-    assert loaded_after(cli_run("disc", "--input", str(points))) == {"ecss", "ecss.cli", "ecss.errors",
-                                                                     "ecss.discrepancy", "numpy", "csv"}
+    assert loaded_after(cli_run("disc", "--input", str(points))) - BY_NUMPY == {"ecss", "ecss.cli", "ecss.errors",
+                                                                                "ecss.discrepancy", "numpy", "csv"}
 
 
 SAMPLING = {"ecss", "ecss.cli", "ecss.errors", "ecss.curve", "ecss.discrepancy", "ecss.experiments",
@@ -112,7 +117,7 @@ def test_experiment_loads_no_combinat(tmp_path, s):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": s,
                                   "n_grid": [8, 16], "samples": 2, "delta": 1.0, "seed": 1}))
-    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING  # no csv
+    assert loaded_after(cli_run("experiment", "--config", str(config))) - BY_NUMPY == SAMPLING  # no csv
 
 
 def test_gen_with_sampled_weights_loads_no_numpy_random():
@@ -125,13 +130,51 @@ def test_monte_carlo_columns_load_numpy_random(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": 4,
                                   "n_grid": [8], "samples": 2, "delta": 1.0, "seed": 1}))
-    assert loaded_after(cli_run("experiment", "--config", str(config))) == SAMPLING | {"numpy.random"}
+    assert loaded_after(cli_run("experiment", "--config", str(config))) - BY_NUMPY == SAMPLING | {"numpy.random"}
 
 
 @pytest.mark.parametrize("s", [[], ["--s", "2"]], ids=["s1", "s2"])
 def test_bounds_loads_only_discrepancy(s):
     argv = ("bounds", "--n", "100", "--p", "1009", "--r", "10", "--tau", "1023", *s)
-    assert loaded_after(cli_run(*argv)) == {"ecss", "ecss.cli", "ecss.errors", "ecss.discrepancy", "numpy"}
+    assert loaded_after(cli_run(*argv)) - BY_NUMPY == {"ecss", "ecss.cli", "ecss.errors", "ecss.discrepancy", "numpy"}
+
+
+# Every command, the files of disc and experiment named by placeholders.
+COMMANDS = {
+    "gen": ("gen", "--curve", "1009,1,1", "--poly", "0x409", "--n", "50", "--seed", "7"),
+    "curve-info": ("curve-info", "--curve", "13,2,0"),
+    "lfsr-info": ("lfsr-info", "--poly", "0x13"),
+    "disc": ("disc", "--input", "{points}"),
+    "bounds": ("bounds", "--n", "100", "--p", "1009", "--r", "10", "--tau", "1023", "--s", "2"),
+    "badpairs": ("badpairs", "--r", "12", "--s", "3"),
+    "beta": ("beta", "--s", "3"),
+    "expsum-check": ("expsum-check", "--curve", "13,2,0", "--all-a"),
+    "experiment": ("experiment", "--config", "{config}"),
+}
+
+
+def test_every_command_is_listed():
+    from ecss.cli import build_parser
+
+    commands = next(action.choices for action in build_parser()._actions if action.dest == "command")
+    assert set(commands) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_dataclasses(tmp_path, command):
+    # The records are built by errors.record; badpairs and lfsr-info, which load no numpy, load no inspect either.
+    points, config = tmp_path / "pts.csv", tmp_path / "config.json"
+    points.write_text("0.1,0.2\n0.3,0.8\n0.5,0.5\n")
+    config.write_text(json.dumps({"curve": {"p": 101, "a": 1, "b": 1}, "poly_hex": "0x25", "r": 5, "s": 2,
+                                  "n_grid": [8, 16], "samples": 2, "delta": 1.0, "seed": 1}))
+    loaded = loaded_after(cli_run(*(arg.format(points=points, config=config) for arg in COMMANDS[command])))
+    assert "dataclasses" not in loaded
+    assert command not in ("badpairs", "lfsr-info") or loaded.isdisjoint({"inspect", "numpy"})
+
+
+@pytest.mark.parametrize("module", [*PUBLIC, "cli"])
+def test_no_module_loads_dataclasses(module):
+    assert "dataclasses" not in loaded_after(f"import ecss.{module}")
 
 
 def test_public_names_resolve_to_their_modules():
